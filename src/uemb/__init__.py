@@ -24,12 +24,10 @@ from .maps import (
     PeriodicMap,
     PowerSpectrum,
     SpectrumToleranceError,
-    eval_map,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
     make_square_wave,
-    power_coeffs,
     quantize_map,
 )
 from .randproj import (
@@ -49,7 +47,6 @@ from .theory import (
     continuous_extension_bound,
     discontinuous_extension_bound,
     distance_map,
-    invert_map,
     kernel_map,
     multibit_map,
     multibit_quantization_error,

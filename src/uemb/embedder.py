@@ -11,12 +11,13 @@ caller-side split of a batch agree coordinatewise to the last bit.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import PeriodicMap, make_multibit, make_square_wave
+from .maps import PeriodicMap, _quantize_values, make_multibit, make_square_wave
 from .randproj import ProjectionSpec, sample_dither, sample_projection
 
 _CHUNK_ROWS = 4096
@@ -202,17 +203,13 @@ def post_quantize(y, bits, S):
     """
     if int(bits) != bits or bits < 1:
         raise ValueError("bits must be a positive integer")
-    if not S > 0:
-        raise ValueError("saturation level S must be positive")
+    if not (S > 0 and math.isfinite(2.0 * S)):
+        raise ValueError("saturation level S must be positive with 2S finite")
     bits = int(bits)
-    levels = 2 ** bits
-    step = 2.0 ** (-bits + 1) * S
     v = y.values
     saturated = int(np.count_nonzero((v < -S) | (v >= S)))
-    idx = np.clip(np.floor((v + S) / step), 0, levels - 1)
-    q = -S + (idx + 0.5) * step
     return EmbeddingVector(
-        values=q,
+        values=_quantize_values(v, (-S, S), bits),
         map_id=y.map_id,
         binary=False,
         quantized_bits=bits,
@@ -258,7 +255,11 @@ def save_embeddings(path, vectors):
 
 
 def load_embeddings(path):
-    """Read a UEMB container written by save_embeddings."""
+    """Read a UEMB container written by save_embeddings.
+
+    The header, the map id and the payload size are validated before any
+    vector is built, so a malformed file raises FormatError in bounded time.
+    """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -268,23 +269,33 @@ def load_embeddings(path):
             raise FormatError("bad magic %r" % (magic,))
         if version != FORMAT_VERSION:
             raise FormatError("unsupported version %d" % version)
-        (mid_len,) = struct.unpack("<H", f.read(2))
-        map_id = f.read(mid_len).decode("utf-8")
+        raw_len = f.read(2)
+        if len(raw_len) != 2:
+            raise FormatError("truncated map id length")
+        (mid_len,) = struct.unpack("<H", raw_len)
+        try:
+            map_id = f.read(mid_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("map id is not UTF-8") from None
+        if M == 0 and count > 0:
+            raise FormatError("%d vectors of length 0" % count)
         packed = bool(flags & _FLAG_PACKED_BITS)
-        out = []
         per_vec = (M + 7) // 8 if packed else 8 * M
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if count * per_vec != payload:
+            raise FormatError(
+                "payload of %d bytes does not hold %d vectors of %d bytes"
+                % (payload, count, per_vec)
+            )
+        out = []
         for _ in range(count):
             raw = f.read(per_vec)
-            if len(raw) != per_vec:
-                raise FormatError("truncated payload")
             if packed:
                 bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:M]
                 values = bits.astype(np.float64)
             else:
                 values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
             out.append(EmbeddingVector(values=values, map_id=map_id, binary=packed))
-        if f.read(1):
-            raise FormatError("trailing bytes after payload")
     return out
 
 

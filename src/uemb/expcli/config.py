@@ -10,6 +10,7 @@ e.g. ``square``, ``multibit:B=2``, ``mixture:1:0.7071,10:0.7071``,
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 from ..maps import (
@@ -75,9 +76,12 @@ def _parse_int(s, what):
 
 def _parse_float(s, what):
     try:
-        return float(s.strip())
+        v = float(s.strip())
     except ValueError:
         raise ConfigError("%s: %r is not a number" % (what, s)) from None
+    if not math.isfinite(v):
+        raise ConfigError("%s: %r is not a finite number" % (what, s))
+    return v
 
 
 def _coerce(raw, typ, key):
@@ -192,23 +196,29 @@ class ExperimentConfig:
         return self.params["seed"]
 
 
-def make_config(kind, **overrides):
-    """Programmatic config with schema validation and defaults."""
+def _schema(kind, where):
     if kind not in SCHEMAS:
-        raise ConfigError("unknown experiment kind %r" % kind)
-    schema = dict(_COMMON)
-    schema.update(SCHEMAS[kind])
-    params = {}
-    for key, val in overrides.items():
-        if key not in schema:
-            raise ConfigError("unknown key %r for kind %r" % (key, kind))
-        params[key] = val
+        raise ConfigError("%sunknown experiment kind %r" % (where, kind))
+    return {**_COMMON, **SCHEMAS[kind]}
+
+
+def _with_defaults(kind, schema, params, where):
+    """The config of ``params`` with every key it omits set to its default."""
     for key, (_, default) in schema.items():
         if key not in params:
             if default is REQUIRED:
-                raise ConfigError("missing required key %r" % key)
+                raise ConfigError("%smissing required key %r" % (where, key))
             params[key] = default
     return ExperimentConfig(kind=kind, params=params)
+
+
+def make_config(kind, **overrides):
+    """Programmatic config with schema validation and defaults."""
+    schema = _schema(kind, "")
+    for key in overrides:
+        if key not in schema:
+            raise ConfigError("unknown key %r for kind %r" % (key, kind))
+    return _with_defaults(kind, schema, dict(overrides), "")
 
 
 def parse_config(path):
@@ -236,10 +246,7 @@ def parse_config(path):
     if "kind" not in entries:
         raise ConfigError("%s: missing required key 'kind'" % path)
     kind, _ = entries.pop("kind")
-    if kind not in SCHEMAS:
-        raise ConfigError("%s: unknown experiment kind %r" % (path, kind))
-    schema = dict(_COMMON)
-    schema.update(SCHEMAS[kind])
+    schema = _schema(kind, "%s: " % path)
 
     params = {}
     for key, (raw, lineno) in entries.items():
@@ -252,12 +259,7 @@ def parse_config(path):
             params[key] = _coerce(raw, typ, key)
         except ConfigError as e:
             raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
-    for key, (_, default) in schema.items():
-        if key not in params:
-            if default is REQUIRED:
-                raise ConfigError("%s: missing required key %r" % (path, key))
-            params[key] = default
-    return ExperimentConfig(kind=kind, params=params)
+    return _with_defaults(kind, schema, params, "%s: " % path)
 
 
 def format_cell(v):

@@ -8,6 +8,13 @@ the library consumes is the *folded* one-sided power spectrum
 so that Parseval reads  sum_k P_k = int_0^1 h(t)^2 dt  and the squared-
 distance map of an embedding built on h saturates at 2 * sum_{k>=1} P_k.
 
+Each map states its spectrum once, through one protocol: ``series`` is the
+closed-form infinite series of the square wave and the sawtooth (a
+``HarmonicSeries``, None for every other kind), and ``power_coeffs(tol)``
+is the finite, certified ``PowerSpectrum`` of any map, built from the
+series where there is one.  Quantizer levels are computed in one place,
+``_quantize_values``.
+
 Discontinuity convention: maps are right-continuous at bin edges (a bin's
 value holds from its left endpoint).  Dither makes the convention measure-
 zero irrelevant, but determinism requires one choice.
@@ -80,6 +87,31 @@ class PowerSpectrum:
         return float(self.power[0]) if len(self.k) and self.k[0] == 0 else 0.0
 
 
+@dataclass(frozen=True)
+class HarmonicSeries:
+    """Closed-form folded spectrum P_k = c / (pi k)^2 on k = 1, 1 + step, ...
+
+    ``dc`` is the exact P_0 and ``ac_total`` the exact sum over k >= 1.
+    """
+
+    c: float
+    step: int
+    dc: float
+    ac_total: float
+
+    def powers(self, lo, hi):
+        """(k, P_k) float64 arrays of the series' harmonics in [lo, hi]."""
+        lo += (1 - lo) % self.step
+        ks = np.arange(lo, hi + 1, self.step, dtype=np.float64)
+        return ks, self.c / (np.pi * ks) ** 2
+
+
+_SERIES = {
+    "square": HarmonicSeries(c=2.0, step=2, dc=0.25, ac_total=0.25),
+    "sawtooth": HarmonicSeries(c=1.0, step=1, dc=0.0, ac_total=1.0 / 6.0),
+}
+
+
 class PeriodicMap:
     """A period-1 scalar map h(t); immutable after construction.
 
@@ -105,10 +137,8 @@ class PeriodicMap:
     @property
     def name(self):
         """Config-file selector string for this map."""
-        if self.kind == "square":
-            return "square"
-        if self.kind == "sawtooth":
-            return "sawtooth"
+        if self.kind in ("square", "sawtooth"):
+            return self.kind
         if self.kind == "multibit":
             return "multibit:B=%d" % self.params["B"]
         if self.kind == "mixture":
@@ -144,13 +174,19 @@ class PeriodicMap:
 
     # -- spectrum -----------------------------------------------------------
 
+    @property
+    def series(self):
+        """HarmonicSeries of square/sawtooth; None for finite spectra."""
+        return _SERIES.get(self.kind)
+
     def power_coeffs(self, tol):
         """Folded power spectrum with certified tail_bound <= tol.
 
-        Analytic for square/sawtooth/mixture kinds; piecewise-exact Fourier
-        integrals for the (piecewise-constant) quantized kinds.  Raises
-        SpectrumToleranceError when the tolerance would require more than
-        KMAX_CAP harmonics.
+        The series truncated at the first harmonic whose tail is <= tol
+        for square/sawtooth; the declared terms for mixtures; piecewise-
+        exact Fourier integrals for the (piecewise-constant) quantized
+        kinds.  Raises SpectrumToleranceError when the tolerance would
+        require more than KMAX_CAP harmonics.
         """
         if tol <= 0:
             raise ValueError("tol must be positive")
@@ -167,6 +203,11 @@ class PeriodicMap:
 
 
 def _quantize_values(v, value_range, bits):
+    """Midpoint level of v's cell among 2^bits equal cells of value_range.
+
+    The one place a quantizer level is computed: map evaluation, codomain
+    ends, constant pieces and post-quantization all go through it.
+    """
     lo, hi = value_range
     levels = 2 ** bits
     step = (hi - lo) / levels
@@ -181,8 +222,8 @@ def _quantize_values(v, value_range, bits):
 def make_square_wave():
     """Binary universal quantizer map: 1 on [0, 1/2), 0 on [1/2, 1).
 
-    Folded spectrum: P_0 = 1/4, P_k = 2/(pi k)^2 for odd k.  AC power 1/4,
-    so the squared-distance map saturates at 1/2.
+    AC power 1/4 (series ``_SERIES["square"]``), so the squared-distance
+    map saturates at 1/2.
     """
     return PeriodicMap("square", {}, (0.0, 1.0), is_binary=True)
 
@@ -190,8 +231,8 @@ def make_square_wave():
 def make_sawtooth():
     """Period-1 sawtooth sqrt(2)*(t - 1/2), values in [-sqrt2/2, sqrt2/2).
 
-    The sqrt(2) amplitude makes the folded coefficients exactly
-    P_k = (1/pi k)^2, total power 1/6, and the map asymptote 1/3.
+    The sqrt(2) amplitude gives the series ``_SERIES["sawtooth"]`` unit
+    coefficients, total power 1/6, and the map asymptote 1/3.
     """
     return PeriodicMap("sawtooth", {}, (-SQRT2 / 2, SQRT2 / 2))
 
@@ -236,37 +277,23 @@ def quantize_map(inner, bits):
     bits = int(bits)
     if bits > 40:
         raise ValueError("bits too large for float quantization")
-    lo, hi = inner.value_range
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise ValueError("inner map must be bounded with positive range")
-    step = (hi - lo) / 2 ** bits
-    out_range = (lo + step / 2, hi - step / 2)
+    lo, hi = (float(v) for v in inner.value_range)
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError("inner map must be bounded with a positive, finite range")
+    out_range = _quantize_values(np.array([lo, hi]), (lo, hi), bits)
     return PeriodicMap("quantized", {"inner": inner, "B": bits}, out_range)
 
 
 def make_multibit(bits):
     """B-bit universal quantizer map: the sawtooth uniformly quantized.
 
-    Pointwise identical to quantize_map(make_sawtooth(), B); kept as its own
-    kind so breakpoints (exact dyadics j/2^B) and the selector name survive.
+    Pointwise identical to quantize_map(make_sawtooth(), B), whose codomain
+    it takes; kept as its own kind so the selector name survives.
     """
     if int(bits) != bits or not (1 <= bits <= 16):
         raise ValueError("bits must be an integer in [1, 16]")
-    bits = int(bits)
-    saw = make_sawtooth()
-    step = SQRT2 / 2 ** bits
-    out_range = (-SQRT2 / 2 + step / 2, SQRT2 / 2 - step / 2)
-    return PeriodicMap("multibit", {"inner": saw, "B": bits}, out_range)
-
-
-def eval_map(map_, t):
-    """Functional form of map evaluation: h(t mod 1)."""
-    return map_(t)
-
-
-def power_coeffs(map_, tol):
-    """Functional form of PeriodicMap.power_coeffs."""
-    return map_.power_coeffs(tol)
+    q = quantize_map(make_sawtooth(), int(bits))
+    return PeriodicMap("multibit", q.params, q.value_range)
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +329,27 @@ def _smooth_range(map_):
 def _constant_pieces(map_):
     if map_.kind == "square":
         return [(0.0, 0.5, 1.0), (0.5, 1.0, 0.0)]
-    if map_.kind == "multibit":
-        bits = map_.params["B"]
-        n = 2 ** bits
-        step = SQRT2 / n
-        return [
-            (j / n, (j + 1) / n, -SQRT2 / 2 + (j + 0.5) * step) for j in range(n)
-        ]
-    if map_.kind == "quantized":
-        inner = map_.params["inner"]
-        bits = map_.params["B"]
-        if inner.kind == "sawtooth":
-            # same partition as the multibit kind, exact dyadic breakpoints
-            n = 2 ** bits
-            step = SQRT2 / n
-            return [
-                (j / n, (j + 1) / n, -SQRT2 / 2 + (j + 0.5) * step)
-                for j in range(n)
-            ]
-        if inner.kind in ("multibit", "quantized", "square"):
-            return [
-                (t0, t1, float(_quantize_values(np.float64(v), inner.value_range, bits)))
-                for t0, t1, v in inner.constant_pieces()
-            ]
-        return _pieces_by_crossing(inner, bits)
-    raise ValueError("map kind %r is not piecewise constant" % map_.kind)
+    if map_.kind not in ("multibit", "quantized"):
+        raise ValueError("map kind %r is not piecewise constant" % map_.kind)
+    inner, bits = map_.params["inner"], map_.params["B"]
+    if inner.kind == "sawtooth":
+        # the sawtooth is linear: its cells end at the exact dyadics j/2^B
+        breaks = np.arange(2 ** bits + 1) / 2 ** bits
+    elif inner.kind == "mixture":
+        breaks = _cell_crossings(inner, bits)
+    else:
+        breaks = np.array([t0 for t0, _, _ in inner.constant_pieces()] + [1.0])
+    levels = _quantize_values(
+        inner(0.5 * (breaks[:-1] + breaks[1:])), inner.value_range, bits
+    )
+    return list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), levels.tolist()))
 
 
-def _pieces_by_crossing(inner, bits):
-    """Locate quantizer-cell boundaries of a smooth inner map by bisection."""
-    lo, hi = inner.value_range
-    levels = 2 ** bits
-    step = (hi - lo) / levels
+def _cell_crossings(inner, bits):
+    """Quantizer-cell boundaries of a smooth inner map, located by bisection."""
 
     def cell(t):
-        return np.clip(np.floor((inner(t) - lo) / step), 0, levels - 1)
+        return _quantize_values(inner(t), inner.value_range, bits)
 
     n = 1 << 15
     grid = np.arange(n + 1) / n
@@ -353,65 +366,36 @@ def _pieces_by_crossing(inner, bits):
                 b = m
         breaks.append(b)
     breaks.append(1.0)
-    breaks = sorted(set(breaks))
-    pieces = []
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        if t1 - t0 <= 0:
-            continue
-        v = float(_quantize_values(np.float64(inner(0.5 * (t0 + t1))), (lo, hi), bits))
-        pieces.append((t0, t1, v))
-    return pieces
+    return np.array(sorted(set(breaks)))
 
 
 # ---------------------------------------------------------------------------
 # Spectra
 
 
-def analytic_spectrum_kind(map_):
-    """'square' | 'sawtooth' | 'mixture' for closed-form kinds, else None."""
-    if map_.kind in ("square", "sawtooth", "mixture"):
-        return map_.kind
-    return None
-
-
 def _compute_spectrum(map_, tol):
-    kind = map_.kind
-    if kind == "square":
-        # P_k = 2/(pi k)^2, odd k; exact AC total 1/4, DC 1/4.
-        ks = np.arange(1, KMAX_CAP + 1, 2, dtype=np.int64)
-        powers = 2.0 / (np.pi * ks) ** 2
-        tails = 0.25 - np.cumsum(powers)
+    series = map_.series
+    if series is not None:
+        ks, powers = series.powers(1, KMAX_CAP)
+        tails = series.ac_total - np.cumsum(powers)
         idx = np.nonzero(tails <= tol)[0]
         if len(idx) == 0:
             raise SpectrumToleranceError(
-                "square-wave tail %g > tol %g at kmax cap" % (tails[-1], tol)
+                "%s tail %g > tol %g at kmax cap" % (map_.kind, tails[-1], tol)
             )
         m = idx[0] + 1
-        k = np.concatenate(([0], ks[:m]))
-        p = np.concatenate(([0.25], powers[:m]))
-        return PowerSpectrum(k, p, max(float(tails[m - 1]), 0.0), 0.5)
-    if kind == "sawtooth":
-        ks = np.arange(1, KMAX_CAP + 1, dtype=np.int64)
-        powers = 1.0 / (np.pi * ks) ** 2
-        tails = 1.0 / 6.0 - np.cumsum(powers)
-        idx = np.nonzero(tails <= tol)[0]
-        if len(idx) == 0:
-            raise SpectrumToleranceError(
-                "sawtooth tail %g > tol %g at kmax cap" % (tails[-1], tol)
-            )
-        m = idx[0] + 1
+        k, p = ks[:m], powers[:m]
+        if series.dc:
+            k, p = np.concatenate(([0], k)), np.concatenate(([series.dc], p))
         return PowerSpectrum(
-            ks[:m], powers[:m], max(float(tails[m - 1]), 0.0), 1.0 / 6.0
+            k, p, max(float(tails[m - 1]), 0.0), series.dc + series.ac_total
         )
-    if kind == "mixture":
+    if map_.kind == "mixture":
         terms = map_.params["terms"]
         k = np.array([kk for kk, _ in terms], dtype=np.int64)
         p = np.array([a * a / 2.0 for _, a in terms])
-        total = float(np.sum(p))
-        return PowerSpectrum(k, p, 0.0, total)
-    if kind in ("multibit", "quantized"):
-        return _pieces_spectrum(map_.constant_pieces(), tol)
-    raise AssertionError(kind)
+        return PowerSpectrum(k, p, 0.0, float(np.sum(p)))
+    return _pieces_spectrum(map_.constant_pieces(), tol)
 
 
 def _pieces_spectrum(pieces, tol):
@@ -449,12 +433,8 @@ def _pieces_spectrum(pieces, tol):
         block = min(block * 2, 16384)
         tail = max(total - running, 0.0)
 
-    if blocks:
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
-        powers = np.concatenate(blocks)
-    else:
-        ks = np.zeros(0, dtype=np.int64)
-        powers = np.zeros(0)
+    ks = np.arange(1, kmax + 1, dtype=np.int64)
+    powers = np.concatenate(blocks) if blocks else np.zeros(0)
     floor = 1e-15 * max(total, 1.0)
     keep = powers > floor
     k = np.concatenate(([0], ks[keep])) if dc > floor else ks[keep]

@@ -7,9 +7,12 @@ spectrum {P_k} and projected-distance characteristic function phi is
 
 its kernel is K(d) = sum_{k>=0} P_k phi(2 pi k | d), and the two satisfy
 K(d) + g(d)/2 = sum_k P_k identically.  The engine here evaluates both
-through one adaptively truncated sum of S = sum_{k>=1} P_k phi(2 pi k | d),
-using exact AC totals for the analytic map kinds so the identity holds to
-rounding and g(0) = 0 exactly.
+through S = sum_{k>=1} P_k phi(2 pi k | d), reading the spectrum only
+through the map's spectrum protocol (see ``uemb.maps``): a map with a
+closed-form ``series`` is summed block by block with adaptive truncation
+and its exact AC total, so the identity holds to rounding and g(0) = 0
+exactly; any other map contributes the finite certified spectrum of
+``power_coeffs``.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import spence
 
-from .maps import analytic_spectrum_kind, make_sawtooth
+from .maps import make_sawtooth
 from .randproj import ProjectionSpec, char_fn
 
 _K_CAP = 1 << 21
@@ -41,95 +44,39 @@ def _li2(x):
 
 
 # ---------------------------------------------------------------------------
-# Folded-spectrum descriptors feeding the series engine
+# Series engine
 
 
-class _Desc:
-    ac_total: float
-    dc: float
-    tail: float
+def _blocks(series):
+    """Ascending (hi, ks, P_k) blocks of a HarmonicSeries, ending at _K_CAP.
 
-    def powers(self, lo, hi):  # harmonics in [lo, hi], ascending
-        raise NotImplementedError
-
-
-class _SquareDesc(_Desc):
-    ac_total = 0.25
-    dc = 0.25
-    tail = 0.0
-
-    def powers(self, lo, hi):
-        lo = lo if lo % 2 == 1 else lo + 1
-        ks = np.arange(lo, hi + 1, 2, dtype=np.float64)
-        return ks, 2.0 / (np.pi * ks) ** 2
+    The first block spans 512 harmonics; each next one 4x more, up to 2^18.
+    """
+    lo, block = 1, 512
+    while lo <= _K_CAP:
+        hi = min(lo + block - 1, _K_CAP)
+        yield (hi,) + series.powers(lo, hi)
+        lo = hi + 1
+        block = min(block * 4, 1 << 18)
 
 
-class _SawtoothDesc(_Desc):
-    ac_total = 1.0 / 6.0
-    dc = 0.0
-    tail = 0.0
-
-    def powers(self, lo, hi):
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        return ks, 1.0 / (np.pi * ks) ** 2
-
-
-class _FiniteDesc(_Desc):
-    """Explicit (k, P_k) arrays: mixtures and certified numeric spectra."""
-
-    def __init__(self, ks, p, dc=0.0, tail=0.0):
-        self.ks = np.asarray(ks, dtype=np.float64)
-        self.p = np.asarray(p, dtype=np.float64)
-        self.ac_total = float(np.sum(self.p))
-        self.dc = float(dc)
-        self.tail = float(tail)
-
-
-def _descriptor(map_, spectrum_tol=None):
-    kind = analytic_spectrum_kind(map_)
-    if kind == "square":
-        return _SquareDesc()
-    if kind == "sawtooth":
-        return _SawtoothDesc()
-    if kind == "mixture":
-        terms = map_.params["terms"]
-        return _FiniteDesc(
-            [k for k, _ in terms], [a * a / 2.0 for _, a in terms]
-        )
-    spectrum = map_.power_coeffs(spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL)
-    ac = spectrum.k >= 1
-    return _FiniteDesc(
-        spectrum.k[ac], spectrum.power[ac], spectrum.dc_power, spectrum.tail_bound
-    )
-
-
-def _phi_sum(desc, spec, d, rtol=1e-12):
+def _phi_sum(series, spec, d, rtol=1e-12):
     """S = sum_{k>=1} P_k phi(2 pi k | d) with a certified truncation bound.
 
     Returns (S_hat, err) with |S - S_hat| <= err; exploits that phi is
     nonincreasing in k for both families, so the remainder past K is at
     most tail_P(K) * phi(2 pi (K+1) | d).
     """
-    if isinstance(desc, _FiniteDesc):
-        s = float(desc.p @ char_fn(spec, 2.0 * np.pi * desc.ks, d))
-        return s, desc.tail  # unknown-tail harmonics bounded by phi <= 1
-    if d == 0.0:
-        return desc.ac_total, 0.0
     s = 0.0
     partial = 0.0
-    lo, block = 1, 512
-    while True:
-        hi = min(lo + block - 1, _K_CAP)
-        ks, powers = desc.powers(lo, hi)
-        if len(ks):
-            s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
-            partial += float(np.sum(powers))
-        tail_p = max(desc.ac_total - partial, 0.0)
+    for hi, ks, powers in _blocks(series):
+        s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
+        partial += float(np.sum(powers))
+        tail_p = max(series.ac_total - partial, 0.0)
         rem = tail_p * char_fn(spec, 2.0 * np.pi * (hi + 1), d)
-        if rem <= rtol * max(s, 1e-3 * desc.ac_total) or hi >= _K_CAP:
-            return s + rem / 2.0, rem / 2.0
-        lo = hi + 1
-        block = min(block * 4, 1 << 18)
+        if rem <= rtol * max(s, 1e-3 * series.ac_total):
+            break
+    return s + rem / 2.0, rem / 2.0
 
 
 def _dphi_abs(spec, ks, d):
@@ -141,10 +88,8 @@ def _dphi_abs(spec, ks, d):
     return spec.scale * np.abs(xi) * phi
 
 
-def _phi_deriv_sum(desc, spec, d, rtol=1e-10):
+def _phi_deriv_sum(series, spec, d, rtol=1e-10):
     """sum_{k>=1} P_k |d phi / dd|; positive, equals g'(d)/2."""
-    if isinstance(desc, _FiniteDesc):
-        return float(desc.p @ _dphi_abs(spec, desc.ks, d))
     if d == 0.0:
         if spec.family == "gaussian":
             return 0.0
@@ -154,16 +99,12 @@ def _phi_deriv_sum(desc, spec, d, rtol=1e-10):
     else:
         k_peak = 1.0
     s = 0.0
-    lo, block = 1, 512
-    while True:
-        hi = min(lo + block - 1, _K_CAP)
-        ks, powers = desc.powers(lo, hi)
-        contrib = float(powers @ _dphi_abs(spec, ks, d)) if len(ks) else 0.0
+    for hi, ks, powers in _blocks(series):
+        contrib = float(powers @ _dphi_abs(spec, ks, d))
         s += contrib
-        if (hi >= 2 * k_peak and contrib <= rtol * max(s, 1e-300)) or hi >= _K_CAP:
-            return s
-        lo = hi + 1
-        block = min(block * 4, 1 << 18)
+        if hi >= 2 * k_peak and contrib <= rtol * max(s, 1e-300):
+            break
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +132,46 @@ class DistanceMapModel:
         self.spec = spec
         self.flavor = flavor
         self.series_rtol = series_rtol
-        self._desc = _descriptor(map_, spectrum_tol)
+        self._series = map_.series
+        if self._series is None:
+            sp = map_.power_coeffs(spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL)
+            ac = sp.k >= 1
+            self._ks = sp.k[ac].astype(np.float64)
+            self._p = sp.power[ac]
+            self._dc, self._ac = sp.dc_power, float(np.sum(self._p))
+            self._tail = sp.tail_bound
+        else:
+            self._dc, self._ac = self._series.dc, self._series.ac_total
+            self._tail = 0.0
         self._d0 = None
+
+    def _phi_total(self, d):
+        """(S, err): S = sum_{k>=1} P_k phi(2 pi k | d), off by at most err."""
+        if self._series is None:
+            # harmonics beyond the spectrum's tail are bounded by phi <= 1
+            s = float(self._p @ char_fn(self.spec, 2.0 * np.pi * self._ks, d))
+            return s, self._tail
+        return _phi_sum(self._series, self.spec, d, self.series_rtol)
 
     # -- raw curves ---------------------------------------------------------
 
     @property
     def ac_power(self):
-        return self._desc.ac_total
+        return self._ac
 
     @property
     def total_power(self):
         """Certified sum of all P_k including the spectrum tail."""
-        return self._desc.dc + self._desc.ac_total + self._desc.tail
+        return self._dc + self._ac + self._tail
 
     @property
     def tail_bound(self):
-        return self._desc.tail
+        return self._tail
 
     @property
     def g_inf(self):
         """Asymptote of g: 2 * sum_{k>=1} P_k."""
-        return 2.0 * self._desc.ac_total
+        return 2.0 * self._ac
 
     def g(self, d):
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""
@@ -220,8 +179,8 @@ class DistanceMapModel:
             raise ValueError("d must be nonnegative")
         if d == 0.0:
             return 0.0
-        s, _ = _phi_sum(self._desc, self.spec, d, self.series_rtol)
-        return 2.0 * max(self._desc.ac_total - s, 0.0)
+        s, _ = self._phi_total(d)
+        return 2.0 * max(self._ac - s, 0.0)
 
     def g_sqrt(self, d):
         return math.sqrt(self.g(d))
@@ -231,9 +190,9 @@ class DistanceMapModel:
         if d < 0:
             raise ValueError("d must be nonnegative")
         if d == 0.0:
-            return self._desc.dc + self._desc.ac_total
-        s, _ = _phi_sum(self._desc, self.spec, d, self.series_rtol)
-        return self._desc.dc + s
+            return self._dc + self._ac
+        s, _ = self._phi_total(d)
+        return self._dc + s
 
     # -- flavored view ------------------------------------------------------
 
@@ -253,13 +212,16 @@ class DistanceMapModel:
             return self.g_inf
         if self.flavor == "sqrt":
             return math.sqrt(self.g_inf)
-        return self._desc.dc
+        return self._dc
 
     def derivative(self, d):
         """Slope of the flavored curve (analytic series, not differences)."""
         if d < 0:
             raise ValueError("d must be nonnegative")
-        gp = 2.0 * _phi_deriv_sum(self._desc, self.spec, d)
+        if self._series is None:
+            gp = 2.0 * float(self._p @ _dphi_abs(self.spec, self._ks, d))
+        else:
+            gp = 2.0 * _phi_deriv_sum(self._series, self.spec, d)
         if self.flavor == "sq_l2":
             return gp
         if self.flavor == "sqrt":
@@ -306,7 +268,11 @@ class DistanceMapModel:
             raise RuntimeError("distance map is not monotone on [0, D0]")
 
     def invert(self, gval, rel_tol=1e-10):
-        """Signal distance with value(d) = gval; see invert_map."""
+        """(d, status): the signal distance with value(d) = gval.
+
+        status is "unique", "saturated" (gval at or past 95% of the
+        asymptote; d is D0) or "below_range" (gval < 0; d is 0).
+        """
         self._require_monotone_flavor()
         if gval < 0:
             return 0.0, "below_range"
@@ -333,10 +299,6 @@ def distance_map(map_, spec, d, spectrum_tol=None):
 def kernel_map(map_, spec, d, spectrum_tol=None):
     """K(d) for one (map, spec) pair; see DistanceMapModel.kernel."""
     return DistanceMapModel(map_, spec, spectrum_tol=spectrum_tol).kernel(d)
-
-
-def invert_map(model, gval):
-    return model.invert(gval)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Embedding operators: determinism, distances, quantization, persistence."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -262,6 +263,8 @@ class TestPostQuantize:
             post_quantize(y, 0, 1.0)
         with pytest.raises(ValueError):
             post_quantize(y, 2, 0.0)
+        with pytest.raises(ValueError):
+            post_quantize(y, 2, 1e308)
 
 
 class TestPersistence:
@@ -307,6 +310,44 @@ class TestPersistence:
         p.write_bytes(data[:-1])
         with pytest.raises(FormatError):
             load_embeddings(p)
+
+    @staticmethod
+    def _raw_file(tmp_path, M, count, tail):
+        p = tmp_path / "raw.uemb"
+        p.write_bytes(struct.pack("<4sHHIQ", b"UEMB", 1, 0, M, count) + tail)
+        return p
+
+    def test_missing_map_id_length(self, tmp_path):
+        with pytest.raises(FormatError, match="map id length"):
+            load_embeddings(self._raw_file(tmp_path, 4, 1, b"\x01"))
+
+    def test_non_utf8_map_id(self, tmp_path):
+        p = self._raw_file(tmp_path, 1, 1, struct.pack("<H", 2) + b"\xff\xfe" + bytes(8))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_embeddings(p)
+
+    def test_zero_length_vectors_rejected(self, tmp_path):
+        p = self._raw_file(tmp_path, 0, 10 ** 6, struct.pack("<H", 0))
+        with pytest.raises(FormatError, match="length 0"):
+            load_embeddings(p)
+
+    def test_payload_size_checked_before_reading(self, tmp_path):
+        # a header claiming 2^40 vectors fails on the size, not in the read loop
+        p = self._raw_file(tmp_path, 2, 2 ** 40, struct.pack("<H", 0) + bytes(32))
+        with pytest.raises(FormatError, match="does not hold"):
+            load_embeddings(p)
+        p = self._raw_file(tmp_path, 2, 1, struct.pack("<H", 0) + bytes(17))
+        with pytest.raises(FormatError, match="does not hold"):
+            load_embeddings(p)
+
+    def test_flipped_payload_bit_still_loads(self, tmp_path):
+        op = small_op(M=16, N=8)
+        p = tmp_path / "f.uemb"
+        save_embeddings(p, embed_batch(op, np.zeros((2, 8))))
+        data = bytearray(p.read_bytes())
+        data[-1] ^= 0x1
+        p.write_bytes(bytes(data))
+        assert len(load_embeddings(p)) == 2
 
     def test_mixed_operators_rejected(self, tmp_path):
         y1 = embed(small_op(seed=1), np.zeros(16))

@@ -271,6 +271,14 @@ class TestCli:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_non_finite_number_exit_two(self, tmp_path, capsys):
+        for raw in ("nan", "inf", "-inf"):
+            cfg = self._write(tmp_path, "kind = map_eval\nd_min = %s\n" % raw)
+            out = tmp_path / ("out_" + raw)
+            assert main(["map-eval", "--config", cfg, "--out", str(out)]) == 2
+            assert ":2:" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = self._write(tmp_path, "kind = design_sim\n")
         assert main(["map-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

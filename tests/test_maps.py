@@ -8,7 +8,6 @@ import pytest
 from uemb.maps import (
     KMAX_CAP,
     SpectrumToleranceError,
-    eval_map,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -160,6 +159,15 @@ class TestQuantize:
         err = np.max(np.abs(make_multibit(4)(ts) - make_sawtooth()(ts)))
         assert err == pytest.approx(SQRT2 * 2.0 ** -5, rel=1e-3)
 
+    def test_extreme_levels_equal_value_range(self):
+        # the codomain ends are the quantizer's own bottom and top levels
+        ts = np.concatenate([np.arange(1 << 18) / 2.0 ** 18, [np.nextafter(1.0, 0.0)]])
+        mix = make_fourier_mixture(FIG3_TERMS)
+        for bits in range(1, 17):
+            for m in (make_multibit(bits), quantize_map(mix, bits)):
+                vals = m(ts)
+                assert (vals.min(), vals.max()) == m.value_range, (m.name, bits)
+
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             make_multibit(0)
@@ -167,6 +175,11 @@ class TestQuantize:
             make_multibit(17)
         with pytest.raises(ValueError):
             quantize_map(make_sawtooth(), 0)
+
+    def test_range_too_wide_rejected(self):
+        # a width hi - lo that overflows would make every level inf or nan
+        with pytest.raises(ValueError):
+            quantize_map(make_fourier_mixture([(1, 1e308)]), 2)
 
 
 class TestEvalContract:
@@ -184,9 +197,6 @@ class TestEvalContract:
             sq(math.nan)
         with pytest.raises(ValueError):
             sq(np.array([0.1, math.inf]))
-
-    def test_eval_map_function(self):
-        assert eval_map(make_square_wave(), 0.25) == 1.0
 
 
 class TestSpectra:
@@ -215,6 +225,21 @@ class TestSpectra:
         with pytest.raises(SpectrumToleranceError):
             make_sawtooth().power_coeffs(1e-12)
         assert KMAX_CAP == 2 ** 16
+
+    def test_power_coeffs_read_the_series(self):
+        # the certified spectrum is the closed-form series, bit for bit
+        for m in (make_square_wave(), make_sawtooth()):
+            series = m.series
+            for tol in (1e-3, 2e-6):
+                sp = m.power_coeffs(tol)
+                ac = sp.k >= 1
+                ks, powers = series.powers(1, int(sp.k[-1]))
+                np.testing.assert_array_equal(sp.k[ac], ks)
+                np.testing.assert_array_equal(sp.power[ac], powers)
+                assert sp.dc_power == series.dc
+                assert sp.total_power == series.dc + series.ac_total
+        assert make_multibit(2).series is None
+        assert make_fourier_mixture(FIG3_TERMS).series is None
 
     def test_caching(self):
         m = make_square_wave()
