@@ -199,7 +199,9 @@ def post_quantize(y, bits, S):
     """Uniform scalar quantization of an embedding over [-S, S].
 
     Step 2^{-B+1} S with midpoint reconstruction; inputs outside [-S, S]
-    clamp to the edge cells and are counted in saturation_count.
+    clamp to the edge cells and are counted in saturation_count.  Non-
+    finite values raise ValueError: NaN has no cell, and an infinity
+    would pass as an ordinary saturated value.
     """
     if int(bits) != bits or bits < 1:
         raise ValueError("bits must be a positive integer")
@@ -207,9 +209,11 @@ def post_quantize(y, bits, S):
         raise ValueError("saturation level S must be positive with 2S finite")
     bits = int(bits)
     v = y.values
+    if not np.all(np.isfinite(v)):
+        raise ValueError("embedding values must be finite")
     saturated = int(np.count_nonzero((v < -S) | (v >= S)))
     return EmbeddingVector(
-        values=_quantize_values(v, (-S, S), bits),
+        values=_quantize_values(np.array(v, dtype=np.float64), (-S, S), bits),
         map_id=y.map_id,
         binary=False,
         quantized_bits=bits,

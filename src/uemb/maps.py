@@ -15,6 +15,12 @@ is the finite, certified ``PowerSpectrum`` of any map, built from the
 series where there is one.  Quantizer levels are computed in one place,
 ``_quantize_values``.
 
+Evaluation allocates one float64 buffer per map call: ``_frac`` writes
+t - floor(t) into a new array, and every kind maps that array in place
+(a quantized kind's inner map included, and ``_quantize_values``' chain
+of steps).  The argument is never written to.  Only a mixture adds two
+more arrays, its running sum and the term being added.
+
 Discontinuity convention: maps are right-continuous at bin edges (a bin's
 value holds from its left endpoint).  Dither makes the convention measure-
 zero irrelevant, but determinism requires one choice.
@@ -39,10 +45,20 @@ class SpectrumToleranceError(RuntimeError):
 
 
 def _frac(t):
+    """t - floor(t) in [0, 1), in a new float64 array of t's shape.
+
+    For finite t this rounds the same exact value as np.mod(t, 1.0).
+    For t in [-2^-54, 0) that value rounds up to 1.0, which is the
+    period's start, so it is folded to 0.0.
+    """
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("map argument must be finite")
-    return np.mod(t, 1.0)
+    buf = np.empty(t.shape)
+    np.floor(t, out=buf)
+    np.subtract(t, buf, out=buf)
+    buf[buf == 1.0] = 0.0
+    return buf
 
 
 @dataclass(frozen=True)
@@ -154,23 +170,35 @@ class PeriodicMap:
         return "PeriodicMap(%s)" % self.name
 
     def __call__(self, t):
-        tau = _frac(t)
-        if self.kind == "square":
-            out = np.where(tau < 0.5, 1.0, 0.0)
-        elif self.kind == "sawtooth":
-            out = SQRT2 * (tau - 0.5)
-        elif self.kind == "mixture":
-            out = np.zeros_like(tau)
-            for k, a in self.params["terms"]:
-                out = out + a * np.sin((2.0 * np.pi * k) * tau)
-        elif self.kind in ("multibit", "quantized"):
-            inner = self.params["inner"]
-            out = _quantize_values(inner(tau), inner.value_range, self.params["B"])
-        else:
-            raise AssertionError(self.kind)
+        out = self._map_frac(_frac(t))
         if np.ndim(t) == 0:
             return float(out)
         return out
+
+    def _map_frac(self, tau):
+        """h on tau in [0, 1), overwriting tau; returns the result array."""
+        if self.kind == "square":
+            return np.less(tau, 0.5, out=tau)
+        if self.kind == "sawtooth":
+            tau -= 0.5
+            tau *= SQRT2
+            return tau
+        if self.kind == "mixture":
+            # the sum starts from +0.0, so a zero sum is +0.0 as well
+            out = np.zeros_like(tau)
+            term = np.empty_like(tau)
+            for k, a in self.params["terms"]:
+                np.multiply(tau, 2.0 * np.pi * k, out=term)
+                np.sin(term, out=term)
+                term *= a
+                out += term
+            return out
+        if self.kind in ("multibit", "quantized"):
+            inner = self.params["inner"]
+            return _quantize_values(
+                inner._map_frac(tau), inner.value_range, self.params["B"]
+            )
+        raise AssertionError(self.kind)
 
     # -- spectrum -----------------------------------------------------------
 
@@ -206,13 +234,21 @@ def _quantize_values(v, value_range, bits):
     """Midpoint level of v's cell among 2^bits equal cells of value_range.
 
     The one place a quantizer level is computed: map evaluation, codomain
-    ends, constant pieces and post-quantization all go through it.
+    ends, constant pieces and post-quantization all go through it.  The
+    steps run in place: v, a float64 array the caller owns, is overwritten
+    with the levels and returned.
     """
     lo, hi = value_range
     levels = 2 ** bits
     step = (hi - lo) / levels
-    idx = np.clip(np.floor((v - lo) / step), 0, levels - 1)
-    return lo + (idx + 0.5) * step
+    v -= lo
+    v /= step
+    np.floor(v, out=v)
+    np.clip(v, 0, levels - 1, out=v)
+    v += 0.5
+    v *= step
+    v += lo
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +390,15 @@ def _cell_crossings(inner, bits):
     n = 1 << 15
     grid = np.arange(n + 1) / n
     c = cell(grid)
-    breaks = [0.0]
-    for i in np.nonzero(np.diff(c) != 0)[0]:
-        a, b = grid[i], grid[i + 1]
-        ca = cell(np.float64(a))
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if cell(np.float64(m)) == ca:
-                a = m
-            else:
-                b = m
-        breaks.append(b)
-    breaks.append(1.0)
-    return np.array(sorted(set(breaks)))
+    i = np.nonzero(np.diff(c) != 0)[0]
+    # all crossings at once: each keeps a in the cell of its left grid point
+    a, b, ca = grid[i], grid[i + 1], c[i]
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        same = cell(m) == ca
+        a = np.where(same, m, a)
+        b = np.where(same, b, m)
+    return np.unique(np.concatenate(([0.0], b, [1.0])))
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,15 @@ class TestPostQuantize:
         with pytest.raises(ValueError):
             post_quantize(y, 2, 1e308)
 
+    def test_nonfinite_rejected(self):
+        # NaN has no cell; an infinity would count as an ordinary saturation
+        from uemb.embedder import EmbeddingVector
+
+        for bad in (math.nan, math.inf, -math.inf):
+            y = EmbeddingVector(values=np.array([0.1, bad]), map_id="t")
+            with pytest.raises(ValueError):
+                post_quantize(y, 2, 1.0)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

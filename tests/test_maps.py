@@ -8,6 +8,9 @@ import pytest
 from uemb.maps import (
     KMAX_CAP,
     SpectrumToleranceError,
+    _cell_crossings,
+    _frac,
+    _quantize_values,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -197,6 +200,146 @@ class TestEvalContract:
             sq(math.nan)
         with pytest.raises(ValueError):
             sq(np.array([0.1, math.inf]))
+
+
+# Reference evaluation: the out-of-place formulas (np.mod, np.where, the
+# plain quantizer chain) that the in-place map evaluation must reproduce
+# bit for bit.
+
+
+def ref_quantize(v, value_range, bits):
+    lo, hi = value_range
+    levels = 2 ** bits
+    step = (hi - lo) / levels
+    idx = np.clip(np.floor((v - lo) / step), 0, levels - 1)
+    return lo + (idx + 0.5) * step
+
+
+def ref_eval(m, t):
+    tau = np.mod(np.asarray(t, dtype=np.float64), 1.0)
+    if m.kind == "square":
+        return np.where(tau < 0.5, 1.0, 0.0)
+    if m.kind == "sawtooth":
+        return SQRT2 * (tau - 0.5)
+    if m.kind == "mixture":
+        out = np.zeros_like(tau)
+        for k, a in m.params["terms"]:
+            out = out + a * np.sin((2.0 * np.pi * k) * tau)
+        return out
+    inner = m.params["inner"]
+    return ref_quantize(ref_eval(inner, tau), inner.value_range, m.params["B"])
+
+
+def bit_pattern(x):
+    return np.array(x, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+def pinned_maps():
+    mix = make_fourier_mixture(FIG3_TERMS)
+    return [
+        make_square_wave(),
+        make_sawtooth(),
+        make_multibit(1),
+        make_multibit(4),
+        make_multibit(16),
+        mix,
+        quantize_map(mix, 3),
+        quantize_map(make_square_wave(), 1),
+    ]
+
+
+def pinned_points():
+    """Cell edges (j/2^B up to B=16, 0.5, the quantized mixture's
+    crossings) with +-1 ulp, shifted by +-1e6 and negated, plus uniform
+    points; without the points whose np.mod rounds up to 1.0."""
+    mixq = quantize_map(make_fourier_mixture(FIG3_TERMS), 3)
+    edges = np.concatenate([
+        np.arange(2 ** 16 + 1) / 2 ** 16,
+        [0.5],
+        [t0 for t0, _, _ in mixq.constant_pieces()],
+    ])
+    near = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+    rng = np.random.default_rng(2013)
+    pts = np.concatenate(
+        [near, near + 1e6, near - 1e6, -near, near - 3.0, rng.uniform(-50, 50, 10 ** 5)]
+    )
+    return pts[np.mod(pts, 1.0) < 1.0]
+
+
+class TestInPlaceEvaluation:
+    def test_bit_identical_to_reference(self):
+        pts = pinned_points()
+        before = bit_pattern(pts).copy()
+        grid = np.stack([pts, -pts], axis=1)
+        grid.flags.writeable = False
+        view = grid[:, :1].T  # read-only, non-contiguous, shape (1, n)
+        assert not view.flags.writeable and not view.flags.c_contiguous
+        scalars = pts[:: len(pts) // 300]
+        for m in pinned_maps():
+            want = bit_pattern(ref_eval(m, pts))
+            np.testing.assert_array_equal(bit_pattern(m(pts)), want, err_msg=m.name)
+            got = m(view)
+            assert got.shape == view.shape, m.name
+            np.testing.assert_array_equal(bit_pattern(got), want, err_msg=m.name)
+            for p in scalars:
+                v = m(float(p))
+                assert type(v) is float and type(m(np.float64(p))) is float
+                ref = float(ref_eval(m, p))
+                assert bit_pattern(v) == bit_pattern(ref), (m.name, p)
+                assert bit_pattern(m(np.asarray(p))) == bit_pattern(ref), (m.name, p)
+        np.testing.assert_array_equal(bit_pattern(pts), before)
+        np.testing.assert_array_equal(bit_pattern(grid[:, 0]), before)
+
+    def test_frac_folds_one_to_zero(self):
+        # t - floor(t) rounds up to 1.0 for t in [-2^-54, 0); the map must
+        # take its value at the period start there, as at the point t rounds to
+        pts = np.array([-1e-20, -2.0 ** -60, -2.0 ** -54, -3 - 1e-17])
+        tau = _frac(pts)
+        assert np.all((tau >= 0.0) & (tau < 1.0))
+        folded = np.round(pts)
+        for name, m, _ in catalog():
+            np.testing.assert_array_equal(
+                bit_pattern(m(pts)), bit_pattern(m(folded)), err_msg=name
+            )
+            for p, f in zip(pts, folded):
+                assert m(float(p)) == m(float(f)), (name, p)
+        saw = make_sawtooth()
+        np.testing.assert_array_equal(
+            make_multibit(4)(pts), _quantize_values(saw(pts), saw.value_range, 4)
+        )
+
+    def test_cell_crossings_match_scalar_bisection(self):
+        def ref_crossings(inner, bits):
+            # one crossing and one scalar map call at a time
+            def cell(t):
+                return ref_quantize(inner(t), inner.value_range, bits)
+
+            n = 1 << 15
+            grid = np.arange(n + 1) / n
+            c = cell(grid)
+            breaks = [0.0]
+            for i in np.nonzero(np.diff(c) != 0)[0]:
+                a, b = grid[i], grid[i + 1]
+                ca = cell(np.float64(a))
+                for _ in range(60):
+                    m = 0.5 * (a + b)
+                    if cell(np.float64(m)) == ca:
+                        a = m
+                    else:
+                        b = m
+                breaks.append(b)
+            breaks.append(1.0)
+            return np.array(sorted(set(breaks)))
+
+        for terms in (FIG3_TERMS, [(2, 0.5), (3, -0.8), (7, 0.3)]):
+            mix = make_fourier_mixture(terms)
+            for bits in range(1, 7):
+                want = ref_crossings(mix, bits)
+                got = _cell_crossings(mix, bits)
+                msg = "%s B=%d" % (terms, bits)
+                np.testing.assert_array_equal(bit_pattern(got), bit_pattern(want), msg)
 
 
 class TestSpectra:
