@@ -139,14 +139,11 @@ def _project_rows(op, X):
 
 
 def embed(op, x):
-    """y_i = h(<a_i, x> + w_i)."""
+    """y_i = h(<a_i, x> + w_i); a batch of one."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.N,):
         raise ValueError("signal must have length N=%d" % op.N)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal must be finite")
-    values = op.map(_project_rows(op, x[None, :])[0])
-    return EmbeddingVector(values=values, map_id=op.operator_id, binary=op.map.is_binary)
+    return embed_batch(op, x[None, :])[0]
 
 
 def embed_batch(op, X):
@@ -159,9 +156,10 @@ def embed_batch(op, X):
     if not np.all(np.isfinite(X)):
         raise ValueError("signals must be finite")
     Y = op.map(_project_rows(op, X))
+    map_id = op.operator_id
     is_bin = op.map.is_binary
     return [
-        EmbeddingVector(values=Y[i], map_id=op.operator_id, binary=is_bin)
+        EmbeddingVector(values=Y[i], map_id=map_id, binary=is_bin)
         for i in range(Y.shape[0])
     ]
 

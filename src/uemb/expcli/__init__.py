@@ -4,7 +4,6 @@ from .config import ConfigError, ExperimentConfig, emit_csv, make_config, parse_
 from .runners import (
     RUNNERS,
     DatasetError,
-    RetrievalDataset,
     run_bounds_sweep,
     run_design_sim,
     run_map_eval,

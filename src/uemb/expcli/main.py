@@ -1,8 +1,6 @@
 """Command-line entry point for the experiment runners.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
-UEMB_THREADS is read by callers that partition work; runners here are
-deterministic regardless of its value.
 """
 
 from __future__ import annotations

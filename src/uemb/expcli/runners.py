@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +44,6 @@ class DatasetError(RuntimeError):
 def _require_kind(cfg, kind):
     if cfg.kind != kind:
         raise ConfigError("config kind %r does not match runner %r" % (cfg.kind, kind))
-
-
-def _map_cells(fn, items):
-    """Run independent sweep cells, optionally across UEMB_THREADS workers.
-
-    Results come back in cell order and each cell derives its own
-    RandomState, so the worker count cannot change any output byte.
-    """
-    try:
-        workers = max(1, int(os.environ.get("UEMB_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _pair_block(rs, stream, N, dvals, metric):
@@ -150,22 +130,17 @@ def run_quantization_sim(cfg, out_dir):
         raise ConfigError("variant must be 'mixture' or 'universal'")
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
-    base_mixture = parse_map(cfg["map"]) if variant == "mixture" else None
-    saw = make_sawtooth()
+    base_map = parse_map(cfg["map"]) if variant == "mixture" else make_sawtooth()
     summary_rows = []
     files = []
     for bits in cfg["b_list"]:
         cell = rs.child("quant:%s:%d" % (variant, bits))
         if variant == "mixture":
-            spec = ProjectionSpec(cfg["family"], cfg["sigma"])
-            base_map = base_mixture
-            qmap = quantize_map(base_mixture, bits)
+            scale = cfg["sigma"]
         else:
-            spec = ProjectionSpec(
-                cfg["family"], universal_scale(cfg["sigma"], cfg["delta"], bits)
-            )
-            base_map = saw
-            qmap = quantize_map(saw, bits)
+            scale = universal_scale(cfg["sigma"], cfg["delta"], bits)
+        spec = ProjectionSpec(cfg["family"], scale)
+        qmap = quantize_map(base_map, bits)
         op_u = build_operator(spec, base_map, cfg["M"], cfg["N"], cell)
         op_q = replace_map(op_u, qmap)
         X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
@@ -200,64 +175,39 @@ def run_universal_scatter(cfg, out_dir):
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     family = cfg["family"]
     sigma = cfg["sigma"]
-    cells = [(delta, M) for delta in cfg["delta_list"] for M in cfg["m_list"]]
-
-    def one_cell(cell_params):
-        delta, M = cell_params
-        cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
-        op = build_universal_operator(family, sigma, delta, 1, M, cfg["N"], cell)
-        X = _pair_block(cell, "signals", cfg["N"], dvals, op.spec.signal_metric)
-        ham = _pair_metric(embed_batch(op, X), "hamming_mean")
-        if family == "gaussian":
-            theory = np.array([universal_binary_map(d, sigma, delta)[0] for d in dvals])
-        else:
-            theory = np.array([universal_binary_map_l1(d, sigma, delta) for d in dvals])
-        resid = ham - theory
-        lo_h, hi_h = np.percentile(resid, [2.5, 97.5])
-        d0 = DistanceMapModel(make_square_wave(), op.spec).D0
-        return ham, theory, (delta, M, float(hi_h - lo_h), float(d0))
-
-    results = _map_cells(one_cell, cells)
     summary_rows = []
     files = []
-    for (delta, M), (ham, theory, summary) in zip(cells, results):
-        path = os.path.join(out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M))
-        emit_csv(path, ["d_true", "hamming_mean", "g_theory"],
-                 list(zip(dvals, ham, theory)))
-        files.append(path)
-        summary_rows.append(summary)
+    for delta in cfg["delta_list"]:
+        for M in cfg["m_list"]:
+            cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
+            op = build_universal_operator(family, sigma, delta, 1, M, cfg["N"], cell)
+            X = _pair_block(cell, "signals", cfg["N"], dvals, op.spec.signal_metric)
+            ham = _pair_metric(embed_batch(op, X), "hamming_mean")
+            if family == "gaussian":
+                theory = np.array([universal_binary_map(d, sigma, delta)[0] for d in dvals])
+            else:
+                theory = np.array([universal_binary_map_l1(d, sigma, delta) for d in dvals])
+            path = os.path.join(out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M))
+            emit_csv(path, ["d_true", "hamming_mean", "g_theory"],
+                     list(zip(dvals, ham, theory)))
+            files.append(path)
+            lo_h, hi_h = np.percentile(ham - theory, [2.5, 97.5])
+            d0 = DistanceMapModel(make_square_wave(), op.spec).D0
+            summary_rows.append((delta, M, float(hi_h - lo_h), float(d0)))
     spath = os.path.join(out_dir, "scatter_summary.csv")
     emit_csv(spath, ["delta", "M", "spread95", "d0_theory"], summary_rows)
     files.append(spath)
     return {"files": files, "summary": summary_rows}
 
 
-@dataclass(frozen=True)
-class RetrievalDataset:
+def _build_retrieval_dataset(cfg, rs):
     """Synthetic clustered point cloud with one held-out query per cluster.
 
-    By construction every query's nearest database point belongs to its own
+    Returns (db, db_labels, queries); query i belongs to cluster i.  By
+    construction every query's nearest database point belongs to its own
     cluster: the minimum inter-center distance exceeds margin_factor times
     the largest point offset.
     """
-
-    centers: np.ndarray        # L x N cluster centers
-    points_per_cluster: int
-    cluster_radius: float
-    db: np.ndarray             # L (per-1) x N database points
-    db_labels: np.ndarray
-    queries: np.ndarray        # L x N, query i belongs to cluster i
-    query_labels: np.ndarray
-
-    def __post_init__(self):
-        L = self.centers.shape[0]
-        if not (np.all(self.db_labels >= 0) and np.all(self.db_labels < L)):
-            raise ValueError("database labels out of range")
-        if self.queries.shape[0] != L:
-            raise ValueError("exactly one query per cluster")
-
-
-def _build_retrieval_dataset(cfg, rs):
     L = cfg["clusters"]
     per = cfg["points_per_cluster"]
     if per < 2:
@@ -278,15 +228,8 @@ def _build_retrieval_dataset(cfg, rs):
             "%.3g * max offset %.4g; shrink cluster_radius or grow "
             "center_scale" % (min_inter, cfg["margin_factor"], max_off)
         )
-    return RetrievalDataset(
-        centers=centers,
-        points_per_cluster=per,
-        cluster_radius=cfg["cluster_radius"],
-        db=points[:, 1:, :].reshape(L * (per - 1), N),
-        db_labels=np.repeat(np.arange(L), per - 1),
-        queries=points[:, 0, :],
-        query_labels=np.arange(L),
-    )
+    db = points[:, 1:, :].reshape(L * (per - 1), N)
+    return db, np.repeat(np.arange(L), per - 1), points[:, 0, :]
 
 
 def _majority_vote(dist, db_labels, n_labels, J):
@@ -302,34 +245,35 @@ def _majority_vote(dist, db_labels, n_labels, J):
 def run_retrieval(cfg, out_dir):
     """Nearest-neighbor retrieval accuracy over a Delta x rate sweep."""
     _require_kind(cfg, "retrieval")
+    for key in ("candidates", "reps"):
+        if cfg[key] < 1:
+            raise ConfigError("%s must be at least 1" % key)
     rs = RandomState(cfg.seed)
     L = cfg["clusters"]
     reps = cfg["reps"]
+    query_labels = np.arange(L)
     cells = [(delta, rate) for delta in cfg["delta_list"] for rate in cfg["rate_list"]]
     acc = np.zeros(len(cells))
     baseline = 0.0
     for rep in range(reps):
         rep_rs = rs.child("rep:%d" % rep)
-        ds = _build_retrieval_dataset(cfg, rep_rs)
-        J = min(cfg["candidates"], ds.db.shape[0])
+        db, db_labels, queries = _build_retrieval_dataset(cfg, rep_rs)
+        J = min(cfg["candidates"], db.shape[0])
         # infinite-rate proxy: plain l2 nearest neighbor on the signals
-        d2 = np.linalg.norm(ds.queries[:, None, :] - ds.db[None, :, :], axis=2)
-        base_votes = _majority_vote(d2, ds.db_labels, L, 1)
-        baseline += float(np.mean(base_votes == ds.query_labels))
-
-        def one_cell(cell_params):
-            delta, rate = cell_params
+        d2 = np.linalg.norm(queries[:, None, :] - db[None, :, :], axis=2)
+        base_votes = _majority_vote(d2, db_labels, L, 1)
+        baseline += float(np.mean(base_votes == query_labels))
+        for j, (delta, rate) in enumerate(cells):
             cell = rep_rs.child("cell:%s:%d" % (_fmt(delta), rate))
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Ydb = np.stack([v.values for v in embed_batch(op, ds.db)])
-            Yq = np.stack([v.values for v in embed_batch(op, ds.queries)])
-            ham = np.mean(Yq[:, None, :] != Ydb[None, :, :], axis=2)
-            votes = _majority_vote(ham, ds.db_labels, L, J)
-            return float(np.mean(votes == ds.query_labels))
-
-        acc += np.array(_map_cells(one_cell, cells))
+            Ydb = np.stack([v.values for v in embed_batch(op, db)])
+            Yq = np.stack([v.values for v in embed_batch(op, queries)])
+            # 0/1 codes: mismatch counts are exact integers in float64
+            ham = (Yq @ (1.0 - Ydb).T + (1.0 - Yq) @ Ydb.T) / rate
+            votes = _majority_vote(ham, db_labels, L, J)
+            acc[j] += float(np.mean(votes == query_labels))
     acc /= reps
     baseline /= reps
     rows = [(delta, rate, a) for (delta, rate), a in zip(cells, acc)]

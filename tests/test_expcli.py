@@ -236,19 +236,6 @@ class TestRunners:
         header = (tmp_path / "map_curve.csv").read_text().splitlines()[0]
         assert header == "d,g,g_sqrt,K"
 
-    def test_thread_count_cannot_change_output(self, tmp_path, monkeypatch):
-        cfg = make_config(
-            "universal_scatter", N=32, pairs=30, delta_list=[0.5, 1.5],
-            m_list=[64, 128], sigma=1.0, seed=4,
-        )
-        a, b = tmp_path / "a", tmp_path / "b"
-        a.mkdir(), b.mkdir()
-        run_universal_scatter(cfg, a)
-        monkeypatch.setenv("UEMB_THREADS", "3")
-        run_universal_scatter(cfg, b)
-        for f in sorted(os.listdir(a)):
-            assert filecmp.cmp(a / f, b / f, shallow=False), f
-
 
 class TestCli:
     def _write(self, tmp_path, text):
@@ -296,6 +283,22 @@ class TestCli:
         rc = main(["retrieve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("candidates", 0), ("candidates", -2), ("reps", 0),
+    ])
+    def test_retrieval_nonpositive_count_exit_two(self, tmp_path, capsys, key, value):
+        cfg = self._write(
+            tmp_path,
+            "kind = retrieval\nN = 16\nclusters = 4\npoints_per_cluster = 3\n"
+            "cluster_radius = 0.05\ndelta_list = 1.0\nrate_list = 16\n"
+            "%s = %d\n" % (key, value),
+        )
+        out = tmp_path / "out"
+        rc = main(["retrieve", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(
