@@ -16,7 +16,6 @@ from .embedder import (
     export_csv,
     load_embeddings,
     post_quantize,
-    replace_map,
     save_embeddings,
     universal_scale,
 )

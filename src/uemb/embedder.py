@@ -86,16 +86,6 @@ def build_operator(spec, map_, M, N, rs):
     return EmbeddingOperator(A=A, w=w, map=map_, spec=spec, M=M, N=N, seed=rs.seed)
 
 
-def replace_map(op, map_):
-    """Same (A, w, spec) with a different nonlinearity.
-
-    Used to compare quantized and unquantized twins of one randomization.
-    """
-    return EmbeddingOperator(
-        A=op.A, w=op.w, map=map_, spec=op.spec, M=op.M, N=op.N, seed=op.seed
-    )
-
-
 def universal_scale(scale, Delta, bits=1):
     """Effective projection scale folding the quantizer geometry.
 

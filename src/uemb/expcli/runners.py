@@ -4,7 +4,8 @@ Every runner is bit-reproducible from (config, seed): randomness flows
 through per-cell derived RandomStates and CSV cells are written with
 shortest round-trip float formatting, so a rerun yields identical bytes.
 Scatter outputs always carry the theory column computed at the same
-parameters.
+parameters.  Each cell embeds its signals once, as one value matrix;
+quant-sim quantizes that matrix in place.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ import os
 
 import numpy as np
 
-from ..embedder import (
-    build_operator,
-    build_universal_operator,
-    embed_batch,
-    embedding_distance,
-    replace_map,
-    universal_scale,
-)
-from ..maps import make_sawtooth, make_square_wave, quantize_map
+from ..embedder import build_operator, build_universal_operator, embed_batch, universal_scale
+from ..maps import _MAX_QUANTIZER_BITS, _quantize_values, make_sawtooth, make_square_wave
 from ..randproj import ProjectionSpec, RandomState
 from ..theory import (
     DistanceMapModel,
@@ -41,9 +35,23 @@ class DatasetError(RuntimeError):
     """Synthetic dataset failed its separation-margin validation."""
 
 
-def _require_kind(cfg, kind):
+# [least, greatest] of each count key, for every entry of a list key
+_COUNT_RANGES = {
+    **dict.fromkeys(("N", "M", "pairs", "d_count", "candidates", "reps", "m_list",
+                     "rate_list"), (1, math.inf)),
+    "clusters": (2, math.inf), "points_per_cluster": (2, math.inf),
+    "b_list": (1, _MAX_QUANTIZER_BITS),
+}
+
+
+def _check_config(cfg, kind):
+    """ConfigError for a kind mismatch or a count out of range, before any work."""
     if cfg.kind != kind:
         raise ConfigError("config kind %r does not match runner %r" % (cfg.kind, kind))
+    for key, (least, greatest) in _COUNT_RANGES.items():
+        for v in np.ravel(cfg.params.get(key, [])):
+            if not least <= v <= greatest:
+                raise ConfigError("%s must lie in [%d, %s], got %s" % (key, least, greatest, v))
 
 
 def _pair_block(rs, stream, N, dvals, metric):
@@ -67,11 +75,21 @@ def _pair_block(rs, stream, N, dvals, metric):
     return X
 
 
-def _pair_metric(vecs, metric):
-    return np.array(
-        [embedding_distance(vecs[2 * i], vecs[2 * i + 1], metric)
-         for i in range(len(vecs) // 2)]
-    )
+def _embed_matrix(op, X):
+    """embed_batch(op, X) stacked into one n x M value matrix."""
+    return np.stack([v.values for v in embed_batch(op, X)])
+
+
+def _pair_distances(Y):
+    """sq_l2_mean of each row pair (2i, 2i+1); hamming_mean on 0/1 codes, bit for bit."""
+    return np.sum((Y[0::2] - Y[1::2]) ** 2, axis=1) / Y.shape[1]
+
+
+def _quantized_pair_distances(op, X, bits):
+    """(unquantized, B-bit quantized) pair distances from one embedding of X."""
+    Y = _embed_matrix(op, X)
+    emb_u = _pair_distances(Y)
+    return emb_u, _pair_distances(_quantize_values(Y, op.map.value_range, bits))
 
 
 def _fmt(v):
@@ -80,7 +98,7 @@ def _fmt(v):
 
 def run_design_sim(cfg, out_dir):
     """Unquantized designed-map scatter vs theory (two projection scales)."""
-    _require_kind(cfg, "design_sim")
+    _check_config(cfg, "design_sim")
     map_ = parse_map(cfg["map"])
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
@@ -91,9 +109,8 @@ def run_design_sim(cfg, out_dir):
         cell = rs.child("design:%d" % j)
         op = build_operator(spec, map_, cfg["M"], cfg["N"], cell)
         X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
-        emb = _pair_metric(embed_batch(op, X), "sq_l2_mean")
-        model = DistanceMapModel(map_, spec)
-        theory = model.curve(dvals)
+        emb = _pair_distances(_embed_matrix(op, X))
+        theory = DistanceMapModel(map_, spec).curve(dvals)
         path = os.path.join(out_dir, "design_scatter_sigma=%s.csv" % _fmt(sigma))
         emit_csv(path, ["d_true", "emb_sq_l2_mean", "g_theory"],
                  list(zip(dvals, emb, theory)))
@@ -120,11 +137,11 @@ def run_quantization_sim(cfg, out_dir):
 
     variant "mixture": h = Q_B(design mixture); variant "universal": the
     B-bit universal (quantized-sawtooth) embedding at (sigma, Delta).
-    Each cell also embeds the unquantized twin with the same (A, w) and
-    checks the quantized deviations against the eps + 2 E_Q inflation on
-    the metric (sqrt) scale.
+    Each cell embeds once with the unquantized base map and quantizes that
+    embedding, so both share (A, w); the quantized deviations are checked
+    against the eps + 2 E_Q inflation on the metric (sqrt) scale.
     """
-    _require_kind(cfg, "quantization_sim")
+    _check_config(cfg, "quantization_sim")
     variant = cfg["variant"]
     if variant not in ("mixture", "universal"):
         raise ConfigError("variant must be 'mixture' or 'universal'")
@@ -140,12 +157,9 @@ def run_quantization_sim(cfg, out_dir):
         else:
             scale = universal_scale(cfg["sigma"], cfg["delta"], bits)
         spec = ProjectionSpec(cfg["family"], scale)
-        qmap = quantize_map(base_map, bits)
-        op_u = build_operator(spec, base_map, cfg["M"], cfg["N"], cell)
-        op_q = replace_map(op_u, qmap)
+        op = build_operator(spec, base_map, cfg["M"], cfg["N"], cell)
         X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
-        emb_u = _pair_metric(embed_batch(op_u, X), "sq_l2_mean")
-        emb_q = _pair_metric(embed_batch(op_q, X), "sq_l2_mean")
+        emb_u, emb_q = _quantized_pair_distances(op, X, bits)
         theory = DistanceMapModel(base_map, spec).curve(dvals)
         path = os.path.join(out_dir, "quant_scatter_B=%d.csv" % bits)
         emit_csv(path, ["d_true", "emb_sq_l2_mean", "g_theory_unquantized"],
@@ -170,7 +184,7 @@ def run_quantization_sim(cfg, out_dir):
 
 def run_universal_scatter(cfg, out_dir):
     """Binary universal Hamming-vs-distance scatter over a Delta x M grid."""
-    _require_kind(cfg, "universal_scatter")
+    _check_config(cfg, "universal_scatter")
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     family = cfg["family"]
@@ -178,21 +192,22 @@ def run_universal_scatter(cfg, out_dir):
     summary_rows = []
     files = []
     for delta in cfg["delta_list"]:
+        if family == "gaussian":
+            theory = np.array([universal_binary_map(d, sigma, delta)[0] for d in dvals])
+        else:
+            theory = np.array([universal_binary_map_l1(d, sigma, delta) for d in dvals])
+        spec = ProjectionSpec(family, universal_scale(sigma, delta, 1))
+        d0 = DistanceMapModel(make_square_wave(), spec).D0
         for M in cfg["m_list"]:
             cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
             op = build_universal_operator(family, sigma, delta, 1, M, cfg["N"], cell)
-            X = _pair_block(cell, "signals", cfg["N"], dvals, op.spec.signal_metric)
-            ham = _pair_metric(embed_batch(op, X), "hamming_mean")
-            if family == "gaussian":
-                theory = np.array([universal_binary_map(d, sigma, delta)[0] for d in dvals])
-            else:
-                theory = np.array([universal_binary_map_l1(d, sigma, delta) for d in dvals])
+            X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
+            ham = _pair_distances(_embed_matrix(op, X))
             path = os.path.join(out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M))
             emit_csv(path, ["d_true", "hamming_mean", "g_theory"],
                      list(zip(dvals, ham, theory)))
             files.append(path)
             lo_h, hi_h = np.percentile(ham - theory, [2.5, 97.5])
-            d0 = DistanceMapModel(make_square_wave(), op.spec).D0
             summary_rows.append((delta, M, float(hi_h - lo_h), float(d0)))
     spath = os.path.join(out_dir, "scatter_summary.csv")
     emit_csv(spath, ["delta", "M", "spread95", "d0_theory"], summary_rows)
@@ -210,8 +225,6 @@ def _build_retrieval_dataset(cfg, rs):
     """
     L = cfg["clusters"]
     per = cfg["points_per_cluster"]
-    if per < 2:
-        raise ConfigError("points_per_cluster must be at least 2")
     N = cfg["N"]
     centers = rs.gaussian("centers", L * N).reshape(L, N)
     centers *= cfg["center_scale"] / np.linalg.norm(centers, axis=1, keepdims=True)
@@ -244,10 +257,7 @@ def _majority_vote(dist, db_labels, n_labels, J):
 
 def run_retrieval(cfg, out_dir):
     """Nearest-neighbor retrieval accuracy over a Delta x rate sweep."""
-    _require_kind(cfg, "retrieval")
-    for key in ("candidates", "reps"):
-        if cfg[key] < 1:
-            raise ConfigError("%s must be at least 1" % key)
+    _check_config(cfg, "retrieval")
     rs = RandomState(cfg.seed)
     L = cfg["clusters"]
     reps = cfg["reps"]
@@ -268,8 +278,8 @@ def run_retrieval(cfg, out_dir):
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Ydb = np.stack([v.values for v in embed_batch(op, db)])
-            Yq = np.stack([v.values for v in embed_batch(op, queries)])
+            Ydb = _embed_matrix(op, db)
+            Yq = _embed_matrix(op, queries)
             # 0/1 codes: mismatch counts are exact integers in float64
             ham = (Yq @ (1.0 - Ydb).T + (1.0 - Yq) @ Ydb.T) / rate
             votes = _majority_vote(ham, db_labels, L, J)
@@ -289,7 +299,7 @@ def run_retrieval(cfg, out_dir):
 
 def run_bounds_sweep(cfg, out_dir):
     """Tabulate bound calculators over parameter grids, flagging vacuity."""
-    _require_kind(cfg, "bounds_sweep")
+    _check_config(cfg, "bounds_sweep")
     calc = cfg["calculator"]
     files = []
     if calc == "pointcloud":
@@ -336,7 +346,7 @@ def run_bounds_sweep(cfg, out_dir):
 
 def run_map_eval(cfg, out_dir):
     """Distance/kernel curves of one map, with bounds for binary universal."""
-    _require_kind(cfg, "map_eval")
+    _check_config(cfg, "map_eval")
     map_ = parse_map(cfg["map"])
     is_binary_universal = map_.kind == "square" and cfg["scale"] == 0.0
     if cfg["scale"] > 0:

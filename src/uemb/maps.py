@@ -39,6 +39,8 @@ SQRT2 = math.sqrt(2.0)
 # Hard ceiling on the number of retained harmonics in a certified spectrum.
 KMAX_CAP = 2 ** 16
 
+_MAX_QUANTIZER_BITS = 40  # quantize_map's finest B
+
 
 class SpectrumToleranceError(RuntimeError):
     """Requested spectrum tail tolerance is unreachable within the kmax cap."""
@@ -234,7 +236,7 @@ def _quantize_values(v, value_range, bits):
     """Midpoint level of v's cell among 2^bits equal cells of value_range.
 
     The one place a quantizer level is computed: map evaluation, codomain
-    ends, constant pieces and post-quantization all go through it.  The
+    ends, constant pieces, post-quantization and quant-sim all use it.  The
     steps run in place: v, a float64 array the caller owns, is overwritten
     with the levels and returned.
     """
@@ -311,7 +313,7 @@ def quantize_map(inner, bits):
     if int(bits) != bits or bits < 1:
         raise ValueError("bits must be a positive integer")
     bits = int(bits)
-    if bits > 40:
+    if bits > _MAX_QUANTIZER_BITS:
         raise ValueError("bits too large for float quantization")
     lo, hi = (float(v) for v in inner.value_range)
     if not (hi > lo and math.isfinite(hi - lo)):

@@ -109,30 +109,25 @@ class RandomState:
         return np.tan(np.pi * (u + _HALF_CELL - 0.5))
 
 
-def sample_projection(spec, M, N, rs, stream="matrix", max_elements=MAX_ELEMENTS):
-    """M x N i.i.d. projection matrix for the spec's family, row-major."""
+def sample_projection(spec, M, N, rs):
+    """M x N i.i.d. projection matrix from rs's "matrix" stream, row-major."""
     M, N = int(M), int(N)
     if M < 1 or N < 1:
         raise ValueError("M and N must be positive")
-    if M * N > max_elements:
-        raise MemoryError(
-            "projection of %d elements exceeds cap %d" % (M * N, max_elements)
-        )
-    if spec.family == "gaussian":
-        flat = rs.gaussian(stream, M * N)
-    else:
-        flat = rs.cauchy(stream, M * N)
-    return (spec.scale * flat).reshape(M, N)
+    if M * N > MAX_ELEMENTS:
+        raise MemoryError("projection of %d elements exceeds cap %d" % (M * N, MAX_ELEMENTS))
+    draw = rs.gaussian if spec.family == "gaussian" else rs.cauchy
+    return (spec.scale * draw("matrix", M * N)).reshape(M, N)
 
 
-def sample_dither(M, rs, stream="dither"):
-    """Length-M i.i.d. uniform [0,1) dither."""
+def sample_dither(M, rs):
+    """Length-M i.i.d. uniform [0,1) dither from the "dither" stream of rs."""
     M = int(M)
     if M < 1:
         raise ValueError("M must be positive")
     if M > MAX_ELEMENTS:
         raise MemoryError("dither of %d elements exceeds cap" % M)
-    return rs.uniform(stream, M)
+    return rs.uniform("dither", M)
 
 
 def char_fn(spec, xi, d):

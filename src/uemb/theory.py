@@ -123,7 +123,7 @@ class DistanceMapModel:
     asymptote; beyond it, inversion only reports "farther than D0".
     """
 
-    def __init__(self, map_, spec, flavor="sq_l2", spectrum_tol=None, series_rtol=1e-12):
+    def __init__(self, map_, spec, flavor="sq_l2", spectrum_tol=None):
         if flavor not in FLAVORS:
             raise ValueError("flavor must be one of %r" % (FLAVORS,))
         if not isinstance(spec, ProjectionSpec):
@@ -131,7 +131,6 @@ class DistanceMapModel:
         self.map = map_
         self.spec = spec
         self.flavor = flavor
-        self.series_rtol = series_rtol
         self._series = map_.series
         if self._series is None:
             sp = map_.power_coeffs(spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL)
@@ -151,7 +150,7 @@ class DistanceMapModel:
             # harmonics beyond the spectrum's tail are bounded by phi <= 1
             s = float(self._p @ char_fn(self.spec, 2.0 * np.pi * self._ks, d))
             return s, self._tail
-        return _phi_sum(self._series, self.spec, d, self.series_rtol)
+        return _phi_sum(self._series, self.spec, d)
 
     # -- raw curves ---------------------------------------------------------
 
@@ -291,14 +290,14 @@ class DistanceMapModel:
         return 0.5 * (lo + hi), "unique"
 
 
-def distance_map(map_, spec, d, spectrum_tol=None):
+def distance_map(map_, spec, d):
     """g(d) for one (map, spec) pair; see DistanceMapModel.g."""
-    return DistanceMapModel(map_, spec, spectrum_tol=spectrum_tol).g(d)
+    return DistanceMapModel(map_, spec).g(d)
 
 
-def kernel_map(map_, spec, d, spectrum_tol=None):
+def kernel_map(map_, spec, d):
     """K(d) for one (map, spec) pair; see DistanceMapModel.kernel."""
-    return DistanceMapModel(map_, spec, spectrum_tol=spectrum_tol).kernel(d)
+    return DistanceMapModel(map_, spec).kernel(d)
 
 
 # ---------------------------------------------------------------------------

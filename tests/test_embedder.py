@@ -16,7 +16,6 @@ from uemb.embedder import (
     export_csv,
     load_embeddings,
     post_quantize,
-    replace_map,
     save_embeddings,
     universal_scale,
 )
@@ -373,10 +372,3 @@ class TestPersistence:
         assert lines[0] == "id,v0,v1,v2,v3"
         assert len(lines) == 3
 
-
-class TestReplaceMap:
-    def test_shares_randomization(self):
-        op = small_op(map_=make_multibit(4))
-        op2 = replace_map(op, make_multibit(2))
-        assert op2.A is op.A and op2.w is op.w
-        assert op2.operator_id != op.operator_id

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from uemb.embedder import EmbeddingOperator, build_operator, embed_batch, embedding_distance
 from uemb.expcli.config import (
+    DEFAULT_MIXTURE,
     ConfigError,
     emit_csv,
     make_config,
@@ -17,6 +19,10 @@ from uemb.expcli.config import (
 from uemb.expcli.main import main
 from uemb.expcli.runners import (
     DatasetError,
+    _embed_matrix,
+    _pair_block,
+    _pair_distances,
+    _quantized_pair_distances,
     run_bounds_sweep,
     run_design_sim,
     run_map_eval,
@@ -24,6 +30,8 @@ from uemb.expcli.runners import (
     run_retrieval,
     run_universal_scatter,
 )
+from uemb.maps import _quantize_values, make_sawtooth, quantize_map
+from uemb.randproj import ProjectionSpec, RandomState
 
 
 class TestConfigParsing:
@@ -237,6 +245,44 @@ class TestRunners:
         assert header == "d,g,g_sqrt,K"
 
 
+def pair_signals(N, seed=4):
+    """Signal pairs at distances 0 .. 2, pair i in rows 2i, 2i+1."""
+    return _pair_block(RandomState(seed), "signals", N, np.linspace(0.0, 2.0, 15), "l2")
+
+
+class TestOneEmbeddingPerCell:
+    @pytest.mark.parametrize("map_sel,metric", [
+        (DEFAULT_MIXTURE, "sq_l2_mean"), ("square", "hamming_mean"),
+    ])
+    def test_pair_formula_equals_embedding_distance(self, map_sel, metric):
+        op = build_operator(
+            ProjectionSpec("gaussian", 0.3), parse_map(map_sel), 1000, 24, RandomState(8)
+        )
+        X = pair_signals(op.N)
+        vecs = embed_batch(op, X)
+        expected = [embedding_distance(vecs[2 * i], vecs[2 * i + 1], metric)
+                    for i in range(len(vecs) // 2)]
+        assert _pair_distances(_embed_matrix(op, X)).tolist() == expected
+
+    @pytest.mark.parametrize("bits", [1, 2, 4])
+    @pytest.mark.parametrize("base", ["mixture", "sawtooth"])
+    def test_in_place_quantization_equals_quantized_operator(self, base, bits):
+        base_map = parse_map(DEFAULT_MIXTURE) if base == "mixture" else make_sawtooth()
+        op = build_operator(ProjectionSpec("gaussian", 0.2), base_map, 1000, 24, RandomState(bits))
+        twin = EmbeddingOperator(
+            A=op.A, w=op.w, map=quantize_map(base_map, bits), spec=op.spec,
+            M=op.M, N=op.N, seed=op.seed,
+        )
+        X = pair_signals(op.N)
+        Y = _embed_matrix(op, X)
+        _quantize_values(Y, base_map.value_range, bits)
+        Yq = _embed_matrix(twin, X)
+        assert Y.tobytes() == Yq.tobytes()
+        emb_u, emb_q = _quantized_pair_distances(op, X, bits)
+        assert emb_u.tobytes() == _pair_distances(_embed_matrix(op, X)).tobytes()
+        assert emb_q.tobytes() == _pair_distances(Yq).tobytes()
+
+
 class TestCli:
     def _write(self, tmp_path, text):
         p = tmp_path / "cfg.cfg"
@@ -286,18 +332,41 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("candidates", 0), ("candidates", -2), ("reps", 0),
+        ("clusters", 1), ("rate_list", 0),
     ])
     def test_retrieval_nonpositive_count_exit_two(self, tmp_path, capsys, key, value):
-        cfg = self._write(
-            tmp_path,
-            "kind = retrieval\nN = 16\nclusters = 4\npoints_per_cluster = 3\n"
-            "cluster_radius = 0.05\ndelta_list = 1.0\nrate_list = 16\n"
-            "%s = %d\n" % (key, value),
-        )
+        keys = {"kind": "retrieval", "N": 16, "clusters": 4, "points_per_cluster": 3,
+                "cluster_radius": 0.05, "delta_list": 1.0, "rate_list": 16, key: value}
+        cfg = self._write(tmp_path, "".join("%s = %s\n" % kv for kv in keys.items()))
         out = tmp_path / "out"
         rc = main(["retrieve", "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert key in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("scatter", "kind = universal_scatter\nN = 16\npairs = 4\nm_list = 32,0\n",
+         "m_list"),
+        ("scatter", "kind = universal_scatter\nN = 16\nm_list = 32\npairs = 0\n", "pairs"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\nsigma_list = 0.3\npairs = 0\n",
+         "pairs"),
+        ("design-sim", "kind = design_sim\nM = 32\npairs = 4\nsigma_list = 0.3\nN = 0\n",
+         "N"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1,0\n",
+         "b_list"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 41\n",
+         "b_list"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\npairs = 4\nb_list = 1\nM = 0\n",
+         "M"),
+        ("map-eval", "kind = map_eval\nd_count = 0\n", "d_count"),
+    ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
+            "quant-b_list-41", "quant-M", "map_eval-d_count"])
+    def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "%s must" % key in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_seed_override_changes_output(self, tmp_path):
