@@ -3,9 +3,11 @@
 Operators are immutable (A, w, map) bundles.  All distances are normalized
 by M (means, not sums) so tolerance guarantees are rate-independent.
 
-Bit-exactness: every projection goes through the same >=2-row GEMM path
-regardless of batch size or partitioning, so embed, embed_batch, and any
-caller-side split of a batch agree coordinatewise to the last bit.
+Batching: every projection goes through the same >=2-row GEMM path, and
+embed is a batch of one.  The same batch gives the same bits, but at small
+shapes (M=256, N=64 and M=128, N=32 measured) OpenBLAS rounds a row by the
+rows batched with it, so embed, embed_batch and a split batch can differ
+in the last bit: smooth maps show it, the square wave hides it.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def embed(op, x):
 
 
 def embed_batch(op, X):
-    """Embed a batch of signals; elementwise equal to mapping embed."""
+    """Embed a batch of signals: the map of each row's projection."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != op.N:
         raise ValueError("batch must be n x N with N=%d" % op.N)
@@ -218,8 +220,8 @@ _HEADER = struct.Struct("<4sHHIQ")
 def save_embeddings(path, vectors):
     """Write embeddings to the UEMB container; bit-exact round trip.
 
-    Binary {0,1} embeddings are packed 8 per byte (flag bit 0); everything
-    else is stored as raw float64.
+    The payload is one count x M array: binary {0,1} embeddings are packed
+    8 per byte along each row (flag bit 0), everything else is raw float64.
     """
     vectors = list(vectors)
     if vectors:
@@ -229,8 +231,11 @@ def save_embeddings(path, vectors):
             if v.values.size != M or v.map_id != map_id:
                 raise ValueError("all embeddings in one file must share M and map_id")
         packed = all(v.binary for v in vectors)
+        Y = np.stack([v.values for v in vectors], dtype=np.uint8 if packed else "<f8",
+                     casting="unsafe")
+        payload = np.packbits(Y, axis=1) if packed else Y
     else:
-        M, map_id, packed = 0, "", False
+        M, map_id, packed, payload = 0, "", False, b""
     flags = _FLAG_PACKED_BITS if packed else 0
     mid = map_id.encode("utf-8")
     if len(mid) > 0xFFFF:
@@ -239,18 +244,15 @@ def save_embeddings(path, vectors):
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, M, len(vectors)))
         f.write(struct.pack("<H", len(mid)))
         f.write(mid)
-        for v in vectors:
-            if packed:
-                f.write(np.packbits(v.values.astype(np.uint8)).tobytes())
-            else:
-                f.write(v.values.astype("<f8").tobytes())
+        f.write(payload)
 
 
 def load_embeddings(path):
     """Read a UEMB container written by save_embeddings.
 
-    The header, the map id and the payload size are validated before any
-    vector is built, so a malformed file raises FormatError in bounded time.
+    The header, the map id and the payload size are validated before the
+    payload is read, as one array whose rows are the vectors, so a
+    malformed file raises FormatError in bounded time.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -279,16 +281,12 @@ def load_embeddings(path):
                 "payload of %d bytes does not hold %d vectors of %d bytes"
                 % (payload, count, per_vec)
             )
-        out = []
-        for _ in range(count):
-            raw = f.read(per_vec)
-            if packed:
-                bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:M]
-                values = bits.astype(np.float64)
-            else:
-                values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-            out.append(EmbeddingVector(values=values, map_id=map_id, binary=packed))
-    return out
+        if packed:
+            raw = np.fromfile(f, dtype=np.uint8, count=payload).reshape(count, per_vec)
+            Y = np.unpackbits(raw, axis=1, count=M).astype(np.float64)
+        else:
+            Y = np.fromfile(f, "<f8", count * M).reshape(count, M).astype(np.float64, copy=False)
+    return [EmbeddingVector(values=y, map_id=map_id, binary=packed) for y in Y]
 
 
 def export_csv(path, vectors):

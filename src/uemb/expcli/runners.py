@@ -17,8 +17,9 @@ import numpy as np
 
 from ..embedder import build_operator, build_universal_operator, embed_batch, universal_scale
 from ..maps import _MAX_QUANTIZER_BITS, _quantize_values, make_sawtooth, make_square_wave
-from ..randproj import ProjectionSpec, RandomState
+from ..randproj import FAMILIES, ProjectionSpec, RandomState
 from ..theory import (
+    POINTCLOUD_FLAVORS,
     DistanceMapModel,
     binary_decay_threshold,
     discontinuous_extension_bound,
@@ -35,23 +36,40 @@ class DatasetError(RuntimeError):
     """Synthetic dataset failed its separation-margin validation."""
 
 
-# [least, greatest] of each count key, for every entry of a list key
-_COUNT_RANGES = {
+def _within(least, greatest=math.inf):
+    return (lambda v: least <= v <= greatest), "lie in [%s, %s]" % (least, greatest)
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "be one of %s" % ", ".join(choices)
+
+
+# (test, requirement) of each config key, for every entry of a list key
+_RULES = {
     **dict.fromkeys(("N", "M", "pairs", "d_count", "candidates", "reps", "m_list",
-                     "rate_list"), (1, math.inf)),
-    "clusters": (2, math.inf), "points_per_cluster": (2, math.inf),
-    "b_list": (1, _MAX_QUANTIZER_BITS),
+                     "rate_list", "n_list"), _within(1)),
+    **dict.fromkeys(("clusters", "points_per_cluster", "q"), _within(2)),
+    "b_list": _within(1, _MAX_QUANTIZER_BITS),
+    # scales and distances; a map-eval scale of 0 derives it from sigma, delta
+    **dict.fromkeys(("sigma", "sigma_list", "delta", "delta_list", "hbar", "c",
+                     "center_scale", "eps_list", "r_list"), ((lambda v: v > 0), "be positive")),
+    **dict.fromkeys(("scale", "d_min", "d_max", "cluster_radius", "margin_factor",
+                     "e_r_half", "c0"), _within(0.0)),
+    "family": _one_of(*FAMILIES),
+    "variant": _one_of("mixture", "universal"),
+    "calculator": _one_of("pointcloud", "binary_infinite", "ball_crossing"),
+    "flavor": _one_of(*POINTCLOUD_FLAVORS),
 }
 
 
 def _check_config(cfg, kind):
-    """ConfigError for a kind mismatch or a count out of range, before any work."""
+    """ConfigError for a kind mismatch or a value breaking its rule, before any work."""
     if cfg.kind != kind:
         raise ConfigError("config kind %r does not match runner %r" % (cfg.kind, kind))
-    for key, (least, greatest) in _COUNT_RANGES.items():
+    for key, (test, requirement) in _RULES.items():
         for v in np.ravel(cfg.params.get(key, [])):
-            if not least <= v <= greatest:
-                raise ConfigError("%s must lie in [%d, %s], got %s" % (key, least, greatest, v))
+            if not test(v):
+                raise ConfigError("%s must %s, got %s" % (key, requirement, v))
 
 
 def _pair_block(rs, stream, N, dvals, metric):
@@ -143,8 +161,6 @@ def run_quantization_sim(cfg, out_dir):
     """
     _check_config(cfg, "quantization_sim")
     variant = cfg["variant"]
-    if variant not in ("mixture", "universal"):
-        raise ConfigError("variant must be 'mixture' or 'universal'")
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     base_map = parse_map(cfg["map"]) if variant == "mixture" else make_sawtooth()
@@ -327,7 +343,7 @@ def run_bounds_sweep(cfg, out_dir):
         emit_csv(path, ["eps", "M", "c1", "w", "no_decay", "exponent", "probability"], rows)
         files.append(path)
         summary = {"rows": rows, "threshold": binary_decay_threshold(cfg["c0"])}
-    elif calc == "ball_crossing":
+    else:  # ball_crossing
         rows = []
         for N in cfg["n_list"]:
             for r in cfg["r_list"]:
@@ -338,8 +354,6 @@ def run_bounds_sweep(cfg, out_dir):
         emit_csv(path, ["N", "r", "bound", "meaningful"], rows)
         files.append(path)
         summary = {"rows": rows}
-    else:
-        raise ConfigError("unknown calculator %r" % calc)
     summary["files"] = files
     return summary
 

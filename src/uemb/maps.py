@@ -11,9 +11,10 @@ distance map of an embedding built on h saturates at 2 * sum_{k>=1} P_k.
 Each map states its spectrum once, through one protocol: ``series`` is the
 closed-form infinite series of the square wave and the sawtooth (a
 ``HarmonicSeries``, None for every other kind), and ``power_coeffs(tol)``
-is the finite, certified ``PowerSpectrum`` of any map, built from the
-series where there is one.  Quantizer levels are computed in one place,
-``_quantize_values``.
+is the finite, certified ``PowerSpectrum`` of any map.  The summation
+engine of ``uemb.theory`` reads both alike: ``dc_power``, ``ac_power``,
+``tail_bound`` and ``blocks()``, ascending (hi, k, P_k, power above hi).
+Quantizer levels are computed in one place, ``_quantize_values``.
 
 Evaluation allocates one float64 buffer per map call: ``_frac`` writes
 t - floor(t) into a new array, and every kind maps that array in place
@@ -29,7 +30,7 @@ zero irrelevant, but determinism requires one choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -38,6 +39,9 @@ SQRT2 = math.sqrt(2.0)
 
 # Hard ceiling on the number of retained harmonics in a certified spectrum.
 KMAX_CAP = 2 ** 16
+
+# Last harmonic a HarmonicSeries' blocks reach.
+_K_CAP = 1 << 21
 
 _MAX_QUANTIZER_BITS = 40  # quantize_map's finest B
 
@@ -70,13 +74,17 @@ class PowerSpectrum:
     ``k`` and ``power`` hold the nonzero coefficients (k ascending, k=0 is
     the DC power when present).  ``tail_bound`` bounds the power above the
     largest retained harmonic, so total_power = sum(power) + tail_bound up
-    to the certification tolerance.
+    to the certification tolerance.  ``dc_power``, ``ac_power`` (k >= 1,
+    without the tail) and the one block of ``blocks()`` are derived once;
+    which harmonics carry the tail is unknown, so no power lies above it.
     """
 
     k: np.ndarray
     power: np.ndarray
     tail_bound: float
     total_power: float
+    dc_power: float = field(init=False)
+    ac_power: float = field(init=False)
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=np.int64)
@@ -87,35 +95,31 @@ class PowerSpectrum:
             raise ValueError("k must be nonnegative and strictly increasing")
         if np.any(p < 0) or self.tail_bound < 0:
             raise ValueError("powers and tail bound must be nonnegative")
+        ac = k >= 1
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "power", p)
+        object.__setattr__(self, "dc_power", float(p[0]) if len(k) and k[0] == 0 else 0.0)
+        object.__setattr__(self, "ac_power", float(np.sum(p[ac])))
+        block = (int(k[-1]) if len(k) else 0, k[ac].astype(np.float64), p[ac], 0.0)
+        object.__setattr__(self, "_blocks", (block,))
 
-    @property
-    def coeffs(self):
-        return list(zip(self.k.tolist(), self.power.tolist()))
-
-    @property
-    def ac_power(self):
-        """Certified sum of P_k over k >= 1 (excludes DC and tail)."""
-        mask = self.k >= 1
-        return float(np.sum(self.power[mask]))
-
-    @property
-    def dc_power(self):
-        return float(self.power[0]) if len(self.k) and self.k[0] == 0 else 0.0
+    def blocks(self):
+        return self._blocks
 
 
 @dataclass(frozen=True)
 class HarmonicSeries:
     """Closed-form folded spectrum P_k = c / (pi k)^2 on k = 1, 1 + step, ...
 
-    ``dc`` is the exact P_0 and ``ac_total`` the exact sum over k >= 1.
+    ``dc_power`` is the exact P_0 and ``ac_power`` the exact sum over
+    k >= 1.  Nothing is left unlisted, so ``tail_bound`` is 0.
     """
 
     c: float
     step: int
-    dc: float
-    ac_total: float
+    dc_power: float
+    ac_power: float
+    tail_bound = 0.0
 
     def powers(self, lo, hi):
         """(k, P_k) float64 arrays of the series' harmonics in [lo, hi]."""
@@ -123,10 +127,24 @@ class HarmonicSeries:
         ks = np.arange(lo, hi + 1, self.step, dtype=np.float64)
         return ks, self.c / (np.pi * ks) ** 2
 
+    def blocks(self):
+        """Ascending (hi, k, P_k, power above hi) blocks, ending at _K_CAP.
+
+        The first block spans 512 harmonics; each next one 4x more, up to 2^18.
+        """
+        lo, block, partial = 1, 512, 0.0
+        while lo <= _K_CAP:
+            hi = min(lo + block - 1, _K_CAP)
+            ks, powers = self.powers(lo, hi)
+            partial += float(np.sum(powers))
+            yield hi, ks, powers, max(self.ac_power - partial, 0.0)
+            lo = hi + 1
+            block = min(block * 4, 1 << 18)
+
 
 _SERIES = {
-    "square": HarmonicSeries(c=2.0, step=2, dc=0.25, ac_total=0.25),
-    "sawtooth": HarmonicSeries(c=1.0, step=1, dc=0.0, ac_total=1.0 / 6.0),
+    "square": HarmonicSeries(c=2.0, step=2, dc_power=0.25, ac_power=0.25),
+    "sawtooth": HarmonicSeries(c=1.0, step=1, dc_power=0.0, ac_power=1.0 / 6.0),
 }
 
 
@@ -411,7 +429,7 @@ def _compute_spectrum(map_, tol):
     series = map_.series
     if series is not None:
         ks, powers = series.powers(1, KMAX_CAP)
-        tails = series.ac_total - np.cumsum(powers)
+        tails = series.ac_power - np.cumsum(powers)
         idx = np.nonzero(tails <= tol)[0]
         if len(idx) == 0:
             raise SpectrumToleranceError(
@@ -419,10 +437,10 @@ def _compute_spectrum(map_, tol):
             )
         m = idx[0] + 1
         k, p = ks[:m], powers[:m]
-        if series.dc:
-            k, p = np.concatenate(([0], k)), np.concatenate(([series.dc], p))
+        if series.dc_power:
+            k, p = np.concatenate(([0], k)), np.concatenate(([series.dc_power], p))
         return PowerSpectrum(
-            k, p, max(float(tails[m - 1]), 0.0), series.dc + series.ac_total
+            k, p, max(float(tails[m - 1]), 0.0), series.dc_power + series.ac_power
         )
     if map_.kind == "mixture":
         terms = map_.params["terms"]

@@ -6,13 +6,13 @@ spectrum {P_k} and projected-distance characteristic function phi is
     g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)),
 
 its kernel is K(d) = sum_{k>=0} P_k phi(2 pi k | d), and the two satisfy
-K(d) + g(d)/2 = sum_k P_k identically.  The engine here evaluates both
-through S = sum_{k>=1} P_k phi(2 pi k | d), reading the spectrum only
-through the map's spectrum protocol (see ``uemb.maps``): a map with a
-closed-form ``series`` is summed block by block with adaptive truncation
-and its exact AC total, so the identity holds to rounding and g(0) = 0
-exactly; any other map contributes the finite certified spectrum of
-``power_coeffs``.
+K(d) + g(d)/2 = sum_k P_k identically.  One summation engine evaluates
+both through S = sum_{k>=1} P_k phi(2 pi k | d), and the slope likewise,
+reading either kind of spectrum (see ``uemb.maps``) block by block: a
+closed-form ``series`` with adaptive truncation against its exact AC
+total, so the identity holds to rounding and g(0) = 0 exactly, and a
+certified ``power_coeffs`` spectrum as one block whose tail_bound enters
+the certified error.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import spence
 
-from .maps import make_sawtooth
+from .maps import _K_CAP, make_sawtooth
 from .randproj import ProjectionSpec, char_fn
 
-_K_CAP = 1 << 21
 _SQRT2 = math.sqrt(2.0)
 
 SATURATION_FRACTION = 0.95
@@ -44,63 +43,43 @@ def _li2(x):
 
 
 # ---------------------------------------------------------------------------
-# Series engine
+# Summation engine
 
 
-def _blocks(series):
-    """Ascending (hi, ks, P_k) blocks of a HarmonicSeries, ending at _K_CAP.
+def _phi_sum(spectrum, spec, d, rtol=1e-12):
+    """S = sum_{k>=1} P_k phi(2 pi k | d) with a certified error.
 
-    The first block spans 512 harmonics; each next one 4x more, up to 2^18.
-    """
-    lo, block = 1, 512
-    while lo <= _K_CAP:
-        hi = min(lo + block - 1, _K_CAP)
-        yield (hi,) + series.powers(lo, hi)
-        lo = hi + 1
-        block = min(block * 4, 1 << 18)
-
-
-def _phi_sum(series, spec, d, rtol=1e-12):
-    """S = sum_{k>=1} P_k phi(2 pi k | d) with a certified truncation bound.
-
-    Returns (S_hat, err) with |S - S_hat| <= err; exploits that phi is
-    nonincreasing in k for both families, so the remainder past K is at
-    most tail_P(K) * phi(2 pi (K+1) | d).
+    Returns (S_hat, err) with |S - S_hat| <= err.  phi is nonincreasing in
+    k for both families, so the power above a block adds at most above *
+    phi(2 pi (hi+1) | d): once that is negligible, half of it goes into
+    S_hat and half into err, with the tail_bound (on unknown harmonics).
     """
     s = 0.0
-    partial = 0.0
-    for hi, ks, powers in _blocks(series):
+    for hi, ks, powers, above in spectrum.blocks():
         s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
-        partial += float(np.sum(powers))
-        tail_p = max(series.ac_total - partial, 0.0)
-        rem = tail_p * char_fn(spec, 2.0 * np.pi * (hi + 1), d)
-        if rem <= rtol * max(s, 1e-3 * series.ac_total):
+        rem = above * char_fn(spec, 2.0 * np.pi * (hi + 1), d) if above else 0.0
+        if rem <= rtol * max(s, 1e-3 * spectrum.ac_power):
             break
-    return s + rem / 2.0, rem / 2.0
+    return s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
 
 
-def _dphi_abs(spec, ks, d):
-    """|d phi(2 pi k | d) / dd|, vectorized over k."""
-    xi = 2.0 * np.pi * np.asarray(ks, dtype=np.float64)
-    phi = char_fn(spec, xi, d)
-    if spec.family == "gaussian":
-        return (spec.scale ** 2) * xi ** 2 * d * phi
-    return spec.scale * np.abs(xi) * phi
-
-
-def _phi_deriv_sum(series, spec, d, rtol=1e-10):
-    """sum_{k>=1} P_k |d phi / dd|; positive, equals g'(d)/2."""
-    if d == 0.0:
-        if spec.family == "gaussian":
-            return 0.0
-        return math.inf  # cauchy maps have log-divergent slope at 0
-    if spec.family == "gaussian":
-        k_peak = 1.0 / (math.pi * spec.scale * d * _SQRT2)
-    else:
-        k_peak = 1.0
+def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
+    """sum_{k>=1} P_k |d phi(2 pi k | d) / dd|; positive, equals g'(d)/2."""
+    gaussian = spec.family == "gaussian"
+    if gaussian and d == 0.0:
+        return 0.0
+    k_peak = 1.0 / (math.pi * spec.scale * d * _SQRT2) if gaussian else 1.0
     s = 0.0
-    for hi, ks, powers in _blocks(series):
-        contrib = float(powers @ _dphi_abs(spec, ks, d))
+    for hi, ks, powers, above in spectrum.blocks():
+        if d == 0.0 and above:
+            # cauchy slope at 0 is sum_k P_k gamma 2 pi k: a 1/k^2 tail diverges
+            return math.inf
+        xi = 2.0 * np.pi * ks
+        phi = char_fn(spec, xi, d)
+        if gaussian:
+            contrib = float(powers @ ((spec.scale ** 2) * xi ** 2 * d * phi))
+        else:
+            contrib = float(powers @ (spec.scale * np.abs(xi) * phi))
         s += contrib
         if hi >= 2 * k_peak and contrib <= rtol * max(s, 1e-300):
             break
@@ -131,46 +110,31 @@ class DistanceMapModel:
         self.map = map_
         self.spec = spec
         self.flavor = flavor
-        self._series = map_.series
-        if self._series is None:
-            sp = map_.power_coeffs(spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL)
-            ac = sp.k >= 1
-            self._ks = sp.k[ac].astype(np.float64)
-            self._p = sp.power[ac]
-            self._dc, self._ac = sp.dc_power, float(np.sum(self._p))
-            self._tail = sp.tail_bound
-        else:
-            self._dc, self._ac = self._series.dc, self._series.ac_total
-            self._tail = 0.0
+        self._spectrum = map_.series or map_.power_coeffs(
+            spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL
+        )
         self._d0 = None
-
-    def _phi_total(self, d):
-        """(S, err): S = sum_{k>=1} P_k phi(2 pi k | d), off by at most err."""
-        if self._series is None:
-            # harmonics beyond the spectrum's tail are bounded by phi <= 1
-            s = float(self._p @ char_fn(self.spec, 2.0 * np.pi * self._ks, d))
-            return s, self._tail
-        return _phi_sum(self._series, self.spec, d)
 
     # -- raw curves ---------------------------------------------------------
 
     @property
     def ac_power(self):
-        return self._ac
+        return self._spectrum.ac_power
 
     @property
     def total_power(self):
         """Certified sum of all P_k including the spectrum tail."""
-        return self._dc + self._ac + self._tail
+        sp = self._spectrum
+        return sp.dc_power + sp.ac_power + sp.tail_bound
 
     @property
     def tail_bound(self):
-        return self._tail
+        return self._spectrum.tail_bound
 
     @property
     def g_inf(self):
         """Asymptote of g: 2 * sum_{k>=1} P_k."""
-        return 2.0 * self._ac
+        return 2.0 * self._spectrum.ac_power
 
     def g(self, d):
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""
@@ -178,8 +142,8 @@ class DistanceMapModel:
             raise ValueError("d must be nonnegative")
         if d == 0.0:
             return 0.0
-        s, _ = self._phi_total(d)
-        return 2.0 * max(self._ac - s, 0.0)
+        s, _ = _phi_sum(self._spectrum, self.spec, d)
+        return 2.0 * max(self._spectrum.ac_power - s, 0.0)
 
     def g_sqrt(self, d):
         return math.sqrt(self.g(d))
@@ -188,10 +152,11 @@ class DistanceMapModel:
         """K(d) = sum_{k>=0} P_k phi(2 pi k | d); K(0) is the total power."""
         if d < 0:
             raise ValueError("d must be nonnegative")
+        sp = self._spectrum
         if d == 0.0:
-            return self._dc + self._ac
-        s, _ = self._phi_total(d)
-        return self._dc + s
+            return sp.dc_power + sp.ac_power
+        s, _ = _phi_sum(sp, self.spec, d)
+        return sp.dc_power + s
 
     # -- flavored view ------------------------------------------------------
 
@@ -211,16 +176,13 @@ class DistanceMapModel:
             return self.g_inf
         if self.flavor == "sqrt":
             return math.sqrt(self.g_inf)
-        return self._dc
+        return self._spectrum.dc_power
 
     def derivative(self, d):
         """Slope of the flavored curve (analytic series, not differences)."""
         if d < 0:
             raise ValueError("d must be nonnegative")
-        if self._series is None:
-            gp = 2.0 * float(self._p @ _dphi_abs(self.spec, self._ks, d))
-        else:
-            gp = 2.0 * _phi_deriv_sum(self._series, self.spec, d)
+        gp = 2.0 * _phi_deriv_sum(self._spectrum, self.spec, d)
         if self.flavor == "sq_l2":
             return gp
         if self.flavor == "sqrt":
@@ -236,6 +198,24 @@ class DistanceMapModel:
         if self.flavor == "kernel":
             raise ValueError("kernel flavor is decreasing; use sq_l2 or sqrt")
 
+    def _bisect(self, target, hi, rel_tol=0.0, max_steps=None):
+        """(lo, hi) from [0, hi] with value(lo) < target <= value(hi).
+
+        Halves until within rel_tol of hi, after max_steps halvings, or once
+        the midpoint equals an end, after which no halving moves either end.
+        """
+        lo, steps = 0.0, 0
+        while hi - lo > rel_tol * max(hi, 1e-300) and steps != max_steps:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if self.value(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+            steps += 1
+        return lo, hi
+
     @property
     def D0(self):
         """Smallest d with value(d) >= 0.95 * value_inf (bisection)."""
@@ -249,14 +229,7 @@ class DistanceMapModel:
                 hi *= 2.0
             else:
                 raise RuntimeError("saturation radius not bracketed")
-            lo = 0.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if self.value(mid) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            self._d0 = hi
+            _, self._d0 = self._bisect(target, hi, max_steps=100)
             self._check_monotone_grid()
         return self._d0
 
@@ -280,13 +253,7 @@ class DistanceMapModel:
             return d0, "saturated"
         if gval == 0.0:
             return 0.0, "unique"
-        lo, hi = 0.0, d0
-        while hi - lo > rel_tol * max(hi, 1e-300):
-            mid = 0.5 * (lo + hi)
-            if self.value(mid) >= gval:
-                hi = mid
-            else:
-                lo = mid
+        lo, hi = self._bisect(gval, d0, rel_tol)
         return 0.5 * (lo + hi), "unique"
 
 

@@ -359,9 +359,33 @@ class TestCli:
         ("quant-sim", "kind = quantization_sim\nN = 16\npairs = 4\nb_list = 1\nM = 0\n",
          "M"),
         ("map-eval", "kind = map_eval\nd_count = 0\n", "d_count"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
+         "family = foo\n", "family"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n"
+         "family = foo\n", "family"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n"
+         "variant = foo\n", "variant"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.2,-1\n",
+         "sigma_list"),
+        ("scatter", "kind = universal_scatter\nN = 16\npairs = 4\nm_list = 32\n"
+         "delta_list = 0\n", "delta_list"),
+        ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n"
+         "variant = universal\ndelta = 0\n", "delta"),
+        ("retrieve", "kind = retrieval\nN = 16\nclusters = 4\npoints_per_cluster = 3\n"
+         "cluster_radius = 0.05\ndelta_list = 1.0\nrate_list = 16\nsigma = 0\n", "sigma"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nlog_grid = 0\nd_min = -1\n", "d_min"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nscale = -1\n", "scale"),
+        ("bounds", "kind = bounds_sweep\ncalculator = pointcloud\nq = 1\n", "q"),
+        ("bounds", "kind = bounds_sweep\ncalculator = pointcloud\nflavor = foo\n", "flavor"),
+        ("bounds", "kind = bounds_sweep\ncalculator = ball_crossing\nn_list = 0\n", "n_list"),
+        ("bounds", "kind = bounds_sweep\ncalculator = foo\n", "calculator"),
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
-            "quant-b_list-41", "quant-M", "map_eval-d_count"])
+            "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
+            "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
+            "retrieval-sigma", "map_eval-d_min", "map_eval-scale", "bounds-q", "bounds-flavor",
+            "bounds-n_list", "bounds-calculator"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
+        # counts, choices and the sign of each scale and distance
         cfg = self._write(tmp_path, text)
         out = tmp_path / "out"
         rc = main([command, "--config", cfg, "--out", str(out)])

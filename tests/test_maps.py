@@ -379,8 +379,8 @@ class TestSpectra:
                 ks, powers = series.powers(1, int(sp.k[-1]))
                 np.testing.assert_array_equal(sp.k[ac], ks)
                 np.testing.assert_array_equal(sp.power[ac], powers)
-                assert sp.dc_power == series.dc
-                assert sp.total_power == series.dc + series.ac_total
+                assert sp.dc_power == series.dc_power
+                assert sp.total_power == series.dc_power + series.ac_power
         assert make_multibit(2).series is None
         assert make_fourier_mixture(FIG3_TERMS).series is None
 

@@ -7,13 +7,16 @@ import pytest
 
 from uemb.maps import (
     make_fourier_mixture,
+    make_multibit,
     make_sawtooth,
     make_square_wave,
     quantize_map,
 )
-from uemb.randproj import ProjectionSpec, RandomState
+from uemb.randproj import ProjectionSpec, RandomState, char_fn
 from uemb.theory import (
+    DEFAULT_NUMERIC_SPECTRUM_TOL,
     DistanceMapModel,
+    _phi_sum,
     ambiguity,
     binary_decay_threshold,
     check_subadditivity,
@@ -83,6 +86,57 @@ class TestDistanceMap:
         q = quantize_map(make_fourier_mixture(FIG3), 3)
         with pytest.raises(SpectrumToleranceError):
             DistanceMapModel(q, ProjectionSpec("gaussian", 1.0), spectrum_tol=1e-12)
+
+
+class TestSummationEngine:
+    FINITE = (make_fourier_mixture(FIG3), quantize_map(make_fourier_mixture(FIG3), 3),
+              make_multibit(4))
+
+    def test_finite_g_is_the_listed_sum(self):
+        # g of a finite spectrum is 2 max(ac - sum_k P_k phi_k, 0) over power_coeffs
+        for m in self.FINITE:
+            sp = m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+            ac = sp.k >= 1
+            ks, p = sp.k[ac].astype(np.float64), sp.power[ac]
+            ac_power = float(np.sum(p))
+            for spec in (ProjectionSpec("gaussian", 0.3), ProjectionSpec("cauchy", 0.3)):
+                model = DistanceMapModel(m, spec)
+                for d in np.geomspace(1e-6, 20.0, 25):
+                    s = float(p @ char_fn(spec, 2.0 * np.pi * ks, float(d)))
+                    assert model.g(float(d)).hex() == (2.0 * max(ac_power - s, 0.0)).hex()
+
+    def test_error_carries_tail_bound(self):
+        spec = ProjectionSpec("gaussian", 0.3)
+        for m in self.FINITE[1:]:
+            sp = m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+            assert sp.tail_bound > 0
+            for d in (1e-6, 0.1, 5.0):
+                # one block with nothing above it: the error is the tail itself
+                assert _phi_sum(sp, spec, d)[1] == sp.tail_bound
+        series = make_sawtooth().series
+        ks, p = series.powers(1, 1 << 20)
+        for d in (1e-3, 0.1):
+            s, err = _phi_sum(series, spec, d)
+            assert abs(s - float(p @ char_fn(spec, 2.0 * np.pi * ks, d))) <= err + 1e-15
+
+    def test_invert_at_zero_tolerance_ends_bracketed(self):
+        model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
+        model.D0
+        g = model.g(0.3)
+        value, calls = model.value, []
+
+        def counted(d):
+            assert len(calls) < 5000, "bisection does not terminate"
+            calls.append((d, value(d)))
+            return calls[-1][1]
+
+        model.value = counted
+        d_hat, status = model.invert(g, rel_tol=0.0)
+        assert status == "unique"
+        lo = max(d for d, v in calls if v < g)
+        hi = min(d for d, v in calls if v >= g)
+        assert np.nextafter(lo, np.inf) == hi
+        assert d_hat in (lo, hi)
 
 
 class TestClosedFormsAgainstEngine:
