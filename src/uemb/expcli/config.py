@@ -40,7 +40,11 @@ def parse_map(selector):
         rest = sel[len("multibit:"):]
         if not rest.startswith("B="):
             raise ConfigError("multibit selector must be multibit:B=<bits>")
-        return make_multibit(_parse_int(rest[2:], "multibit bits"))
+        bits = _parse_int(rest[2:], "multibit bits")
+        try:
+            return make_multibit(bits)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     if sel.startswith("mixture:"):
         body = sel[len("mixture:"):]
         terms = []

@@ -72,6 +72,14 @@ def _check_config(cfg, kind):
                 raise ConfigError("%s must %s, got %s" % (key, requirement, v))
 
 
+def _config_map(cfg):
+    """The config's map; a bad selector is a ConfigError naming the key."""
+    try:
+        return parse_map(cfg["map"])
+    except ConfigError as e:
+        raise ConfigError("map must be a catalog selector: %s" % e) from None
+
+
 def _pair_block(rs, stream, N, dvals, metric):
     """Signal pairs x' = x + d u at controlled distances.
 
@@ -117,7 +125,7 @@ def _fmt(v):
 def run_design_sim(cfg, out_dir):
     """Unquantized designed-map scatter vs theory (two projection scales)."""
     _check_config(cfg, "design_sim")
-    map_ = parse_map(cfg["map"])
+    map_ = _config_map(cfg)
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     summary_rows = []
@@ -163,7 +171,7 @@ def run_quantization_sim(cfg, out_dir):
     variant = cfg["variant"]
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
-    base_map = parse_map(cfg["map"]) if variant == "mixture" else make_sawtooth()
+    base_map = _config_map(cfg) if variant == "mixture" else make_sawtooth()
     summary_rows = []
     files = []
     for bits in cfg["b_list"]:
@@ -361,7 +369,7 @@ def run_bounds_sweep(cfg, out_dir):
 def run_map_eval(cfg, out_dir):
     """Distance/kernel curves of one map, with bounds for binary universal."""
     _check_config(cfg, "map_eval")
-    map_ = parse_map(cfg["map"])
+    map_ = _config_map(cfg)
     is_binary_universal = map_.kind == "square" and cfg["scale"] == 0.0
     if cfg["scale"] > 0:
         scale = cfg["scale"]
@@ -376,17 +384,17 @@ def run_map_eval(cfg, out_dir):
         ds = np.geomspace(cfg["d_min"], cfg["d_max"], cfg["d_count"])
     else:
         ds = np.linspace(cfg["d_min"], cfg["d_max"], cfg["d_count"])
-    model = DistanceMapModel(map_, spec)
+    g = DistanceMapModel(map_, spec).curve(ds)
+    K = DistanceMapModel(map_, spec, flavor="kernel").curve(ds)
     header = ["d", "g", "g_sqrt", "K"]
     with_bounds = is_binary_universal and cfg["family"] == "gaussian"
     if with_bounds:
         header += ["lower5", "upper6", "upper7"]
     rows = []
-    for d in ds:
-        g = model.g(float(d))
-        row = [float(d), g, math.sqrt(g), model.kernel(float(d))]
+    for d, g_d, K_d in zip(ds.tolist(), g.tolist(), K.tolist()):
+        row = [d, g_d, math.sqrt(g_d), K_d]
         if with_bounds:
-            _, b = universal_binary_map(float(d), cfg["sigma"], cfg["delta"])
+            _, b = universal_binary_map(d, cfg["sigma"], cfg["delta"])
             row += [b.lower, b.upper_exp, b.upper_lin]
         rows.append(tuple(row))
     path = os.path.join(out_dir, "map_curve.csv")

@@ -12,7 +12,9 @@ reading either kind of spectrum (see ``uemb.maps``) block by block: a
 closed-form ``series`` with adaptive truncation against its exact AC
 total, so the identity holds to rounding and g(0) = 0 exactly, and a
 certified ``power_coeffs`` spectrum as one block whose tail_bound enters
-the certified error.
+the certified error.  The engine takes a whole grid of distances in one
+pass, each d stopping at its own block with the sum a lone d would get,
+bit for bit; a single d is a grid of one.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.special import spence
 
 from .maps import _K_CAP, make_sawtooth
-from .randproj import ProjectionSpec, char_fn
+from .randproj import ProjectionSpec
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -46,21 +48,105 @@ def _li2(x):
 # Summation engine
 
 
-def _phi_sum(spectrum, spec, d, rtol=1e-12):
-    """S = sum_{k>=1} P_k phi(2 pi k | d) with a certified error.
+# Elements in one phi block (2^15 float64 is 256 KiB, well inside L2).  A
+# 1000-point curve of a 2048-harmonic spectrum took 7.5 ms in such blocks,
+# 8.3 ms in 2^18 and 10.0 ms in 2^20 (2-vCPU Xeon, 2 MiB L2 per core).  A
+# row longer than a block is evaluated alone.
+_PHI_BLOCK = 1 << 15
 
-    Returns (S_hat, err) with |S - S_hat| <= err.  phi is nonincreasing in
-    k for both families, so the power above a block adds at most above *
-    phi(2 pi (hi+1) | d): once that is negligible, half of it goes into
-    S_hat and half into err, with the tail_bound (on unknown harmonics).
+_BAD_DISTANCE = "distance d must be finite and nonnegative"
+
+
+def _distance(d):
+    """d as a float; ValueError unless it is finite and >= 0."""
+    d = float(d)
+    if not 0.0 <= d < math.inf:  # false for NaN too
+        raise ValueError(_BAD_DISTANCE)
+    return d
+
+
+def _distances(ds):
+    """ds as a 1-D float64 array; ValueError unless each d is finite and >= 0."""
+    ds = np.asarray(ds, dtype=np.float64).ravel()
+    ok = ds >= 0.0
+    ok &= ds < math.inf
+    if not ok.all():
+        raise ValueError(_BAD_DISTANCE)
+    return ds
+
+
+def _pow2(x, out):
+    """x ** 2 through pow, which is how char_fn squares at a scalar xi.
+
+    A numpy scalar's ** 2 calls pow, whose result can differ from x * x
+    (what an array's ** 2 computes) in the last bit.
     """
-    s = 0.0
+    return np.float_power(x, 2.0, out=out)
+
+
+def _phi(spec, ds, xi, square=np.square):
+    """char_fn on the grid ds x xi, bit for bit, without its check of d.
+
+    ``square`` squares the gaussian exponent in place: np.square as
+    char_fn does for an array xi, _pow2 as it does for a scalar one.
+    """
+    if spec.family == "gaussian":
+        out = np.multiply(spec.scale, ds)[:, None] * xi
+        square(out, out=out)
+        np.multiply(out, -0.5, out=out)
+    else:
+        out = np.multiply(-spec.scale, ds)[:, None] * xi
+    return np.exp(out, out=out)
+
+
+def _dots(spec, ds, xi, powers):
+    """powers . phi(xi | d) for each of ds, in phi blocks of _PHI_BLOCK elements.
+
+    Each row's dot product is its own (np.vecdot); a matrix-vector product
+    would sum in another order.
+    """
+    rows = max(1, _PHI_BLOCK // max(len(xi), 1))
+    if len(ds) <= rows:
+        return np.vecdot(_phi(spec, ds, xi), powers)
+    out = np.empty(len(ds))
+    for i in range(0, len(ds), rows):
+        np.vecdot(_phi(spec, ds[i:i + rows], xi), powers, out=out[i:i + rows])
+    return out
+
+
+def _phi_sum(spectrum, spec, ds, rtol=1e-12):
+    """S = sum_{k>=1} P_k phi(2 pi k | d) at each of ds, with certified errors.
+
+    ds is a 1-D array of distances checked by ``_distances``.  Returns
+    arrays (S_hat, err) with |S - S_hat| <= err.  Each d sums the blocks in
+    order, as a scalar loop would, and stops at its own block: phi is
+    nonincreasing in k for both families, so the power above a block adds
+    at most rem = above * phi(2 pi (hi+1) | d), and once that is negligible
+    half of it goes into S_hat and half into err, with the tail_bound (on
+    unknown harmonics).  At d = 0, phi is 1 and S is ac_power exactly.
+    """
+    if np.count_nonzero(ds) < len(ds):
+        s_hat = np.full(len(ds), spectrum.ac_power)
+        err = np.full(len(ds), spectrum.tail_bound)
+        pos = ds > 0.0
+        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos], rtol)
+        return s_hat, err
+    s_hat, err = np.empty(len(ds)), np.empty(len(ds))
+    rows, d, s = slice(None), ds, 0.0  # the rows still summing, their d and sums
+    floor = 1e-3 * spectrum.ac_power
     for hi, ks, powers, above in spectrum.blocks():
-        s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
-        rem = above * char_fn(spec, 2.0 * np.pi * (hi + 1), d) if above else 0.0
-        if rem <= rtol * max(s, 1e-3 * spectrum.ac_power):
+        s = s + _dots(spec, d, 2.0 * np.pi * ks, powers)
+        if not above:  # nothing above this block, as for a finite spectrum
+            s_hat[rows], err[rows] = s, spectrum.tail_bound
             break
-    return s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
+        rem = above * _phi(spec, d, 2.0 * np.pi * (hi + 1), _pow2)[:, 0]
+        # every row's estimate so far: a row that stops here keeps it
+        s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
+        keep = rem > rtol * np.maximum(s, floor)
+        rows, d, s = np.arange(len(ds))[rows][keep], d[keep], s[keep]
+        if not len(d):
+            break
+    return s_hat, err
 
 
 def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
@@ -75,7 +161,7 @@ def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
             # cauchy slope at 0 is sum_k P_k gamma 2 pi k: a 1/k^2 tail diverges
             return math.inf
         xi = 2.0 * np.pi * ks
-        phi = char_fn(spec, xi, d)
+        phi = _phi(spec, np.array((d,)), xi)[0]
         if gaussian:
             contrib = float(powers @ ((spec.scale ** 2) * xi ** 2 * d * phi))
         else:
@@ -136,27 +222,30 @@ class DistanceMapModel:
         """Asymptote of g: 2 * sum_{k>=1} P_k."""
         return 2.0 * self._spectrum.ac_power
 
+    def _flavored(self, s, flavor):
+        """The flavor's value from S, for a float or an array alike."""
+        sp = self._spectrum
+        if flavor == "kernel":
+            return sp.dc_power + s
+        x = sp.ac_power - s
+        g = x + abs(x)  # 2 max(ac - S, 0), exactly; g(0) = 0 as S(0) = ac
+        return np.sqrt(g) if flavor == "sqrt" else g
+
+    def _value(self, d, flavor):
+        """The flavor's value at one d: the engine on a grid of one."""
+        s, _ = _phi_sum(self._spectrum, self.spec, np.array((_distance(d),)))
+        return float(self._flavored(float(s[0]), flavor))
+
     def g(self, d):
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        if d == 0.0:
-            return 0.0
-        s, _ = _phi_sum(self._spectrum, self.spec, d)
-        return 2.0 * max(self._spectrum.ac_power - s, 0.0)
+        return self._value(d, "sq_l2")
 
     def g_sqrt(self, d):
-        return math.sqrt(self.g(d))
+        return self._value(d, "sqrt")
 
     def kernel(self, d):
         """K(d) = sum_{k>=0} P_k phi(2 pi k | d); K(0) is the total power."""
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        sp = self._spectrum
-        if d == 0.0:
-            return sp.dc_power + sp.ac_power
-        s, _ = _phi_sum(sp, self.spec, d)
-        return sp.dc_power + s
+        return self._value(d, "kernel")
 
     # -- flavored view ------------------------------------------------------
 
@@ -168,7 +257,9 @@ class DistanceMapModel:
         return self.kernel(d)
 
     def curve(self, ds):
-        return np.array([self.value(float(d)) for d in np.asarray(ds).ravel()])
+        """value at each of ds, from one engine pass over the whole grid."""
+        s, _ = _phi_sum(self._spectrum, self.spec, _distances(ds))
+        return self._flavored(s, self.flavor)
 
     @property
     def value_inf(self):
@@ -180,8 +271,7 @@ class DistanceMapModel:
 
     def derivative(self, d):
         """Slope of the flavored curve (analytic series, not differences)."""
-        if d < 0:
-            raise ValueError("d must be nonnegative")
+        d = _distance(d)
         gp = 2.0 * _phi_deriv_sum(self._spectrum, self.spec, d)
         if self.flavor == "sq_l2":
             return gp
@@ -246,6 +336,8 @@ class DistanceMapModel:
         asymptote; d is D0) or "below_range" (gval < 0; d is 0).
         """
         self._require_monotone_flavor()
+        if not math.isfinite(gval):
+            raise ValueError("gval must be finite")
         if gval < 0:
             return 0.0, "below_range"
         d0 = self.D0

@@ -6,10 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uemb.embedder import EmbeddingOperator, build_operator, embed_batch, embedding_distance
 from uemb.expcli.config import (
     DEFAULT_MIXTURE,
+    SCHEMAS,
     ConfigError,
     emit_csv,
     make_config,
@@ -84,6 +87,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config(p)
 
+    _KEYS = sorted({"kind", *(k for schema in SCHEMAS.values() for k in schema)})
+    _VALUE = st.one_of(
+        st.text(max_size=12),
+        st.integers(-10 ** 6, 10 ** 6).map(str),
+        st.floats().map(repr),
+        st.lists(st.floats(-1e3, 1e3).map(repr), min_size=1, max_size=3).map(",".join),
+    )
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), kind=st.one_of(st.none(), st.sampled_from(sorted(SCHEMAS))))
+    def test_any_text_parses_or_raises_config_error(self, tmp_path, data, kind):
+        # keys of the kind (or of any kind) with any values, and any lines
+        # between them: the file either parses or raises ConfigError
+        keys = self._KEYS if kind is None else sorted(SCHEMAS[kind])
+        entries = data.draw(st.dictionaries(st.sampled_from(keys), self._VALUE, max_size=8))
+        lines = ["kind = %s" % kind] * (kind is not None)
+        lines += ["%s = %s" % kv for kv in entries.items()]
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.text(max_size=30)))
+        p = tmp_path / "c.cfg"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            cfg = parse_config(p)
+        except ConfigError:
+            return
+        assert cfg.kind in SCHEMAS
+        assert set(cfg.params) == {"seed", *SCHEMAS[cfg.kind]}
+
 
 class TestMapSelectors:
     @pytest.mark.parametrize(
@@ -104,7 +136,8 @@ class TestMapSelectors:
         np.testing.assert_array_equal(m(ts), m2(ts))
 
     def test_bad_selectors(self):
-        for sel in ("triangle", "multibit:4", "mixture:1", "quantized:square"):
+        for sel in ("triangle", "multibit:4", "mixture:1", "quantized:square",
+                    "multibit:B=0", "multibit:B=17"):
             with pytest.raises(ConfigError):
                 parse_map(sel)
 
@@ -379,11 +412,16 @@ class TestCli:
         ("bounds", "kind = bounds_sweep\ncalculator = pointcloud\nflavor = foo\n", "flavor"),
         ("bounds", "kind = bounds_sweep\ncalculator = ball_crossing\nn_list = 0\n", "n_list"),
         ("bounds", "kind = bounds_sweep\ncalculator = foo\n", "calculator"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = multibit:B=0\n", "map"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = multibit:B=17\n", "map"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
+         "map = multibit:B=17\n", "map"),
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
             "retrieval-sigma", "map_eval-d_min", "map_eval-scale", "bounds-q", "bounds-flavor",
-            "bounds-n_list", "bounds-calculator"])
+            "bounds-n_list", "bounds-calculator", "map_eval-multibit-0", "map_eval-multibit-17",
+            "design-multibit-17"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance
         cfg = self._write(tmp_path, text)

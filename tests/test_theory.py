@@ -1,6 +1,7 @@
 """Distance/kernel map calculus and the probability-bound calculators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestDistanceMap:
             DistanceMapModel(q, ProjectionSpec("gaussian", 1.0), spectrum_tol=1e-12)
 
 
+def scalar_phi_sum(spectrum, spec, d, rtol=1e-12):
+    """Reference (S_hat, err) at one d > 0: the blocks summed in plain floats."""
+    s = 0.0
+    for hi, ks, powers, above in spectrum.blocks():
+        s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
+        rem = above * char_fn(spec, 2.0 * np.pi * (hi + 1), d) if above else 0.0
+        if rem <= rtol * max(s, 1e-3 * spectrum.ac_power):
+            break
+    return s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
+
+
 class TestSummationEngine:
     FINITE = (make_fourier_mixture(FIG3), quantize_map(make_fourier_mixture(FIG3), 3),
               make_multibit(4))
@@ -110,14 +122,69 @@ class TestSummationEngine:
         for m in self.FINITE[1:]:
             sp = m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
             assert sp.tail_bound > 0
-            for d in (1e-6, 0.1, 5.0):
-                # one block with nothing above it: the error is the tail itself
-                assert _phi_sum(sp, spec, d)[1] == sp.tail_bound
+            # one block with nothing above it: the error is the tail itself
+            _, err = _phi_sum(sp, spec, np.array([1e-6, 0.1, 5.0]))
+            assert np.all(err == sp.tail_bound)
         series = make_sawtooth().series
         ks, p = series.powers(1, 1 << 20)
-        for d in (1e-3, 0.1):
-            s, err = _phi_sum(series, spec, d)
-            assert abs(s - float(p @ char_fn(spec, 2.0 * np.pi * ks, d))) <= err + 1e-15
+        s, err = _phi_sum(series, spec, np.array([1e-3, 0.1]))
+        for d, s_d, err_d in zip((1e-3, 0.1), s, err):
+            assert abs(s_d - float(p @ char_fn(spec, 2.0 * np.pi * ks, d))) <= err_d + 1e-15
+
+    CATALOG = (make_square_wave(), make_sawtooth(), make_multibit(1), make_multibit(4),
+               make_fourier_mixture(FIG3), quantize_map(make_fourier_mixture(FIG3), 3),
+               quantize_map(make_sawtooth(), 2))
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_curve_is_value_bit_for_bit(self, m, family):
+        # one engine pass over a grid gives each d the sum it gets alone
+        ds = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 31), np.linspace(0.0, 6.0, 25)])
+        for flavor in ("sq_l2", "sqrt", "kernel"):
+            model = DistanceMapModel(m, ProjectionSpec(family, 0.7), flavor=flavor)
+            curve = model.curve(ds)
+            assert curve.shape == ds.shape
+            assert [v.hex() for v in curve.tolist()] == [model.value(d).hex() for d in ds]
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_engine_is_the_scalar_loop_bit_for_bit(self, m, family):
+        # S_hat and err of a grid, from tiny d (the series runs to its cap)
+        # to saturation, equal a plain-float loop over the blocks at each d
+        spec = ProjectionSpec(family, 0.7)
+        sp = m.series or m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+        ds = np.geomspace(1e-9, 1e2, 23)
+        s, err = _phi_sum(sp, spec, ds)
+        got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), err.tolist())]
+        ref = [scalar_phi_sum(sp, spec, d) for d in ds.tolist()]
+        assert got == [(a.hex(), b.hex()) for a, b in ref]
+
+    def test_tiny_d_curve_memory_is_bounded(self):
+        # 500 distances that each run the series to its cap: phi is built in
+        # bounded blocks, never as one distances x harmonics array
+        spec = ProjectionSpec("gaussian", 0.5)
+        model = DistanceMapModel(make_sawtooth(), spec)
+        ds = np.full(500, 1e-9 / spec.scale)
+        tracemalloc.start()
+        try:
+            g = model.curve(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.all(g == g[0]) and g[0] > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_input_rejected(self, bad):
+        model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
+        for call in (model.g, model.g_sqrt, model.kernel, model.value, model.derivative):
+            with pytest.raises(ValueError):
+                call(bad)
+        with pytest.raises(ValueError):
+            model.curve([0.1, bad, 0.2])
+        if bad != -0.5:  # a negative value inverts to d = 0, "below_range"
+            with pytest.raises(ValueError):
+                model.invert(bad)
 
     def test_invert_at_zero_tolerance_ends_bracketed(self):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
