@@ -8,6 +8,9 @@ embed is a batch of one.  The same batch gives the same bits, but at small
 shapes (M=256, N=64 and M=128, N=32 measured) OpenBLAS rounds a row by the
 rows batched with it, so embed, embed_batch and a split batch can differ
 in the last bit: smooth maps show it, the square wave hides it.
+
+A batch of n signals allocates one n x M float64 array: the GEMM writes
+into it chunk by chunk, the dither is added and the map applied in place.
 """
 
 from __future__ import annotations
@@ -114,7 +117,11 @@ def build_universal_operator(family, scale, Delta, bits, M, N, rs):
 
 
 def _project_rows(op, X):
-    """X @ A.T + w through a fixed >=2-row GEMM path (see module docstring)."""
+    """X @ A.T + w through a fixed >=2-row GEMM path (see module docstring).
+
+    Each GEMM of two or more rows writes straight into its rows of the
+    result; only a one-row chunk goes through a padded two-row product.
+    """
     n = X.shape[0]
     out = np.empty((n, op.M))
     At = op.A.T
@@ -125,7 +132,7 @@ def _project_rows(op, X):
             padded = np.concatenate([block, block], axis=0) @ At
             out[lo:hi] = padded[:1]
         else:
-            out[lo:hi] = block @ At
+            np.matmul(block, At, out=out[lo:hi])
     out += op.w
     return out
 
@@ -147,7 +154,8 @@ def embed_batch(op, X):
         return []
     if not np.all(np.isfinite(X)):
         raise ValueError("signals must be finite")
-    Y = op.map(_project_rows(op, X))
+    Y = _project_rows(op, X)
+    op.map(Y, out=Y)
     map_id = op.operator_id
     is_bin = op.map.is_binary
     return [

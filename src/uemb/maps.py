@@ -16,11 +16,14 @@ engine of ``uemb.theory`` reads both alike: ``dc_power``, ``ac_power``,
 ``tail_bound`` and ``blocks()``, ascending (hi, k, P_k, power above hi).
 Quantizer levels are computed in one place, ``_quantize_values``.
 
-Evaluation allocates one float64 buffer per map call: ``_frac`` writes
-t - floor(t) into a new array, and every kind maps that array in place
-(a quantized kind's inner map included, and ``_quantize_values``' chain
-of steps).  The argument is never written to.  Only a mixture adds two
-more arrays, its running sum and the term being added.
+Evaluation writes into one float64 array: a new one, or the caller's
+``out=`` (which may be the argument itself, as ``embed_batch`` passes).
+It runs in blocks of ``_MAP_BLOCK`` elements: ``_frac`` writes a block's
+t - floor(t) into its slice of that array, and every kind maps the slice
+in place (a quantized kind's inner map included, and
+``_quantize_values``' chain of steps).  The floor, the finite check and
+a mixture's running sum and term are each one block in size.  An
+argument other than ``out`` is never written to.
 
 Discontinuity convention: maps are right-continuous at bin edges (a bin's
 value holds from its left endpoint).  Dither makes the convention measure-
@@ -46,25 +49,31 @@ _K_CAP = 1 << 21
 _MAX_QUANTIZER_BITS = 40  # quantize_map's finest B
 
 
+# Elements per block of map evaluation (2^15 float64 is 256 KiB); the
+# temporaries of a map call are each this size at most.
+_MAP_BLOCK = 1 << 15
+
+
 class SpectrumToleranceError(RuntimeError):
     """Requested spectrum tail tolerance is unreachable within the kmax cap."""
 
 
-def _frac(t):
-    """t - floor(t) in [0, 1), in a new float64 array of t's shape.
+def _frac(t, out=None):
+    """t - floor(t) in [0, 1), in ``out`` (by default a new float64 array).
 
-    For finite t this rounds the same exact value as np.mod(t, 1.0).
-    For t in [-2^-54, 0) that value rounds up to 1.0, which is the
-    period's start, so it is folded to 0.0.
+    ``out`` has t's shape and may be t itself.  For finite t this rounds
+    the same exact value as np.mod(t, 1.0).  For t in [-2^-54, 0) that
+    value rounds up to 1.0, which is the period's start, so it is folded
+    to 0.0.
     """
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("map argument must be finite")
-    buf = np.empty(t.shape)
-    np.floor(t, out=buf)
-    np.subtract(t, buf, out=buf)
-    buf[buf == 1.0] = 0.0
-    return buf
+    if out is None:
+        out = np.empty(t.shape)
+    np.subtract(t, np.floor(t), out=out)
+    out[out == 1.0] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,11 +198,30 @@ class PeriodicMap:
     def __repr__(self):
         return "PeriodicMap(%s)" % self.name
 
-    def __call__(self, t):
-        out = self._map_frac(_frac(t))
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+    def __call__(self, t, out=None):
+        """h(t) elementwise; a float for a 0-d t, else a float64 array.
+
+        With ``out=`` (a C-contiguous float64 array of t's shape, which may
+        be t) the values are written into ``out``, which is returned.  A
+        non-finite t raises ValueError and may leave ``out`` partly written.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if out is None:
+            res = np.empty(t.shape)
+        elif (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == t.shape and out.flags.c_contiguous):
+            res = out
+        else:
+            raise ValueError("out must be a C-contiguous float64 array of t's shape")
+        src, dst = t.reshape(-1), res.reshape(-1)
+        for lo in range(0, dst.size, _MAP_BLOCK):
+            tau = _frac(src[lo:lo + _MAP_BLOCK], out=dst[lo:lo + _MAP_BLOCK])
+            h = self._map_frac(tau)
+            if h is not tau:
+                tau[...] = h
+        if out is None and t.ndim == 0:
+            return float(res)
+        return res
 
     def _map_frac(self, tau):
         """h on tau in [0, 1), overwriting tau; returns the result array."""

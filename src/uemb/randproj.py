@@ -12,6 +12,9 @@ l = <a, x - x'> is what every closed-form distance/kernel map consumes:
 
     gaussian (scale sigma): phi = exp(-(sigma d xi)^2 / 2),  d = l2 distance
     cauchy   (scale gamma): phi = exp(-gamma d |xi|),        d = l1 distance
+
+Every draw is transformed and scaled in place in the array it was drawn
+into, so a sample of n values allocates one n-element float64 buffer.
 """
 
 from __future__ import annotations
@@ -32,6 +35,26 @@ _U64 = (1 << 64) - 1
 # offset that recenters the [0,1) lattice of 53-bit uniforms onto cell
 # midpoints, keeping inverse-CDF arguments strictly inside (0,1)
 _HALF_CELL = 2.0 ** -54
+
+_BAD_DISTANCE = "distance d must be finite and nonnegative"
+
+
+def _distance(d):
+    """d as a float; ValueError unless it is finite and >= 0."""
+    d = float(d)
+    if not 0.0 <= d < math.inf:  # false for NaN too
+        raise ValueError(_BAD_DISTANCE)
+    return d
+
+
+def _distances(ds):
+    """ds as a 1-D float64 array; ValueError unless each d is finite and >= 0."""
+    ds = np.asarray(ds, dtype=np.float64).ravel()
+    ok = ds >= 0.0
+    ok &= ds < math.inf
+    if not ok.all():
+        raise ValueError(_BAD_DISTANCE)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -101,12 +124,16 @@ class RandomState:
     def gaussian(self, stream, n, start=0):
         """Standard normals via inverse CDF, one uniform per draw."""
         u = self.uniform(stream, n, start)
-        return ndtri(u + _HALF_CELL)
+        u += _HALF_CELL
+        return ndtri(u, out=u)
 
     def cauchy(self, stream, n, start=0):
         """Standard Cauchy via tan(pi (u - 1/2)), one uniform per draw."""
         u = self.uniform(stream, n, start)
-        return np.tan(np.pi * (u + _HALF_CELL - 0.5))
+        u += _HALF_CELL
+        u -= 0.5
+        u *= np.pi
+        return np.tan(u, out=u)
 
 
 def sample_projection(spec, M, N, rs):
@@ -117,7 +144,9 @@ def sample_projection(spec, M, N, rs):
     if M * N > MAX_ELEMENTS:
         raise MemoryError("projection of %d elements exceeds cap %d" % (M * N, MAX_ELEMENTS))
     draw = rs.gaussian if spec.family == "gaussian" else rs.cauchy
-    return (spec.scale * draw("matrix", M * N)).reshape(M, N)
+    A = draw("matrix", M * N)
+    A *= spec.scale
+    return A.reshape(M, N)
 
 
 def sample_dither(M, rs):
@@ -132,8 +161,7 @@ def sample_dither(M, rs):
 
 def char_fn(spec, xi, d):
     """phi_l(xi | d), the characteristic function of the projected distance."""
-    if np.any(np.asarray(d) < 0):
-        raise ValueError("distance d must be nonnegative")
+    _distances(d)
     xi = np.asarray(xi, dtype=np.float64)
     if spec.family == "gaussian":
         out = np.exp(-0.5 * (spec.scale * d * xi) ** 2)
@@ -150,13 +178,13 @@ def projected_diff_samples(spec, d, n, rs, stream="montecarlo", start=0):
     Normal(0, (sigma d)^2) for the gaussian family, Cauchy(0, gamma d) for
     the cauchy family; the Monte Carlo oracle for char_fn and the maps.
     """
-    if d < 0:
-        raise ValueError("distance d must be nonnegative")
+    d = _distance(d)
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     if d == 0:
         return np.zeros(n)
-    if spec.family == "gaussian":
-        return (spec.scale * d) * rs.gaussian(stream, n, start)
-    return (spec.scale * d) * rs.cauchy(stream, n, start)
+    draw = rs.gaussian if spec.family == "gaussian" else rs.cauchy
+    out = draw(stream, n, start)
+    out *= spec.scale * d
+    return out

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import spence
 
 from .maps import _K_CAP, make_sawtooth
-from .randproj import ProjectionSpec
+from .randproj import ProjectionSpec, _distance, _distances
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -53,27 +53,6 @@ def _li2(x):
 # 8.3 ms in 2^18 and 10.0 ms in 2^20 (2-vCPU Xeon, 2 MiB L2 per core).  A
 # row longer than a block is evaluated alone.
 _PHI_BLOCK = 1 << 15
-
-_BAD_DISTANCE = "distance d must be finite and nonnegative"
-
-
-def _distance(d):
-    """d as a float; ValueError unless it is finite and >= 0."""
-    d = float(d)
-    if not 0.0 <= d < math.inf:  # false for NaN too
-        raise ValueError(_BAD_DISTANCE)
-    return d
-
-
-def _distances(ds):
-    """ds as a 1-D float64 array; ValueError unless each d is finite and >= 0."""
-    ds = np.asarray(ds, dtype=np.float64).ravel()
-    ok = ds >= 0.0
-    ok &= ds < math.inf
-    if not ok.all():
-        raise ValueError(_BAD_DISTANCE)
-    return ds
-
 
 def _pow2(x, out):
     """x ** 2 through pow, which is how char_fn squares at a scalar xi.
@@ -363,6 +342,12 @@ def kernel_map(map_, spec, d):
 # Binary / multibit universal closed forms (independent of the engine)
 
 
+def _positive_finite(names, *values):
+    """ValueError naming ``names`` unless every value is finite and > 0."""
+    if not all(0.0 < v < math.inf for v in values):  # false for NaN too
+        raise ValueError("%s must be positive and finite" % names)
+
+
 @dataclass(frozen=True)
 class BinaryMapBounds:
     lower: float      # 1/2 - (1/2) exp(-(pi sigma d / sqrt2 Delta)^2)
@@ -377,10 +362,8 @@ def universal_binary_map(d, sigma, Delta):
     Delta))^2) / (pi (i + 1/2))^2  by adaptive summation, plus the
     lower/exponential-upper/linear-upper bound triple.
     """
-    if sigma <= 0 or Delta <= 0:
-        raise ValueError("sigma and Delta must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _positive_finite("sigma and Delta", sigma, Delta)
+    _distance(d)
     s = sigma * d / Delta
     e1 = math.exp(-((math.pi * s) ** 2) / 2.0)
     bounds = BinaryMapBounds(
@@ -417,10 +400,8 @@ def universal_binary_map_l1(d, gamma, Delta):
     Exact dilogarithm form of  1/2 - sum_i exp(-(2i+1) pi gamma d / Delta)
     / (pi (i+1/2))^2:  the odd-k sum of q^k / k^2 is Li2(q) - Li2(q^2)/4.
     """
-    if gamma <= 0 or Delta <= 0:
-        raise ValueError("gamma and Delta must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _positive_finite("gamma and Delta", gamma, Delta)
+    _distance(d)
     if d == 0.0:
         return 0.0
     q = math.exp(-math.pi * gamma * d / Delta)
@@ -657,6 +638,12 @@ def rate_form(eps, delta, R, M, S):
     return eps + 2.0 ** (-R / M + 1.0) * math.sqrt(M) * S
 
 
+def _check_p2(N, sigma, r, Delta):
+    _positive_finite("N, sigma, r and Delta", N, sigma, r, Delta)
+    if N < 1:
+        raise ValueError("N must be at least 1")
+
+
 def p2_bound(N, sigma, r, Delta):
     """Boundary-crossing bound: sigma r sqrt(N+1)/Delta + tail term.
 
@@ -664,8 +651,7 @@ def p2_bound(N, sigma, r, Delta):
     valid concentration bound when Delta/(sigma r sqrt N) >= 1; below that
     it is reported as 1.  Meaningful (< 1) when r < Delta/(sigma sqrt(N+1)).
     """
-    if N < 1 or sigma <= 0 or r <= 0 or Delta <= 0:
-        raise ValueError("all parameters must be positive")
+    _check_p2(N, sigma, r, Delta)
     beta = Delta / (sigma * r * math.sqrt(N)) - 1.0
     tail = math.exp(-beta * beta * N / 6.0) if beta >= 0 else 1.0
     return sigma * r * math.sqrt(N + 1.0) / Delta + tail
@@ -684,8 +670,7 @@ def p2_monte_carlo(N, sigma, r, Delta, trials, rs, chunk=2048):
     counts grid crossings.  Deterministic given rs; trials are indexed so
     partitioning cannot change the estimate.
     """
-    if N < 1 or sigma <= 0 or r <= 0 or Delta <= 0:
-        raise ValueError("all parameters must be positive")
+    _check_p2(N, sigma, r, Delta)
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -694,7 +679,9 @@ def p2_monte_carlo(N, sigma, r, Delta, trials, rs, chunk=2048):
     for lo in range(0, trials, chunk):
         n = min(chunk, trials - lo)
         z = rs.gaussian("montecarlo:p2_rows", n * N, start=lo * N).reshape(n, N)
-        norms = np.linalg.norm(sigma * z, axis=1)
-        u = Delta * rs.uniform("montecarlo:p2_offsets", n, start=lo)
+        z *= sigma
+        norms = np.linalg.norm(z, axis=1)
+        u = rs.uniform("montecarlo:p2_offsets", n, start=lo)
+        u *= Delta
         crossings += int(np.count_nonzero(u + norms * r >= Delta))
     return crossings / trials

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from uemb.embedder import (
     save_embeddings,
     universal_scale,
 )
-from uemb.maps import make_fourier_mixture, make_multibit, make_sawtooth, make_square_wave
+from uemb.maps import (
+    _MAP_BLOCK,
+    make_fourier_mixture,
+    make_multibit,
+    make_sawtooth,
+    make_square_wave,
+)
 from uemb.randproj import ProjectionSpec, RandomState
 from uemb.theory import universal_binary_map
 
@@ -134,6 +141,32 @@ class TestEmbed:
             parts = embed_batch(op, X[:cut]) + embed_batch(op, X[cut:])
             for a, b in zip(whole, parts):
                 np.testing.assert_array_equal(a.values, b.values)
+
+    def test_batch_equals_out_of_place_formula(self):
+        # the GEMM written into the result has the bits of X @ A.T
+        mix = make_fourier_mixture([(1, 0.5), (10, 0.5)])
+        op = small_op(M=257, N=64, map_=mix)
+        rng = np.random.default_rng(3)
+        for n in (2, 5, _MAP_BLOCK // 257 + 1):
+            X = rng.standard_normal((n, op.N))
+            want = op.map(X @ op.A.T + op.w)
+            got = np.stack([v.values for v in embed_batch(op, X)])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("map_", [
+        make_square_wave(), make_fourier_mixture([(1, 0.5), (10, 0.5)]), make_multibit(3),
+    ], ids=["square", "mixture", "multibit3"])
+    def test_batch_allocates_one_embedding_matrix(self, map_):
+        n, M = 1000, 2000
+        op = small_op(M=M, N=200, map_=map_)
+        X = np.random.default_rng(4).standard_normal((n, op.N))
+        tracemalloc.start()
+        try:
+            embed_batch(op, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * M * 8
 
     def test_batch_of_one_and_empty(self):
         op = small_op()

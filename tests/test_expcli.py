@@ -284,6 +284,17 @@ def pair_signals(N, seed=4):
 
 
 class TestOneEmbeddingPerCell:
+    @pytest.mark.parametrize("metric", ["l2", "l1"])
+    def test_pair_block_equals_out_of_place_formula(self, metric):
+        dvals = np.linspace(0.0, 2.0, 15)
+        X = _pair_block(RandomState(4), "signals", 24, dvals, metric)
+        g = RandomState(4).gaussian("signals", 2 * 15 * 24).reshape(15, 2, 24)
+        x, u = g[:, 0, :], g[:, 1, :]
+        norms = (np.linalg.norm(u, axis=1, keepdims=True) if metric == "l2"
+                 else np.sum(np.abs(u), axis=1, keepdims=True))
+        assert X[0::2].tobytes() == x.tobytes()
+        assert X[1::2].tobytes() == (x + dvals[:, None] * u / norms).tobytes()
+
     @pytest.mark.parametrize("map_sel,metric", [
         (DEFAULT_MIXTURE, "sq_l2_mean"), ("square", "hamming_mean"),
     ])

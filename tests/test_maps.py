@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uemb.maps import (
+    _MAP_BLOCK,
     KMAX_CAP,
     SpectrumToleranceError,
     _cell_crossings,
@@ -309,6 +310,41 @@ class TestInPlaceEvaluation:
         np.testing.assert_array_equal(
             make_multibit(4)(pts), _quantize_values(saw(pts), saw.value_range, 4)
         )
+
+    def test_out_equals_call_bit_for_bit(self):
+        # shapes around the block size, and an odd M whose rows straddle blocks
+        rng = np.random.default_rng(1512)
+        shapes = [(1, 7), (_MAP_BLOCK - 1,), (_MAP_BLOCK,), (_MAP_BLOCK + 1,),
+                  (3, 2 * _MAP_BLOCK + 1), (5, 20001)]
+        for shape in shapes:
+            t = rng.normal(0.0, 20.0, shape)
+            t.flat[::101] = np.round(t.flat[::101]) - 2.0 ** -60  # frac folds to 0
+            for m in pinned_maps():
+                msg = "%s %s" % (m.name, shape)
+                want = bit_pattern(m(t))
+                ok = (np.mod(t, 1.0) < 1.0).reshape(-1)  # where ref_eval holds
+                np.testing.assert_array_equal(want[ok], bit_pattern(ref_eval(m, t))[ok], msg)
+                out = np.full(shape, np.nan)
+                assert m(t, out=out) is out
+                np.testing.assert_array_equal(bit_pattern(out), want, msg)
+                inplace = t.copy()
+                assert m(inplace, out=inplace) is inplace
+                np.testing.assert_array_equal(bit_pattern(inplace), want, msg)
+
+    def test_out_rejects_nonfinite_and_bad_buffers(self):
+        sq = make_square_wave()
+        t = np.zeros(3 * _MAP_BLOCK)
+        for bad in (math.nan, math.inf, -math.inf):
+            t[2 * _MAP_BLOCK + 5] = bad  # in the last block
+            with pytest.raises(ValueError, match="finite"):
+                sq(t, out=t.copy())
+            with pytest.raises(ValueError, match="finite"):
+                sq(t)
+        t = np.zeros((4, 6))
+        for out in (np.empty((6, 4)), np.empty((4, 6), np.float32),
+                    np.empty((4, 12))[:, ::2], [[0.0] * 6] * 4):
+            with pytest.raises(ValueError, match="out"):
+                sq(t, out=out)
 
     def test_cell_crossings_match_scalar_bisection(self):
         def ref_crossings(inner, bits):

@@ -1,12 +1,16 @@
 """Deterministic sampling streams and projected-distance statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
 from uemb.randproj import (
+    _BAD_DISTANCE,
+    _HALF_CELL,
     ProjectionSpec,
     RandomState,
     char_fn,
@@ -103,6 +107,43 @@ class TestProjectionSpec:
             ProjectionSpec("gaussian", 0.0)
 
 
+class TestInPlaceSampling:
+    def test_draws_equal_reference_formulas(self):
+        # the out-of-place formulas the in-place transforms must reproduce
+        rs = RandomState(1512)
+        for start in range(6):
+            u = rs.uniform("matrix", 1001, start)
+            np.testing.assert_array_equal(
+                rs.gaussian("matrix", 1001, start).view(np.uint64),
+                ndtri(u + _HALF_CELL).view(np.uint64))
+            np.testing.assert_array_equal(
+                rs.cauchy("matrix", 1001, start).view(np.uint64),
+                np.tan(np.pi * (u + _HALF_CELL - 0.5)).view(np.uint64))
+
+    def test_scaled_samples_equal_reference_formulas(self):
+        rs = RandomState(7)
+        for family in ("gaussian", "cauchy"):
+            spec = ProjectionSpec(family, 0.37)
+            draw = rs.gaussian if family == "gaussian" else rs.cauchy
+            np.testing.assert_array_equal(
+                sample_projection(spec, 31, 17, rs).view(np.uint64),
+                (spec.scale * draw("matrix", 31 * 17)).reshape(31, 17).view(np.uint64))
+            np.testing.assert_array_equal(
+                projected_diff_samples(spec, 0.9, 513, rs, start=3).view(np.uint64),
+                ((spec.scale * 0.9) * draw("montecarlo", 513, 3)).view(np.uint64))
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_projection_allocates_one_matrix(self, family):
+        M, N = 1000, 500
+        tracemalloc.start()
+        try:
+            sample_projection(ProjectionSpec(family, 0.3), M, N, RandomState(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * M * N * 8
+
+
 class TestCharFn:
     def test_unit_at_zero_distance(self):
         for family in ("gaussian", "cauchy"):
@@ -127,6 +168,12 @@ class TestCharFn:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             char_fn(ProjectionSpec("gaussian", 1.0), 1.0, -0.1)
+
+    def test_nonfinite_distance_rejected(self):
+        spec = ProjectionSpec("gaussian", 1.0)
+        for d in (math.nan, math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=_BAD_DISTANCE):
+                char_fn(spec, 1.0, d)
 
     def test_nonincreasing_in_distance(self):
         ds = np.linspace(0, 5, 64)
@@ -154,6 +201,12 @@ class TestProjectedDiff:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             projected_diff_samples(ProjectionSpec("gaussian", 1.0), -1.0, 10, RandomState(0))
+
+    def test_nonfinite_distance_rejected(self):
+        for family in ("gaussian", "cauchy"):
+            for d in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=_BAD_DISTANCE):
+                    projected_diff_samples(ProjectionSpec(family, 1.0), d, 10, RandomState(0))
 
 
 class TestMetricInvariance:

@@ -258,6 +258,12 @@ class TestClosedFormsAgainstEngine:
             universal_binary_map(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             universal_binary_map_l1(1.0, 1.0, -2.0)
+        for bad in (math.nan, math.inf):
+            for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    universal_binary_map(*args)
+                with pytest.raises(ValueError):
+                    universal_binary_map_l1(*args)
         with pytest.raises(ValueError):
             multibit_map(1.0, ProjectionSpec("gaussian", 1.0), 0, 1.0)
 
@@ -562,3 +568,10 @@ class TestBallCrossing:
             p2_bound(0, 1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             p2_monte_carlo(10, 1.0, -0.1, 1.0, 100, RandomState(0))
+        for bad in (math.nan, math.inf):
+            for args in ((10, bad, 0.1, 1.0), (10, 1.0, bad, 1.0), (10, 1.0, 0.1, bad),
+                         (bad, 1.0, 0.1, 1.0)):
+                with pytest.raises(ValueError):
+                    p2_bound(*args)
+                with pytest.raises(ValueError):
+                    p2_monte_carlo(*args, 100, RandomState(0))
