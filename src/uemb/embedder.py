@@ -147,21 +147,21 @@ def embed(op, x):
 
 def embed_batch(op, X):
     """Embed a batch of signals: the map of each row's projection."""
+    Y = _embed_matrix(op, X)
+    map_id = op.operator_id
+    is_bin = op.map.is_binary
+    return [EmbeddingVector(values=y, map_id=map_id, binary=is_bin) for y in Y]
+
+
+def _embed_matrix(op, X):
+    """The n x M values of embed_batch(op, X), as one array (n >= 0)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != op.N:
         raise ValueError("batch must be n x N with N=%d" % op.N)
-    if X.shape[0] == 0:
-        return []
     if not np.all(np.isfinite(X)):
         raise ValueError("signals must be finite")
     Y = _project_rows(op, X)
-    op.map(Y, out=Y)
-    map_id = op.operator_id
-    is_bin = op.map.is_binary
-    return [
-        EmbeddingVector(values=Y[i], map_id=map_id, binary=is_bin)
-        for i in range(Y.shape[0])
-    ]
+    return op.map(Y, out=Y)
 
 
 METRICS = ("sq_l2_mean", "l2_mean", "hamming_mean", "inner_mean")

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from ..embedder import build_operator, build_universal_operator, embed_batch, universal_scale
+from ..embedder import _embed_matrix, build_operator, build_universal_operator, universal_scale
 from ..maps import _MAX_QUANTIZER_BITS, _quantize_values, make_sawtooth, make_square_wave
 from ..randproj import FAMILIES, ProjectionSpec, RandomState
 from ..theory import (
@@ -105,11 +105,6 @@ def _pair_block(rs, stream, N, dvals, metric):
     moved /= norms
     moved += x
     return X
-
-
-def _embed_matrix(op, X):
-    """embed_batch(op, X) stacked into one n x M value matrix."""
-    return np.stack([v.values for v in embed_batch(op, X)])
 
 
 def _pair_distances(Y):

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 SQRT2 = math.sqrt(2.0)
 
@@ -385,6 +384,8 @@ def make_multibit(bits):
 
 
 def _smooth_range(map_):
+    """(min, max) of a smooth map as two floats: the extremes of a 2^16-point
+    grid, each refined by ``_bounded_min`` within two grid steps of it."""
     n = 1 << 16
     ts = (np.arange(n) + 0.5) / n
     v = map_(ts)
@@ -393,17 +394,92 @@ def _smooth_range(map_):
     w = 2.0 / n
 
     def refine(i, sign):
-        res = minimize_scalar(
-            lambda t: sign * map_(float(t)),
-            bounds=(ts[i] - w, ts[i] + w),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        return sign * res.fun
+        return sign * _bounded_min(lambda t: sign * map_(t), ts[i] - w, ts[i] + w)
 
     lo = min(float(v[i_lo]), refine(i_lo, 1.0))
     hi = max(float(v[i_hi]), refine(i_hi, -1.0))
     return lo, hi
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-14  # absolute tolerance on the minimiser's abscissa
+_MAXFUN = 500  # cap on the minimiser's evaluations of f
+
+
+def _sign1(v):
+    """sign(v), with +1 for a zero v."""
+    return 1.0 if v >= 0.0 else -1.0
+
+
+def _bounded_min(f, a, b):
+    """Smallest value of the scalar function f found on [a, b].
+
+    Brent's bounded minimisation (golden-section steps with parabolic
+    interpolation), step for step as scipy 1.17's
+    ``minimize_scalar(method="bounded", options={"xatol": 1e-14})`` takes
+    them: the same first point, acceptance test, tolerances, bracket
+    bookkeeping and cap of ``_MAXFUN`` evaluations, so it returns the same
+    float as that result's ``fun``.
+    """
+    a, b = float(a), float(b)
+    xf = a + _GOLDEN * (b - a)
+    fx = f(xf)
+    nfc = fulc = xf
+    fnfc = ffulc = fx
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign1(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + _sign1(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return fx
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +558,14 @@ def _pieces_spectrum(pieces, tol):
     """Exact Fourier integrals of a piecewise-constant map, per piece.
 
     For a constant v on [a, b):  H_k = v (e^{-2 pi i k a} - e^{-2 pi i k b})
-    / (2 pi i k).  The tail is certified through Parseval: total power is
-    the exact sum of v^2 (b - a).
+    / (2 pi i k).  The pieces are contiguous, so each piece's b is the next
+    one's a and e^{-2 pi i k t} is evaluated once per break.  The tail is
+    certified through Parseval: total power is the exact sum of v^2 (b - a).
     """
     t0 = np.array([a for a, _, _ in pieces])
     t1 = np.array([b for _, b, _ in pieces])
     vals = np.array([v for _, _, v in pieces])
+    edges = np.append(t0, t1[-1])
     total = float(np.sum(vals ** 2 * (t1 - t0)))
     dc = float(np.sum(vals * (t1 - t0))) ** 2
 
@@ -503,9 +581,8 @@ def _pieces_spectrum(pieces, tol):
             )
         n = min(block, KMAX_CAP - kmax)
         ks = np.arange(kmax + 1, kmax + n + 1, dtype=np.int64)
-        e0 = np.exp(-2j * np.pi * np.outer(ks, t0))
-        e1 = np.exp(-2j * np.pi * np.outer(ks, t1))
-        hk = (e0 - e1) @ vals / (2j * np.pi * ks)
+        e = np.exp(-2j * np.pi * np.outer(ks, edges))
+        hk = (e[:, :-1] - e[:, 1:]) @ vals / (2j * np.pi * ks)
         pw = 2.0 * np.abs(hk) ** 2
         blocks.append(pw)
         running += float(np.sum(pw))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from uemb.embedder import (
     FormatError,
+    _embed_matrix,
     build_operator,
     build_universal_operator,
     embed,
@@ -167,6 +168,22 @@ class TestEmbed:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * n * M * 8
+
+    def test_matrix_holds_the_batch_rows_without_a_copy(self):
+        n, M = 1000, 2000
+        op = small_op(M=M, N=200, map_=make_fourier_mixture([(1, 0.5), (10, 0.5)]))
+        X = np.random.default_rng(5).standard_normal((n, op.N))
+        batch = embed_batch(op, X)
+        assert batch[0].values.base is batch[-1].values.base
+        tracemalloc.start()
+        try:
+            Y = _embed_matrix(op, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Y.tobytes() == np.stack([v.values for v in batch]).tobytes()
+        assert peak < 1.25 * n * M * 8
+        assert _embed_matrix(op, X[:0]).shape == (0, M)
 
     def test_batch_of_one_and_empty(self):
         op = small_op()

@@ -3,12 +3,15 @@
 import filecmp
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uemb
 from uemb.embedder import EmbeddingOperator, build_operator, embed_batch, embedding_distance
 from uemb.expcli.config import (
     DEFAULT_MIXTURE,
@@ -456,3 +459,16 @@ class TestCli:
         b = (tmp_path / "o2" / name).read_bytes()
         c = (tmp_path / "o3" / name).read_bytes()
         assert a != b and a == c
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # uemb needs scipy.special only; scipy.optimize would pull in linalg,
+    # sparse, spatial and fft at start-up
+    src = os.path.dirname(os.path.dirname(uemb.__file__))
+    code = ("import sys, uemb, uemb.expcli.main\n"
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')"
+            " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == ""

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+from uemb import maps
 from uemb.maps import (
     _MAP_BLOCK,
     KMAX_CAP,
     SpectrumToleranceError,
+    _bounded_min,
     _cell_crossings,
     _frac,
+    _pieces_spectrum,
     _quantize_values,
     make_fourier_mixture,
     make_multibit,
@@ -123,6 +129,69 @@ class TestMixture:
             make_fourier_mixture([(0, 1.0)])
         with pytest.raises(ValueError):
             make_fourier_mixture([(1, math.inf)])
+
+
+def scipy_min(f, a, b, maxiter=500):
+    res = minimize_scalar(f, bounds=(a, b), method="bounded",
+                          options={"xatol": 1e-14, "maxiter": maxiter})
+    return float(res.fun)
+
+
+def range_brackets(m):
+    """_smooth_range's two refine problems, (objective, a, b): min, then -max."""
+    n = 1 << 16
+    ts = (np.arange(n) + 0.5) / n
+    v = m(ts)
+    w = 2.0 / n
+    out = []
+    for i, sign in ((int(np.argmin(v)), 1.0), (int(np.argmax(v)), -1.0)):
+        out.append((lambda t, s=sign: s * m(float(t)), ts[i] - w, ts[i] + w))
+    return out
+
+
+mixture_terms = st.lists(
+    st.tuples(st.integers(1, 39),
+              st.floats(-2.0, 2.0, allow_nan=False).filter(lambda a: abs(a) > 1e-3)),
+    min_size=1, max_size=4, unique_by=lambda t: t[0],
+)
+
+
+class TestSmoothRange:
+    def test_design_brackets_match_scipy_bit_for_bit(self):
+        mix = make_fourier_mixture(FIG3_TERMS)
+        (f_lo, a_lo, b_lo), (f_hi, a_hi, b_hi) = range_brackets(mix)
+        lo, hi = _bounded_min(f_lo, a_lo, b_lo), -_bounded_min(f_hi, a_hi, b_hi)
+        assert lo.hex() == scipy_min(f_lo, a_lo, b_lo).hex()
+        assert (-hi).hex() == scipy_min(f_hi, a_hi, b_hi).hex()
+        assert mix.value_range == (lo, hi)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(terms=mixture_terms, centre=st.floats(0.0, 1.0),
+           half=st.floats(1e-6, 0.25), sign=st.sampled_from([1.0, -1.0]))
+    def test_minimiser_matches_scipy_bit_for_bit(self, terms, centre, half, sign):
+        m = make_fourier_mixture(terms)
+        for f, a, b in range_brackets(m):
+            assert _bounded_min(f, a, b).hex() == scipy_min(f, a, b).hex(), terms
+        def objective(t):
+            return sign * m(float(t))
+        a, b = centre - half, centre + half
+        assert _bounded_min(objective, a, b).hex() == \
+            scipy_min(objective, a, b).hex(), (terms, a, b)
+
+    def test_evaluation_cap_matches_scipy(self, monkeypatch):
+        m = make_fourier_mixture([(2, 0.5), (3, -0.8), (7, 0.3)])
+        def f(t):
+            return m(float(t))
+        for cap in range(1, 12):
+            monkeypatch.setattr(maps, "_MAXFUN", cap)
+            assert _bounded_min(f, 0.1, 0.6).hex() == \
+                scipy_min(f, 0.1, 0.6, maxiter=cap).hex(), cap
+
+    def test_ranges_are_plain_floats(self):
+        for name, m, _ in catalog():
+            assert all(type(v) is float for v in m.value_range), name
+            assert type(m.hbar) is float, name
 
 
 class TestQuantize:
@@ -419,6 +488,32 @@ class TestSpectra:
                 assert sp.total_power == series.dc_power + series.ac_power
         assert make_multibit(2).series is None
         assert make_fourier_mixture(FIG3_TERMS).series is None
+
+    def test_pieces_spectrum_equals_per_piece_integrals(self):
+        # one exp per break gives the bits of two exps per piece
+        def ref(pieces, tol):
+            t0, t1, vals = (np.array(c) for c in zip(*pieces))
+            total = float(np.sum(vals ** 2 * (t1 - t0)))
+            running = float(np.sum(vals * (t1 - t0))) ** 2
+            kmax, block, powers = 0, 2048, []
+            while max(total - running, 0.0) > tol:
+                ks = np.arange(kmax + 1, kmax + block + 1)
+                e0 = np.exp(-2j * np.pi * np.outer(ks, t0))
+                e1 = np.exp(-2j * np.pi * np.outer(ks, t1))
+                pw = 2.0 * np.abs((e0 - e1) @ vals / (2j * np.pi * ks)) ** 2
+                powers.append(pw)
+                running += float(np.sum(pw))
+                kmax += block
+                block = min(block * 2, 16384)
+            return np.concatenate(powers)
+
+        mix = make_fourier_mixture(FIG3_TERMS)
+        for m in (make_square_wave(), make_multibit(3), quantize_map(mix, 1),
+                  quantize_map(mix, 3)):
+            sp = _pieces_spectrum(m.constant_pieces(), 5e-4)
+            want = ref(m.constant_pieces(), 5e-4)
+            ac = sp.k >= 1
+            assert sp.power[ac].tobytes() == want[sp.k[ac] - 1].tobytes(), m.name
 
     def test_caching(self):
         m = make_square_wave()
