@@ -45,10 +45,6 @@ from .theory import (
     check_subadditivity,
     continuous_extension_bound,
     discontinuous_extension_bound,
-    distance_map,
-    kernel_map,
-    multibit_map,
-    multibit_quantization_error,
     p2_bound,
     p2_meaningful_radius,
     p2_monte_carlo,

@@ -271,6 +271,8 @@ def load_embeddings(path):
             raise FormatError("bad magic %r" % (magic,))
         if version != FORMAT_VERSION:
             raise FormatError("unsupported version %d" % version)
+        if flags & ~_FLAG_PACKED_BITS:
+            raise FormatError("undefined flag bits 0x%04x" % (flags & ~_FLAG_PACKED_BITS))
         raw_len = f.read(2)
         if len(raw_len) != 2:
             raise FormatError("truncated map id length")

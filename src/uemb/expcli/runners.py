@@ -26,6 +26,7 @@ from ..theory import (
     p2_bound,
     p2_meaningful_radius,
     pointcloud_bound,
+    quantized_bound_inflation,
     universal_binary_map,
     universal_binary_map_l1,
 )
@@ -197,7 +198,7 @@ def run_quantization_sim(cfg, out_dir):
         e_q = base_map.hbar * 2.0 ** (-bits - 1)
         eps_run = float(np.max(np.abs(np.sqrt(emb_u) - np.sqrt(theory))))
         dev_q = float(np.max(np.abs(np.sqrt(emb_q) - np.sqrt(theory))))
-        bound_ok = dev_q <= eps_run + 2.0 * e_q + 1e-12
+        bound_ok = dev_q <= quantized_bound_inflation(eps_run, e_q) + 1e-12
         summary_rows.append((bits, mean_dev, eps_run, e_q, dev_q, bound_ok))
     spath = os.path.join(out_dir, "quant_summary.csv")
     emit_csv(

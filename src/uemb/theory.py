@@ -22,13 +22,14 @@ E[(y - y')^2] arbitrates that convention in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import spence
 
-from .maps import _K_CAP, make_sawtooth
+from .maps import _K_CAP
 from .randproj import ProjectionSpec, _distance, _distances
 
 _SQRT2 = math.sqrt(2.0)
@@ -167,7 +168,7 @@ class DistanceMapModel:
     asymptote; beyond it, inversion only reports "farther than D0".
     """
 
-    def __init__(self, map_, spec, flavor="sq_l2", spectrum_tol=None):
+    def __init__(self, map_, spec, flavor="sq_l2"):
         if flavor not in FLAVORS:
             raise ValueError("flavor must be one of %r" % (FLAVORS,))
         if not isinstance(spec, ProjectionSpec):
@@ -175,9 +176,7 @@ class DistanceMapModel:
         self.map = map_
         self.spec = spec
         self.flavor = flavor
-        self._spectrum = map_.series or map_.power_coeffs(
-            spectrum_tol or DEFAULT_NUMERIC_SPECTRUM_TOL
-        )
+        self._spectrum = map_.series or map_.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
         self._d0 = None
 
     # -- raw curves ---------------------------------------------------------
@@ -219,9 +218,6 @@ class DistanceMapModel:
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""
         return self._value(d, "sq_l2")
 
-    def g_sqrt(self, d):
-        return self._value(d, "sqrt")
-
     def kernel(self, d):
         """K(d) = sum_{k>=0} P_k phi(2 pi k | d); K(0) is the total power."""
         return self._value(d, "kernel")
@@ -232,7 +228,7 @@ class DistanceMapModel:
         if self.flavor == "sq_l2":
             return self.g(d)
         if self.flavor == "sqrt":
-            return self.g_sqrt(d)
+            return self._value(d, "sqrt")
         return self.kernel(d)
 
     def curve(self, ds):
@@ -328,24 +324,20 @@ class DistanceMapModel:
         return 0.5 * (lo + hi), "unique"
 
 
-def distance_map(map_, spec, d):
-    """g(d) for one (map, spec) pair; see DistanceMapModel.g."""
-    return DistanceMapModel(map_, spec).g(d)
-
-
-def kernel_map(map_, spec, d):
-    """K(d) for one (map, spec) pair; see DistanceMapModel.kernel."""
-    return DistanceMapModel(map_, spec).kernel(d)
-
-
 # ---------------------------------------------------------------------------
-# Binary / multibit universal closed forms (independent of the engine)
+# Binary universal closed forms (independent of the engine)
 
 
 def _positive_finite(names, *values):
     """ValueError naming ``names`` unless every value is finite and > 0."""
     if not all(0.0 < v < math.inf for v in values):  # false for NaN too
         raise ValueError("%s must be positive and finite" % names)
+
+
+def _nonnegative_finite(names, *values):
+    """ValueError naming ``names`` unless every value is finite and >= 0."""
+    if not all(0.0 <= v < math.inf for v in values):  # false for NaN too
+        raise ValueError("%s must be nonnegative and finite" % names)
 
 
 @dataclass(frozen=True)
@@ -409,40 +401,13 @@ def universal_binary_map_l1(d, gamma, Delta):
     return min(max(0.5 - (4.0 / math.pi ** 2) * odd_sum, 0.0), 0.5)
 
 
-def multibit_map(d, spec, bits, Delta):
-    """Distance map of the (unquantized-sawtooth) B-bit universal embedding.
-
-    1/3 - 2 sum_{k>0} (1/(pi k)^2) phi(2 pi k | d) at effective scale
-    spec.scale / (2^B Delta).  The B-bit quantized embedding obeys this map
-    inflated per the quantized-embedding theorem with E_Q =
-    multibit_quantization_error(bits).
-    """
-    if int(bits) != bits or not (1 <= bits <= 16):
-        raise ValueError("bits must be an integer in [1, 16]")
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
-    scaled = ProjectionSpec(spec.family, spec.scale / (2 ** int(bits) * Delta))
-    return DistanceMapModel(make_sawtooth(), scaled).g(d)
-
-
-def multibit_quantization_error(bits, flavor="sqrt"):
-    """Worst-case per-coordinate quantization error of the B-bit map.
-
-    Half a quantizer step of the range-sqrt(2) sawtooth: sqrt(2) 2^{-B-1}
-    on the metric (sqrt) guarantee, its square on the sq_l2 guarantee.
-    """
-    e = _SQRT2 * 2.0 ** (-int(bits) - 1)
-    return e * e if flavor == "sq_l2" else e
-
-
 # ---------------------------------------------------------------------------
 # Ambiguity & subadditivity
 
 
 def ambiguity(model, d_W, eps, delta):
     """(eps + delta d_W) / g'(d~) at d~ = invert(d_W); inf when saturated."""
-    if eps < 0 or delta < 0:
-        raise ValueError("eps and delta must be nonnegative")
+    _nonnegative_finite("eps and delta", eps, delta)
     num = eps + delta * d_W
     d_est, status = model.invert(d_W)
     if status == "saturated":
@@ -467,14 +432,13 @@ class SubadditivityReport:
 def check_subadditivity(g, eps, delta, grid, slack=1e-9):
     """Worst violation of (1-2eps) g(a+b) - 3delta <= g(a) + g(b) on a grid.
 
-    ``grid`` is either an iterable of (a, b) pairs or a 1-D array whose
-    cartesian square is scanned.
+    ``grid`` is a 1-D array whose cartesian square is scanned.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim == 1:
-        pairs = [(a, b) for a in grid for b in grid]
-    else:
-        pairs = [tuple(p) for p in grid]
+    if grid.ndim != 1:
+        raise ValueError("grid must be a 1-D array of distances")
+    if np.any(grid < 0):
+        raise ValueError("grid points must be nonnegative")
     worst = -math.inf
     worst_pair = None
     cache = {}
@@ -484,9 +448,7 @@ def check_subadditivity(g, eps, delta, grid, slack=1e-9):
             cache[x] = g(x)
         return cache[x]
 
-    for a, b in pairs:
-        if a < 0 or b < 0:
-            raise ValueError("grid points must be nonnegative")
+    for a, b in itertools.product(grid, grid):
         v = (1.0 - 2.0 * eps) * gv(a + b) - 3.0 * delta - gv(a) - gv(b)
         if v > worst:
             worst, worst_pair = v, (a, b)
@@ -499,7 +461,7 @@ def check_subadditivity(g, eps, delta, grid, slack=1e-9):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Failure-probability upper bound with its regime echoed.
+    """Failure-probability upper bound.
 
     ``probability`` is clamped to [0, 1]; ``vacuous`` marks bounds that
     cannot certify anything (>= 1).  ``extras`` carries derived constants
@@ -509,7 +471,6 @@ class BoundReport:
     probability: float
     exponent: float
     vacuous: bool
-    params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
 
@@ -532,8 +493,9 @@ def pointcloud_bound(Q, M, eps, hbar, flavor):
     """
     if flavor not in POINTCLOUD_FLAVORS:
         raise ValueError("flavor must be one of %r" % (POINTCLOUD_FLAVORS,))
-    if Q < 2 or M < 1 or eps <= 0 or hbar <= 0:
-        raise ValueError("require Q >= 2, M >= 1, eps > 0, hbar > 0")
+    _positive_finite("Q, M, eps and hbar", Q, M, eps, hbar)
+    if Q < 2 or M < 1:
+        raise ValueError("require Q >= 2 and M >= 1")
     if flavor == "sqrt_tight" and eps > 1:
         raise ValueError("sqrt_tight flavor requires eps <= 1")
     lead = 1.0
@@ -547,12 +509,7 @@ def pointcloud_bound(Q, M, eps, hbar, flavor):
         expo = math.log(Q) - 2.0 * M * eps ** 2 / hbar ** 4
         lead = 2.0
     prob = _clamped_prob(lead, expo)
-    return BoundReport(
-        probability=prob,
-        exponent=expo,
-        vacuous=prob >= 1.0,
-        params={"Q": Q, "M": M, "eps": eps, "hbar": hbar, "flavor": flavor},
-    )
+    return BoundReport(probability=prob, exponent=expo, vacuous=prob >= 1.0)
 
 
 def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
@@ -561,10 +518,10 @@ def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
     Covering radius r = alpha / ((1+delta) 2 K_g + 2 K_f); failure bound
     c exp(2 E_r - M w); the additive constant inflates to eps + alpha.
     """
-    if c <= 0 or w_value <= 0 or alpha <= 0 or M < 1 or E_r < 0:
-        raise ValueError("constants must be positive (E_r >= 0)")
-    if delta < 0 or K_f < 0 or K_g < 0:
-        raise ValueError("delta, K_f, K_g must be nonnegative")
+    _positive_finite("M, w, c and alpha", M, w_value, c, alpha)
+    _nonnegative_finite("E_r, delta, K_f and K_g", E_r, delta, K_f, K_g)
+    if M < 1:
+        raise ValueError("M must be at least 1")
     denom = (1.0 + delta) * 2.0 * K_g + 2.0 * K_f
     if denom == 0:
         raise ZeroDivisionError("K_f and K_g cannot both be zero")
@@ -575,10 +532,6 @@ def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
         probability=prob,
         exponent=expo,
         vacuous=prob >= 1.0,
-        params={
-            "E_r": E_r, "M": M, "w": w_value, "c": c,
-            "delta": delta, "K_f": K_f, "K_g": K_g, "alpha": alpha,
-        },
         extras={"r": r, "eps_inflation": alpha},
     )
 
@@ -591,15 +544,17 @@ def discontinuous_extension_bound(E_r_half, M, w_value, c, P_T, T_max, P_F, c0):
     term decays in M only when c1 < w, which for the binary universal map
     (w = 2 eps^2, P_2 = 1) needs eps > sqrt((1+c0) ln 2 / 2).
     """
-    if int(T_max) != T_max or T_max < 2:
+    if not 2 <= T_max < math.inf or int(T_max) != T_max:  # NaN fails the first test
         raise ValueError("T_max must be an integer >= 2")
     P_T = list(P_T)
     if len(P_T) != T_max - 1:
         raise ValueError("P_T must list T = 2..T_max (length T_max-1)")
-    if any(p < 0 or p > 1 for p in P_T) or not (0 <= P_F <= 1):
+    if not all(0 <= p <= 1 for p in (*P_T, P_F)):  # false for NaN too
         raise ValueError("P_T entries and P_F must lie in [0, 1]")
-    if c <= 0 or w_value <= 0 or c0 < 0 or M < 1 or E_r_half < 0:
-        raise ValueError("invalid constants")
+    _positive_finite("M, w and c", M, w_value, c)
+    _nonnegative_finite("E_r_half and c0", E_r_half, c0)
+    if M < 1:
+        raise ValueError("M must be at least 1")
     c1 = sum(p * (1.0 + c0) * math.log(T) for p, T in zip(P_T, range(2, T_max + 1)))
     expo = 2.0 * E_r_half + c1 * M - M * w_value
     term1 = _clamped_prob(c, expo)
@@ -609,10 +564,6 @@ def discontinuous_extension_bound(E_r_half, M, w_value, c, P_T, T_max, P_F, c0):
         probability=prob,
         exponent=expo,
         vacuous=prob >= 1.0,
-        params={
-            "E_r_half": E_r_half, "M": M, "w": w_value, "c": c,
-            "T_max": T_max, "P_F": P_F, "c0": c0,
-        },
         extras={"c1": c1, "no_decay": c1 >= w_value},
     )
 
@@ -624,17 +575,16 @@ def binary_decay_threshold(c0=0.0):
 
 def quantized_bound_inflation(eps, E_Q):
     """Additive constant after quantizing an embedding: eps + 2 E_Q."""
-    if eps < 0 or E_Q < 0:
-        raise ValueError("eps and E_Q must be nonnegative")
+    _nonnegative_finite("eps and E_Q", eps, E_Q)
     return eps + 2.0 * E_Q
 
 
 def rate_form(eps, delta, R, M, S):
     """Additive term at fixed rate R = M B: eps + 2^{-R/M+1} sqrt(M) S."""
-    if R < M:
-        raise ValueError("rate R must be at least M (>= 1 bit per dimension)")
-    if eps < 0 or delta < 0 or S <= 0 or M < 1:
-        raise ValueError("invalid parameters")
+    _positive_finite("R, M and S", R, M, S)
+    _nonnegative_finite("eps and delta", eps, delta)
+    if M < 1 or R < M:
+        raise ValueError("require M >= 1 and R >= M (>= 1 bit per dimension)")
     return eps + 2.0 ** (-R / M + 1.0) * math.sqrt(M) * S
 
 

@@ -16,6 +16,7 @@ from uemb.embedder import (
     build_operator,
     embed_batch,
     post_quantize,
+    universal_scale,
 )
 from uemb.expcli.config import make_config
 from uemb.expcli.runners import RUNNERS, run_design_sim, run_quantization_sim, run_retrieval
@@ -32,8 +33,6 @@ from uemb.theory import (
     binary_decay_threshold,
     check_subadditivity,
     discontinuous_extension_bound,
-    distance_map,
-    multibit_map,
     p2_bound,
     p2_meaningful_radius,
     p2_monte_carlo,
@@ -94,9 +93,9 @@ def test_c03_saturation_constants():
     sigma, Delta = 0.7, 1.1
     g, _ = universal_binary_map(3.0 * Delta / sigma, sigma, Delta)
     assert abs(g - 0.5) <= 1e-9
-    spec = ProjectionSpec("gaussian", 1.0)
-    g_saw = distance_map(make_sawtooth(), ProjectionSpec("gaussian", 1.0), 1.2)
-    g_mb = multibit_map(1.2 * 2 ** 2, spec, 2, 1.0)
+    g_saw = DistanceMapModel(make_sawtooth(), ProjectionSpec("gaussian", 1.0)).g(1.2)
+    mb_spec = ProjectionSpec("gaussian", universal_scale(1.0, 1.0, 2))
+    g_mb = DistanceMapModel(make_sawtooth(), mb_spec).g(1.2 * 2 ** 2)
     assert abs(g_saw - 1.0 / 3.0) <= 1e-6
     assert abs(g_mb - 1.0 / 3.0) <= 1e-6
     _report(3, "saturation at 1/2 (binary) and 1/3 (sawtooth, multibit)")

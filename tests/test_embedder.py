@@ -407,6 +407,17 @@ class TestPersistence:
         with pytest.raises(FormatError, match="does not hold"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("flags", [0x0002, 0xFFFF])
+    def test_undefined_flag_bits_rejected(self, tmp_path, flags):
+        # only bit 0 (packed bits) is defined; the payload is sized to bit 0,
+        # so the file would load if the other bits were ignored
+        M = 8
+        per_vec = (M + 7) // 8 if flags & 1 else 8 * M
+        p = tmp_path / "flags.uemb"
+        p.write_bytes(struct.pack("<4sHHIQH", b"UEMB", 1, flags, M, 1, 0) + bytes(per_vec))
+        with pytest.raises(FormatError, match="flag bits"):
+            load_embeddings(p)
+
     def test_flipped_payload_bit_still_loads(self, tmp_path):
         op = small_op(M=16, N=8)
         p = tmp_path / "f.uemb"

@@ -23,9 +23,6 @@ from uemb.theory import (
     check_subadditivity,
     continuous_extension_bound,
     discontinuous_extension_bound,
-    distance_map,
-    kernel_map,
-    multibit_map,
     p2_bound,
     p2_meaningful_radius,
     p2_monte_carlo,
@@ -50,16 +47,16 @@ class TestDistanceMap:
             (make_fourier_mixture(FIG3), ProjectionSpec("gaussian", 0.2)),
             (quantize_map(make_fourier_mixture(FIG3), 3), ProjectionSpec("gaussian", 0.3)),
         ]:
-            assert distance_map(m, spec, 0.0) == 0.0
+            assert DistanceMapModel(m, spec).g(0.0) == 0.0
 
     def test_square_gaussian_saturation(self):
         # flat at 1/2 once sigma d passes a few Delta
         spec = ProjectionSpec("gaussian", 0.5)  # sigma/(2 Delta) with both 1
-        assert distance_map(make_square_wave(), spec, 3.0) == pytest.approx(0.5, abs=1e-9)
+        assert DistanceMapModel(make_square_wave(), spec).g(3.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_sawtooth_asymptote_one_third(self):
         spec = ProjectionSpec("gaussian", 1.0)
-        assert distance_map(make_sawtooth(), spec, 3.0) == pytest.approx(1 / 3, abs=1e-6)
+        assert DistanceMapModel(make_sawtooth(), spec).g(3.0) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_monotone_on_grid(self):
         ds = np.geomspace(1e-3, 6.0, 80)
@@ -79,14 +76,16 @@ class TestDistanceMap:
         with pytest.raises(ValueError):
             model.g(-0.5)
 
-    def test_uncertified_spectrum_raises(self):
+    def test_uncertified_spectrum_raises(self, monkeypatch):
         # quantized kinds need a certified spectrum; an unreachable tolerance
         # propagates as the spectrum error
+        from uemb import theory
         from uemb.maps import SpectrumToleranceError
 
+        monkeypatch.setattr(theory, "DEFAULT_NUMERIC_SPECTRUM_TOL", 1e-12)
         q = quantize_map(make_fourier_mixture(FIG3), 3)
         with pytest.raises(SpectrumToleranceError):
-            DistanceMapModel(q, ProjectionSpec("gaussian", 1.0), spectrum_tol=1e-12)
+            DistanceMapModel(q, ProjectionSpec("gaussian", 1.0))
 
 
 def scalar_phi_sum(spectrum, spec, d, rtol=1e-12):
@@ -176,8 +175,10 @@ class TestSummationEngine:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
     def test_non_finite_or_negative_input_rejected(self, bad):
-        model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
-        for call in (model.g, model.g_sqrt, model.kernel, model.value, model.derivative):
+        spec = ProjectionSpec("gaussian", 0.5)
+        model = DistanceMapModel(make_square_wave(), spec)
+        sqrt_value = DistanceMapModel(make_square_wave(), spec, flavor="sqrt").value
+        for call in (model.g, sqrt_value, model.kernel, model.value, model.derivative):
             with pytest.raises(ValueError):
                 call(bad)
         with pytest.raises(ValueError):
@@ -241,16 +242,6 @@ class TestClosedFormsAgainstEngine:
         _, b = universal_binary_map(d_star, sigma, Delta)
         assert b.upper_lin == pytest.approx(0.5, abs=1e-12)
 
-    def test_multibit_map(self):
-        spec = ProjectionSpec("gaussian", 1.0)
-        assert multibit_map(0.0, spec, 4, 1.0) == 0.0
-        assert multibit_map(40.0, spec, 4, 1.0) == pytest.approx(1 / 3, abs=1e-6)
-        # B-scaled sawtooth: matches the engine at the folded scale
-        scaled = ProjectionSpec("gaussian", 1.0 / (2 ** 3 * 1.5))
-        model = DistanceMapModel(make_sawtooth(), scaled)
-        for d in (0.3, 1.0, 4.0):
-            assert multibit_map(d, spec, 3, 1.5) == pytest.approx(model.g(d), abs=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             universal_binary_map(1.0, 0.0, 1.0)
@@ -264,8 +255,6 @@ class TestClosedFormsAgainstEngine:
                     universal_binary_map(*args)
                 with pytest.raises(ValueError):
                     universal_binary_map_l1(*args)
-        with pytest.raises(ValueError):
-            multibit_map(1.0, ProjectionSpec("gaussian", 1.0), 0, 1.0)
 
 
 class TestKernel:
@@ -288,10 +277,6 @@ class TestKernel:
     def test_square_gaussian_large_d_dc_only(self):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.6))
         assert model.kernel(10.0) == pytest.approx(0.25, abs=1e-12)
-
-    def test_kernel_map_function(self):
-        spec = ProjectionSpec("gaussian", 0.5)
-        assert kernel_map(make_square_wave(), spec, 0.0) == pytest.approx(0.5)
 
 
 class TestOracleEquivalence:
@@ -422,6 +407,10 @@ class TestSubadditivity:
         rep = check_subadditivity(lambda d: d * d, 0.25, 1.0, np.linspace(0, 1, 11))
         assert rep.passed  # (1-2eps) g(2) - 3delta = 2 - 3 < g(1)+g(1)
 
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            check_subadditivity(lambda d: d, 0.0, 0.0, [[0.0, 1.0], [1.0, 2.0]])
+
 
 class TestPointcloudBound:
     def test_reference_value(self):
@@ -530,6 +519,36 @@ class TestQuantizedInflation:
     def test_rate_below_dimension_rejected(self):
         with pytest.raises(ValueError):
             rate_form(0.1, 0.0, 50, 100, 1.0)
+
+
+def _square_model():
+    return DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
+
+
+# every bound calculator with valid arguments; a callable one is built per test
+BOUND_CALLS = [
+    (pointcloud_bound, (2, 1000, 0.1, 1.0, "sq_l2")),
+    (continuous_extension_bound, (10.0, 10 ** 4, 0.02, 1.0, 0.0, 1.0, 1.0, 0.4)),
+    (discontinuous_extension_bound, (0.0, 1000, 0.5, 1.0, [0.5], 2, 0.0, 0.1)),
+    (quantized_bound_inflation, (0.3, 0.1)),
+    (rate_form, (0.2, 0.0, 200, 100, 1.0)),
+    (ambiguity, (_square_model, 0.1, 0.01, 0.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("fn,args,i", [
+    pytest.param(fn, args, i, id="%s-%d" % (fn.__name__, i))
+    for fn, args in BOUND_CALLS
+    for i, a in enumerate(args) if not (isinstance(a, str) or callable(a))
+])
+def test_non_finite_bound_input_rejected(fn, args, i, bad):
+    # a NaN or infinite argument (or P_T entry) raises, never a confident answer
+    args = [a() if callable(a) else a for a in args]
+    fn(*args)
+    args[i] = [bad] if isinstance(args[i], list) else bad
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 class TestBallCrossing:
