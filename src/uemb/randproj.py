@@ -15,6 +15,9 @@ l = <a, x - x'> is what every closed-form distance/kernel map consumes:
 
 Every draw is transformed and scaled in place in the array it was drawn
 into, so a sample of n values allocates one n-element float64 buffer.
+
+scipy.special (for ``ndtri``) is imported by the first Gaussian draw, not
+at module load, so code that never samples a Gaussian loads numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 FAMILIES = ("gaussian", "cauchy")
 
@@ -123,6 +125,8 @@ class RandomState:
 
     def gaussian(self, stream, n, start=0):
         """Standard normals via inverse CDF, one uniform per draw."""
+        from scipy.special import ndtri
+
         u = self.uniform(stream, n, start)
         u += _HALF_CELL
         return ndtri(u, out=u)
@@ -160,11 +164,17 @@ def sample_dither(M, rs):
 
 
 def char_fn(spec, xi, d):
-    """phi_l(xi | d), the characteristic function of the projected distance."""
-    _distances(d)
+    """phi_l(xi | d), the characteristic function of the projected distance.
+
+    d is one distance or an array of them, broadcast against xi.  A scalar
+    xi squares through pow, as numpy's scalar ** 2 does, so each entry of an
+    array d has the bits of its own scalar call.
+    """
+    d = _distances(d).reshape(np.shape(d))
     xi = np.asarray(xi, dtype=np.float64)
     if spec.family == "gaussian":
-        out = np.exp(-0.5 * (spec.scale * d * xi) ** 2)
+        x = spec.scale * d * xi
+        out = np.exp(-0.5 * (np.float_power(x, 2.0) if xi.ndim == 0 else x ** 2))
     else:
         out = np.exp(-spec.scale * d * np.abs(xi))
     if out.ndim == 0:

@@ -18,6 +18,9 @@ bit for bit; a single d is a grid of one.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
+
+scipy.special (for ``spence``) is imported by the first dilogarithm, not at
+module load: the curves and most bounds need numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spence
 
 from .maps import _K_CAP
 from .randproj import ProjectionSpec, _distance, _distances
@@ -42,6 +44,8 @@ DEFAULT_NUMERIC_SPECTRUM_TOL = 5e-4
 
 def _li2(x):
     """Dilogarithm Li_2(x) for x in [0, 1]."""
+    from scipy.special import spence
+
     return float(spence(1.0 - x))
 
 
@@ -432,8 +436,10 @@ class SubadditivityReport:
 def check_subadditivity(g, eps, delta, grid, slack=1e-9):
     """Worst violation of (1-2eps) g(a+b) - 3delta <= g(a) + g(b) on a grid.
 
-    ``grid`` is a 1-D array whose cartesian square is scanned.
+    ``grid`` is a 1-D array whose cartesian square is scanned.  A NaN
+    violation (from g) fails the check and is reported with its pair.
     """
+    _nonnegative_finite("eps and delta", eps, delta)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError("grid must be a 1-D array of distances")
@@ -448,10 +454,12 @@ def check_subadditivity(g, eps, delta, grid, slack=1e-9):
             cache[x] = g(x)
         return cache[x]
 
-    for a, b in itertools.product(grid, grid):
-        v = (1.0 - 2.0 * eps) * gv(a + b) - 3.0 * delta - gv(a) - gv(b)
-        if v > worst:
+    for a, b in itertools.product(grid.tolist(), repeat=2):
+        v = float((1.0 - 2.0 * eps) * gv(a + b) - 3.0 * delta - gv(a) - gv(b))
+        if not v <= worst:  # true for NaN too, which fails the check at once
             worst, worst_pair = v, (a, b)
+            if math.isnan(v):
+                break
     return SubadditivityReport(worst, worst_pair, worst <= slack)
 
 
@@ -546,6 +554,7 @@ def discontinuous_extension_bound(E_r_half, M, w_value, c, P_T, T_max, P_F, c0):
     """
     if not 2 <= T_max < math.inf or int(T_max) != T_max:  # NaN fails the first test
         raise ValueError("T_max must be an integer >= 2")
+    T_max = int(T_max)
     P_T = list(P_T)
     if len(P_T) != T_max - 1:
         raise ValueError("P_T must list T = 2..T_max (length T_max-1)")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import uemb
 from uemb.embedder import EmbeddingOperator, build_operator, embed_batch, embedding_distance
@@ -37,7 +38,7 @@ from uemb.expcli.runners import (
     run_universal_scatter,
 )
 from uemb.maps import _quantize_values, make_sawtooth, quantize_map
-from uemb.randproj import ProjectionSpec, RandomState
+from uemb.randproj import _HALF_CELL, ProjectionSpec, RandomState
 
 
 class TestConfigParsing:
@@ -461,14 +462,37 @@ class TestCli:
         assert a != b and a == c
 
 
-def test_import_leaves_heavy_scipy_modules_out():
-    # uemb needs scipy.special only; scipy.optimize would pull in linalg,
-    # sparse, spatial and fft at start-up
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this uemb."""
     src = os.path.dirname(os.path.dirname(uemb.__file__))
-    code = ("import sys, uemb, uemb.expcli.main\n"
-            "print(' '.join(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')"
-            " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == ""
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # scipy.special loads on the first Gaussian draw or dilogarithm;
+    # scipy.optimize would pull in linalg, sparse, spatial and fft
+    code = ("import sys, uemb, uemb.expcli.main\n"
+            "print(' '.join(m for m in ('scipy.special', 'scipy.optimize', 'scipy.linalg',"
+            " 'scipy.sparse') if m in sys.modules))")
+    assert _run_fresh(code).strip() == ""
+
+
+def test_scipy_special_loads_on_first_gaussian_draw(tmp_path):
+    # map-eval and bounds draw nothing, so they run on numpy alone
+    configs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+    runs = [[cmd, "--config", os.path.join(configs, cfg + ".cfg"), "--out", str(tmp_path)]
+            for cmd, cfg in (("map-eval", "map_eval"), ("bounds", "bounds_binary_infinite"))]
+    code = ("import sys\n"
+            "from uemb.expcli.main import main\n"
+            "from uemb.randproj import RandomState\n"
+            "assert [main(argv) for argv in %r] == [0, 0]\n"
+            "print('scipy.special' in sys.modules)\n"
+            "g = RandomState(7).gaussian('matrix', 1000)\n"
+            "print('scipy.special' in sys.modules)\n"
+            "print(g.tobytes().hex())\n" % (runs,))
+    before, after, draw = _run_fresh(code).splitlines()[-3:]
+    assert (before, after) == ("False", "True")
+    u = RandomState(7).uniform("matrix", 1000)
+    assert bytes.fromhex(draw) == ndtri(u + _HALF_CELL).tobytes()

@@ -175,6 +175,20 @@ class TestCharFn:
             with pytest.raises(ValueError, match=_BAD_DISTANCE):
                 char_fn(spec, 1.0, d)
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_array_of_distances_matches_scalar_calls(self, family):
+        spec = ProjectionSpec(family, 0.9)
+        ds = np.linspace(0, 5, 2001)
+        for xi in (2.0, 2 * math.pi * 3):
+            assert char_fn(spec, xi, [0.5, 1.0]).tolist() == [
+                char_fn(spec, xi, 0.5), char_fn(spec, xi, 1.0)]
+            np.testing.assert_array_equal(
+                char_fn(spec, xi, ds).view(np.uint64),
+                np.array([char_fn(spec, xi, d) for d in ds]).view(np.uint64))
+        # an array xi broadcasts against an array d
+        xi = np.array([1.0, 2.0, 3.0])
+        assert char_fn(spec, xi, [[0.5], [1.0]]).shape == (2, 3)
+
     def test_nonincreasing_in_distance(self):
         ds = np.linspace(0, 5, 64)
         for family in ("gaussian", "cauchy"):

@@ -1,11 +1,15 @@
 """Distance/kernel map calculus and the probability-bound calculators."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import uemb
 from uemb.maps import (
     make_fourier_mixture,
     make_multibit,
@@ -224,6 +228,20 @@ class TestClosedFormsAgainstEngine:
             g1 = universal_binary_map_l1(float(d), gamma, Delta)
             assert g1 == pytest.approx(model.g(float(d)), abs=1e-9)
 
+    def test_l1_same_bits_in_a_fresh_process(self):
+        # spence is imported by the first dilogarithm, not with uemb.theory
+        ds = (1e-3, 0.37, 2.0, 11.0)
+        code = ("import sys\n"
+                "from uemb.theory import universal_binary_map_l1\n"
+                "print('scipy.special' in sys.modules)\n"
+                "print(' '.join(universal_binary_map_l1(d, 0.9, 1.7).hex() for d in %r))\n"
+                "print('scipy.special' in sys.modules)\n" % (ds,))
+        src = os.path.dirname(os.path.dirname(uemb.__file__))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout.split("\n")
+        assert out[0] == "False" and out[2] == "True"
+        assert out[1].split() == [universal_binary_map_l1(d, 0.9, 1.7).hex() for d in ds]
+
     def test_l1_zero_and_saturation(self):
         assert universal_binary_map_l1(0.0, 1.0, 1.0) == 0.0
         assert universal_binary_map_l1(50.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -411,6 +429,34 @@ class TestSubadditivity:
         with pytest.raises(ValueError, match="1-D"):
             check_subadditivity(lambda d: d, 0.0, 0.0, [[0.0, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_eps_and_delta_must_be_finite(self, bad):
+        grid = np.linspace(0, 2, 21)
+        for eps, delta in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="eps and delta"):
+                check_subadditivity(lambda d: d * d, eps, delta, grid)
+
+    def test_nan_violation_fails(self):
+        # NaN compares false with everything, so it must not be skipped as
+        # "no worse than the worst so far"
+        rep = check_subadditivity(lambda d: math.nan, 0.0, 0.0, np.linspace(0, 2, 21))
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation) and rep.worst_pair == (0.0, 0.0)
+
+    def test_nan_after_finite_violations_fails(self):
+        rep = check_subadditivity(lambda d: math.nan if d > 1.5 else d, 0.0, 0.0,
+                                  np.linspace(0, 1, 11))
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+        a, b = rep.worst_pair
+        assert a + b > 1.5
+
+    def test_report_holds_plain_types(self):
+        rep = check_subadditivity(lambda d: d * d, 0.0, 0.0, np.linspace(0, 2, 21))
+        assert type(rep.worst_violation) is float and type(rep.passed) is bool
+        assert all(type(x) is float for x in rep.worst_pair)
+        assert rep.worst_violation == 8.0 and rep.worst_pair == (2.0, 2.0)
+
 
 class TestPointcloudBound:
     def test_reference_value(self):
@@ -492,6 +538,14 @@ class TestExtensionBounds:
     def test_pt_length_validation(self):
         with pytest.raises(ValueError):
             discontinuous_extension_bound(0.0, 10, 0.5, 1.0, [0.5, 0.5], 2, 0.0, 0.1)
+
+    def test_integral_float_t_max(self):
+        args = (0.0, 1000, 0.5, 1.0, [0.5])
+        rep = discontinuous_extension_bound(*args, 2.0, 0.0, 0.1)
+        assert rep == discontinuous_extension_bound(*args, 2, 0.0, 0.1)
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="T_max"):
+                discontinuous_extension_bound(*args, bad, 0.0, 0.1)
 
     def test_monotone_in_inputs(self):
         def prob(M=2000, p2=0.2, P_F=0.0):
