@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import PeriodicMap, _quantize_values, make_multibit, make_square_wave
+from .maps import (
+    _MAX_QUANTIZER_BITS,
+    PeriodicMap,
+    _quantize_values,
+    make_multibit,
+    make_square_wave,
+)
 from .randproj import ProjectionSpec, sample_dither, sample_projection
 
 _CHUNK_ROWS = 4096
@@ -196,13 +202,15 @@ def embedding_distance(y, y2, metric):
 def post_quantize(y, bits, S):
     """Uniform scalar quantization of an embedding over [-S, S].
 
-    Step 2^{-B+1} S with midpoint reconstruction; inputs outside [-S, S]
-    clamp to the edge cells and are counted in saturation_count.  Non-
-    finite values raise ValueError: NaN has no cell, and an infinity
-    would pass as an ordinary saturated value.
+    Step 2^{-B+1} S with midpoint reconstruction, for B up to 40 as in
+    quantize_map; inputs outside [-S, S] clamp to the edge cells and are
+    counted in saturation_count.  Non-finite values raise ValueError: NaN
+    has no cell, and an infinity would pass as an ordinary saturated value.
     """
     if int(bits) != bits or bits < 1:
         raise ValueError("bits must be a positive integer")
+    if bits > _MAX_QUANTIZER_BITS:
+        raise ValueError("bits too large for float quantization")
     if not (S > 0 and math.isfinite(2.0 * S)):
         raise ValueError("saturation level S must be positive with 2S finite")
     bits = int(bits)

@@ -40,29 +40,53 @@ def wrapped_density(spec, d, tau):
     return (1.0 - rho * rho) / (1.0 + rho * rho - 2.0 * rho * np.cos(2 * math.pi * tau))
 
 
-def _gl_panels(edges, nodes):
+def _gl_panel_rows(edges, nodes):
+    """Composite Gauss-Legendre nodes and weights on each row of panel edges.
+
+    A panel no wider than 1e-14 keeps its nodes with zero weight, so that
+    every row has as many nodes.
+    """
     x, w = leggauss(nodes)
-    pts, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-14:
-            continue
-        half = 0.5 * (b - a)
-        pts.append(0.5 * (a + b) + half * x)
-        wts.append(half * w)
-    return np.concatenate(pts), np.concatenate(wts)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    half = np.where(b - a > 1e-14, 0.5 * (b - a), 0.0)
+    n = len(edges)
+    return (0.5 * (a + b) + half * x).reshape(n, -1), (half * w).reshape(n, -1)
 
 
-def pair_sq_integral(m, tau, nodes=8, smooth_panels=128):
-    """I(tau) = int_0^1 (h(w) - h(w + tau))^2 dw for a single shift tau."""
-    breaks = map_breakpoints(m)
-    if not breaks:  # smooth map: uniform composite rule
-        edges = np.linspace(0.0, 1.0, smooth_panels + 1)
-    else:
-        pts = sorted({b % 1.0 for b in breaks} | {(b - tau) % 1.0 for b in breaks})
-        edges = np.array(pts + [pts[0] + 1.0])
-    ws, wts = _gl_panels(edges, nodes)
-    f = (m(ws) - m(ws + tau)) ** 2
-    return float(f @ wts)
+def _gl_panels(edges, nodes):
+    """Composite Gauss-Legendre on one row of edges, panels no wider than 1e-14 dropped."""
+    ws, wts = _gl_panel_rows(np.asarray(edges, dtype=np.float64)[None], nodes)
+    keep = wts[0] != 0.0
+    return ws[0][keep], wts[0][keep]
+
+
+# taus x quadrature nodes per block of pair_sq_integrals (2^17 float64 is 1 MiB)
+_PAIR_BLOCK = 1 << 17
+
+
+def pair_sq_integrals(m, taus, nodes=8, smooth_panels=128):
+    """I(tau) = int_0^1 (h(w) - h(w + tau))^2 dw at each shift of taus.
+
+    For each tau the panels end at the jumps of h(w) and of h(w + tau);
+    equal edges give a zero-width panel, which carries no weight.
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    breaks = np.array(map_breakpoints(m))
+    cols = nodes * (2 * len(breaks) if len(breaks) else smooth_panels)
+    out = np.empty(len(taus))
+    step = max(1, _PAIR_BLOCK // cols)
+    for lo in range(0, len(taus), step):
+        tau = taus[lo:lo + step, None]
+        if not len(breaks):  # smooth map: uniform composite rule
+            edges = np.broadcast_to(np.linspace(0.0, 1.0, smooth_panels + 1),
+                                    (len(tau), smooth_panels + 1))
+        else:
+            own = np.broadcast_to(breaks % 1.0, (len(tau), len(breaks)))
+            pts = np.sort(np.concatenate([own, (breaks - tau) % 1.0], axis=1), axis=1)
+            edges = np.concatenate([pts, pts[:, :1] + 1.0], axis=1)
+        ws, wts = _gl_panel_rows(edges, nodes)
+        out[lo:lo + step] = np.vecdot((m(ws) - m(ws + tau)) ** 2, wts)
+    return out
 
 
 def oracle_distance_map(m, spec, d, nodes=8):
@@ -82,7 +106,7 @@ def oracle_distance_map(m, spec, d, nodes=8):
     dens = wrapped_density(spec, d, taus)
     mass = float(dens @ wts)
     assert abs(mass - 1.0) < 1e-6, "wrapped density does not integrate to 1"
-    ivals = np.array([pair_sq_integral(m, float(t), nodes=nodes) for t in taus])
+    ivals = pair_sq_integrals(m, taus, nodes=nodes)
     return float((dens * ivals) @ wts)
 
 

@@ -29,6 +29,7 @@ from uemb.maps import (
     make_multibit,
     make_sawtooth,
     make_square_wave,
+    quantize_map,
 )
 from uemb.randproj import ProjectionSpec, RandomState
 from uemb.theory import universal_binary_map
@@ -323,6 +324,18 @@ class TestPostQuantize:
             post_quantize(y, 2, 0.0)
         with pytest.raises(ValueError):
             post_quantize(y, 2, 1e308)
+
+    def test_bits_capped_as_in_quantize_map(self):
+        # past 40 bits the cells are finer than float64 resolves; 2**1100 overflows
+        from uemb.embedder import EmbeddingVector
+
+        y = EmbeddingVector(values=np.array([0.1, -0.3]), map_id="t")
+        assert post_quantize(y, 40, 1.0).quantized_bits == 40
+        for bits in (41, 1000, 1100):
+            with pytest.raises(ValueError):
+                post_quantize(y, bits, 1.0)
+            with pytest.raises(ValueError):
+                quantize_map(make_sawtooth(), bits)
 
     def test_nonfinite_rejected(self):
         # NaN has no cell; an infinity would count as an ordinary saturation

@@ -1,5 +1,6 @@
 """Distance/kernel map calculus and the probability-bound calculators."""
 
+import functools
 import math
 import os
 import subprocess
@@ -8,8 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import uemb
+from uemb import theory
 from uemb.maps import (
     make_fourier_mixture,
     make_multibit,
@@ -20,6 +24,7 @@ from uemb.maps import (
 from uemb.randproj import ProjectionSpec, RandomState, char_fn
 from uemb.theory import (
     DEFAULT_NUMERIC_SPECTRUM_TOL,
+    SATURATION_FRACTION,
     DistanceMapModel,
     _phi_sum,
     ambiguity,
@@ -191,22 +196,24 @@ class TestSummationEngine:
             with pytest.raises(ValueError):
                 model.invert(bad)
 
-    def test_invert_at_zero_tolerance_ends_bracketed(self):
+    def test_invert_at_zero_tolerance_ends_bracketed(self, monkeypatch):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
         model.D0
         g = model.g(0.3)
-        value, calls = model.value, []
+        engine, passes, points = theory._phi_sum, [], []
 
-        def counted(d):
-            assert len(calls) < 5000, "bisection does not terminate"
-            calls.append((d, value(d)))
-            return calls[-1][1]
+        def counted(spectrum, spec, ds, *args):
+            passes.append(len(ds))
+            assert len(passes) < 5000, "bisection does not terminate"
+            s, err = engine(spectrum, spec, ds, *args)
+            points.extend(zip(ds.tolist(), model._flavored(s, model.flavor).tolist()))
+            return s, err
 
-        model.value = counted
+        monkeypatch.setattr(theory, "_phi_sum", counted)
         d_hat, status = model.invert(g, rel_tol=0.0)
         assert status == "unique"
-        lo = max(d for d, v in calls if v < g)
-        hi = min(d for d, v in calls if v >= g)
+        lo = max(d for d, v in points if v < g)
+        hi = min(d for d, v in points if v >= g)
         assert np.nextafter(lo, np.inf) == hi
         assert d_hat in (lo, hi)
 
@@ -343,6 +350,14 @@ class TestInversion:
         assert status == "unique"
         assert d_est == pytest.approx(d_true, abs=1e-8)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 2.0, 1.0, -1e-3])
+    def test_rel_tol_must_lie_in_unit_interval(self, rel_tol):
+        # NaN, inf or >= 1 would stop the bisection at once; below 0 is meaningless
+        model = DistanceMapModel(make_multibit(3), ProjectionSpec("gaussian", 0.5))
+        for gval in (model.g(0.3), 0.0, -1.0, model.g_inf):
+            with pytest.raises(ValueError, match="rel_tol"):
+                model.invert(gval, rel_tol=rel_tol)
+
     def test_kernel_flavor_has_no_inverse(self):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5),
                                  flavor="kernel")
@@ -366,6 +381,119 @@ class TestInversion:
         d0_rt = DistanceMapModel(make_square_wave(), spec, flavor="sqrt").D0
         assert d0_sq == pytest.approx(0.751335, abs=1e-4)
         assert abs(d0_rt - target) / target < 0.05
+
+
+def scalar_bisect(model, target, hi, rel_tol=0.0, max_steps=None):
+    """Reference bisection: one lone value(mid) per halving."""
+    lo, steps = 0.0, 0
+    while hi - lo > rel_tol * max(hi, 1e-300) and steps != max_steps:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if model.value(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, hi
+
+
+def scalar_d0(model):
+    """Reference D0 of a fresh model: doubling, then the reference bisection."""
+    target = SATURATION_FRACTION * model.value_inf
+    hi = 1.0 / model.spec.scale
+    while model.value(hi) < target:
+        hi *= 2.0
+    return scalar_bisect(model, target, hi, max_steps=100)[1]
+
+
+def scalar_invert(model, gval, rel_tol):
+    """Reference invert for 0 <= gval: its early returns, then the reference bisection."""
+    if gval >= SATURATION_FRACTION * model.value_inf:
+        return model.D0, "saturated"
+    if gval == 0.0:
+        return 0.0, "unique"
+    lo, hi = scalar_bisect(model, gval, model.D0, rel_tol)
+    return 0.5 * (lo + hi), "unique"
+
+
+# bench/checks.py's KNOWN_TINY_D_SCALE: below this scale * d, 1 - phi
+# cancels and invert(g(d)) drifts (the known tiny-d defect)
+TINY_D_SCALE = 5e-6
+
+
+@functools.cache
+def replay_model(i, family, flavor):
+    """Model of TestSummationEngine.CATALOG[i] at scale 0.7, its D0 cached across draws."""
+    spec = ProjectionSpec(family, 0.7)
+    return DistanceMapModel(TestSummationEngine.CATALOG[i], spec, flavor=flavor)
+
+
+class TestBisectionReplay:
+    """invert and D0 replay the one-midpoint-at-a-time bisection bit for bit."""
+
+    @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_d0_is_the_scalar_bisection(self, family, flavor):
+        for m in TestSummationEngine.CATALOG:
+            spec = ProjectionSpec(family, 0.7)
+            ref = scalar_d0(DistanceMapModel(m, spec, flavor=flavor))
+            assert DistanceMapModel(m, spec, flavor=flavor).D0.hex() == ref.hex(), m.name
+
+    @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(i=st.integers(0, len(TestSummationEngine.CATALOG) - 1),
+           frac=st.floats(0.0, 1.0),
+           nudge=st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52, 0.5, 1.5]),
+           rel_tol=st.sampled_from([0.0, 1e-13, 1e-10, 1e-6, 0.01, 0.5]))
+    @example(i=3, frac=0.0, nudge=1.0, rel_tol=0.0)  # multibit:B=4, deep in tiny d
+    @example(i=5, frac=0.05, nudge=1.0, rel_tol=1e-10)
+    def test_invert_is_the_scalar_bisection(self, family, flavor, i, frac, nudge, rel_tol):
+        # targets are curve values at scale * d from a millionth of the
+        # tiny-d scale up to 3; a series map (square, sawtooth) costs up to
+        # 80 ms a value below 1e-4, where its sum runs to the harmonic cap,
+        # so its draws start there
+        model = replay_model(i, family, flavor)
+        low = -4.0 if model.map.series else math.log10(TINY_D_SCALE) - 6.0
+        u = 10.0 ** (low + frac * (math.log10(3.0) - low))
+        target = model.value(u / model.spec.scale) * nudge
+        got = model.invert(target, rel_tol)
+        ref = scalar_invert(model, target, rel_tol)
+        assert (got[0].hex(), got[1]) == (ref[0].hex(), ref[1])
+        if ref[1] == "unique" and target > 0.0:
+            lo, hi = model._bisect(target, model.D0, rel_tol)
+            ref_lo, ref_hi = scalar_bisect(model, target, model.D0, rel_tol)
+            assert (lo.hex(), hi.hex()) == (ref_lo.hex(), ref_hi.hex())
+
+    def test_replay_makes_a_third_of_the_engine_calls(self, monkeypatch):
+        # the theory benchmark's 120 inversions: its three finite-spectrum
+        # maps under both families, at g of every 10th of 200 log-spaced
+        # scale * d from 1e-9 to 1e2
+        engine, calls = theory._phi_sum, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return engine(*args)
+
+        monkeypatch.setattr(theory, "_phi_sum", counted)
+        scale = 0.5
+        ds = np.logspace(-9.0, 2.0, 200)[::10] / scale
+        ref_calls = replay_calls = 0
+        for m in TestSummationEngine.FINITE:
+            for family in ("gaussian", "cauchy"):
+                model = DistanceMapModel(m, ProjectionSpec(family, scale))
+                model.D0
+                targets = model.curve(ds).tolist()
+                start = calls[0]
+                ref = [scalar_invert(model, g, 1e-10) for g in targets]
+                ref_calls += calls[0] - start
+                start = calls[0]
+                got = [model.invert(g) for g in targets]
+                replay_calls += calls[0] - start
+                assert [(d.hex(), s) for d, s in got] == [(d.hex(), s) for d, s in ref]
+        assert 3 * replay_calls <= ref_calls
 
 
 class TestAmbiguity:
@@ -633,8 +761,15 @@ class TestBallCrossing:
 
     def test_monte_carlo_deterministic(self):
         a = p2_monte_carlo(32, 1.0, 0.05, 1.0, 5000, RandomState(3))
-        b = p2_monte_carlo(32, 1.0, 0.05, 1.0, 5000, RandomState(3), chunk=700)
-        assert a == b
+        for chunk in (700, np.int64(7), 5001):
+            b = p2_monte_carlo(32, 1.0, 0.05, 1.0, 5000, RandomState(3), chunk=chunk)
+            assert a == b
+
+    @pytest.mark.parametrize("chunk", [-1, 0, 2.5, 2048.0, True, None])
+    def test_chunk_must_be_a_positive_integer(self, chunk):
+        # a chunk below 1 would run no trials (or hit range()'s own error)
+        with pytest.raises(ValueError, match="chunk"):
+            p2_monte_carlo(16, 1.0, 0.1, 1.0, 1000, RandomState(0), chunk=chunk)
 
     def test_validation(self):
         with pytest.raises(ValueError):
