@@ -25,6 +25,7 @@ import numpy as np
 from .maps import (
     _MAX_QUANTIZER_BITS,
     PeriodicMap,
+    _check_bits,
     _quantize_values,
     make_multibit,
     make_square_wave,
@@ -106,9 +107,7 @@ def universal_scale(scale, Delta, bits=1):
     """
     if Delta <= 0:
         raise ValueError("Delta must be positive")
-    if int(bits) != bits or bits < 1:
-        raise ValueError("bits must be a positive integer")
-    return scale / (2 ** int(bits) * Delta)
+    return scale / (2 ** _check_bits(bits, _MAX_QUANTIZER_BITS) * Delta)
 
 
 def build_universal_operator(family, scale, Delta, bits, M, N, rs):
@@ -207,13 +206,9 @@ def post_quantize(y, bits, S):
     counted in saturation_count.  Non-finite values raise ValueError: NaN
     has no cell, and an infinity would pass as an ordinary saturated value.
     """
-    if int(bits) != bits or bits < 1:
-        raise ValueError("bits must be a positive integer")
-    if bits > _MAX_QUANTIZER_BITS:
-        raise ValueError("bits too large for float quantization")
+    bits = _check_bits(bits, _MAX_QUANTIZER_BITS)
     if not (S > 0 and math.isfinite(2.0 * S)):
         raise ValueError("saturation level S must be positive with 2S finite")
-    bits = int(bits)
     v = y.values
     if not np.all(np.isfinite(v)):
         raise ValueError("embedding values must be finite")

@@ -5,21 +5,29 @@ separated.  Unknown and duplicate keys are hard errors (no silent typos),
 reported with their line number.  Map selectors follow the catalog syntax,
 e.g. ``square``, ``multibit:B=2``, ``mixture:1:0.7071,10:0.7071``,
 ``quantized:mixture:1:0.7071,10:0.7071:B=4``.
+
+Each kind's keys, types and defaults (``SCHEMAS``) and each key's value
+rule (``_RULES``) are stated here once; an ``ExperimentConfig`` is checked
+against them when it is made, however it is made, before any output.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..maps import (
+    _MAX_QUANTIZER_BITS,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
     make_square_wave,
     quantize_map,
 )
+from ..randproj import FAMILIES
+from ..theory import POINTCLOUD_FLAVORS
 
 # Fig-3-style default design map: sin(2 pi t) + sin(20 pi t), scaled.
 DEFAULT_MIXTURE = "mixture:1:0.7071067811865476,10:0.7071067811865476"
@@ -31,7 +39,13 @@ class ConfigError(ValueError):
 
 def parse_map(selector):
     """Build a PeriodicMap from its config selector string."""
-    sel = selector.strip()
+    try:
+        return _selected_map(selector.strip())
+    except ValueError as e:  # a ConfigError of the syntax, or a factory's own check
+        raise ConfigError(str(e)) from None
+
+
+def _selected_map(sel):
     if sel == "square":
         return make_square_wave()
     if sel == "sawtooth":
@@ -40,35 +54,24 @@ def parse_map(selector):
         rest = sel[len("multibit:"):]
         if not rest.startswith("B="):
             raise ConfigError("multibit selector must be multibit:B=<bits>")
-        bits = _parse_int(rest[2:], "multibit bits")
-        try:
-            return make_multibit(bits)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return make_multibit(_parse_int(rest[2:], "multibit bits"))
     if sel.startswith("mixture:"):
-        body = sel[len("mixture:"):]
         terms = []
-        for item in body.split(","):
+        for item in sel[len("mixture:"):].split(","):
             parts = item.split(":")
             if len(parts) != 2:
                 raise ConfigError("mixture term %r is not freq:amplitude" % item)
             terms.append((_parse_int(parts[0], "mixture frequency"),
                           _parse_float(parts[1], "mixture amplitude")))
-        try:
-            return make_fourier_mixture(terms)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return make_fourier_mixture(terms)
     if sel.startswith("quantized:"):
         body = sel[len("quantized:"):]
         idx = body.rfind(":B=")
         if idx < 0:
             raise ConfigError("quantized selector must end with :B=<bits>")
-        inner = parse_map(body[:idx])
-        try:
-            return quantize_map(inner, _parse_int(body[idx + 3:], "quantized bits"))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    raise ConfigError("unknown map selector %r" % selector)
+        bits = _parse_int(body[idx + 3:], "quantized bits")
+        return quantize_map(_selected_map(body[:idx]), bits)
+    raise ConfigError("unknown map selector %r" % sel)
 
 
 def _parse_int(s, what):
@@ -88,18 +91,21 @@ def _parse_float(s, what):
     return v
 
 
-def _coerce(raw, typ, key):
-    if typ == "int":
-        return _parse_int(raw, key)
-    if typ == "float":
-        return _parse_float(raw, key)
-    if typ == "str":
-        return raw.strip()
-    if typ == "ints":
-        return [_parse_int(x, key) for x in raw.split(",")]
-    if typ == "floats":
-        return [_parse_float(x, key) for x in raw.split(",")]
-    raise AssertionError(typ)
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# schema type -> (parse of a file's text, test of a value, what a value must be)
+_TYPES = {
+    "int": (_parse_int, _is_int, "an integer"),
+    "float": (_parse_float, _is_number, "a finite number"),
+    "str": ((lambda raw, key: raw.strip()), (lambda v: isinstance(v, str)), "a string"),
+}
+_LISTS = {"ints": "int", "floats": "float"}  # list type -> its entries' type
 
 
 # Per-experiment key schemas: key -> (type, default); REQUIRED means the
@@ -185,12 +191,84 @@ SCHEMAS = {
 }
 
 
+def _rule(test, requirement):
+    """A value rule: None where ``test`` holds, else what the value must do."""
+    return lambda v: None if test(v) else "%s, got %s" % (requirement, v)
+
+
+def _within(least, greatest=math.inf):
+    return _rule(lambda v: least <= v <= greatest, "lie in [%s, %s]" % (least, greatest))
+
+
+def _one_of(*choices):
+    return _rule(lambda v: v in choices, "be one of %s" % ", ".join(choices))
+
+
+def _selector(v):
+    try:
+        parse_map(v)
+    except ConfigError as e:
+        return "be a catalog selector: %s" % e
+
+
+# value rule of each config key, for every entry of a list key
+_RULES = {
+    **dict.fromkeys(("N", "M", "pairs", "d_count", "candidates", "reps", "m_list",
+                     "rate_list", "n_list"), _within(1)),
+    **dict.fromkeys(("clusters", "points_per_cluster", "q"), _within(2)),
+    "b_list": _within(1, _MAX_QUANTIZER_BITS),
+    # scales and distances; a map-eval scale of 0 derives it from sigma, delta
+    **dict.fromkeys(("sigma", "sigma_list", "delta", "delta_list", "hbar", "c",
+                     "center_scale", "eps_list", "r_list"), _rule(lambda v: v > 0, "be positive")),
+    **dict.fromkeys(("scale", "d_min", "d_max", "cluster_radius", "margin_factor",
+                     "e_r_half", "c0"), _within(0.0)),
+    "family": _one_of(*FAMILIES),
+    "variant": _one_of("mixture", "universal"),
+    "calculator": _one_of("pointcloud", "binary_infinite", "ball_crossing"),
+    "flavor": _one_of(*POINTCLOUD_FLAVORS),
+    "map": _selector,
+}
+
+
+def _schema(kind):
+    if kind not in SCHEMAS:
+        raise ConfigError("unknown experiment kind %r" % (kind,))
+    return {**_COMMON, **SCHEMAS[kind]}
+
+
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one simulation run."""
+    """Declarative description of one simulation run.
+
+    Made with every key of its kind (a missing one at its default), each
+    value checked by its type and rule: a fault is "<key> must ...".
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        schema = _schema(self.kind)
+        for key in self.params:
+            if key not in schema:
+                raise ConfigError("unknown key %r for kind %r" % (key, self.kind))
+        params = {}
+        for key, (typ, default) in schema.items():
+            value = self.params.get(key, default)
+            if value is REQUIRED:
+                raise ConfigError("missing required key %r" % key)
+            _, test, what = _TYPES[_LISTS.get(typ, typ)]
+            entries = value if typ in _LISTS else [value]
+            if not (isinstance(entries, (list, tuple)) and entries and all(map(test, entries))):
+                what = "a nonempty list, each %s" % what if typ in _LISTS else what
+                raise ConfigError("%s must be %s, got %r" % (key, what, value))
+            for fault in map(_RULES[key], entries) if key in _RULES else ():
+                if fault is not None:
+                    raise ConfigError("%s must %s" % (key, fault))
+            params[key] = list(value) if typ in _LISTS else value  # a list of its own
+        if self.kind == "map_eval" and params["log_grid"] and params["d_min"] <= 0:
+            raise ConfigError("d_min must be positive on a log grid, got %s" % params["d_min"])
+        self.params = params
 
     def __getitem__(self, key):
         return self.params[key]
@@ -200,29 +278,9 @@ class ExperimentConfig:
         return self.params["seed"]
 
 
-def _schema(kind, where):
-    if kind not in SCHEMAS:
-        raise ConfigError("%sunknown experiment kind %r" % (where, kind))
-    return {**_COMMON, **SCHEMAS[kind]}
-
-
-def _with_defaults(kind, schema, params, where):
-    """The config of ``params`` with every key it omits set to its default."""
-    for key, (_, default) in schema.items():
-        if key not in params:
-            if default is REQUIRED:
-                raise ConfigError("%smissing required key %r" % (where, key))
-            params[key] = default
-    return ExperimentConfig(kind=kind, params=params)
-
-
 def make_config(kind, **overrides):
-    """Programmatic config with schema validation and defaults."""
-    schema = _schema(kind, "")
-    for key in overrides:
-        if key not in schema:
-            raise ConfigError("unknown key %r for kind %r" % (key, kind))
-    return _with_defaults(kind, schema, dict(overrides), "")
+    """Programmatic config: the schema's defaults updated by ``overrides``."""
+    return ExperimentConfig(kind, overrides)
 
 
 def parse_config(path):
@@ -250,20 +308,25 @@ def parse_config(path):
     if "kind" not in entries:
         raise ConfigError("%s: missing required key 'kind'" % path)
     kind, _ = entries.pop("kind")
-    schema = _schema(kind, "%s: " % path)
-
+    try:
+        schema = _schema(kind)
+    except ConfigError as e:
+        raise ConfigError("%s: %s" % (path, e)) from None
     params = {}
     for key, (raw, lineno) in entries.items():
         if key not in schema:
-            raise ConfigError(
-                "%s:%d: unknown key %r for kind %r" % (path, lineno, key, kind)
-            )
-        typ, _ = schema[key]
+            raise ConfigError("%s:%d: unknown key %r for kind %r" % (path, lineno, key, kind))
+        typ = schema[key][0]
+        parse = _TYPES[_LISTS.get(typ, typ)][0]
         try:
-            params[key] = _coerce(raw, typ, key)
+            params[key] = ([parse(x, key) for x in raw.split(",")] if typ in _LISTS
+                           else parse(raw, key))
         except ConfigError as e:
             raise ConfigError("%s:%d: %s" % (path, lineno, e)) from None
-    return _with_defaults(kind, schema, params, "%s: " % path)
+    try:
+        return ExperimentConfig(kind, params)
+    except ConfigError as e:
+        raise ConfigError("%s: %s" % (path, e)) from None
 
 
 def format_cell(v):

@@ -53,9 +53,6 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         result = RUNNERS[kind](cfg, args.out)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print("runtime error: %s" % e, file=sys.stderr)
         return 3

@@ -16,10 +16,9 @@ import os
 import numpy as np
 
 from ..embedder import _embed_matrix, build_operator, build_universal_operator, universal_scale
-from ..maps import _MAX_QUANTIZER_BITS, _quantize_values, make_sawtooth, make_square_wave
-from ..randproj import FAMILIES, ProjectionSpec, RandomState
+from ..maps import _quantize_values, make_sawtooth, make_square_wave
+from ..randproj import ProjectionSpec, RandomState
 from ..theory import (
-    POINTCLOUD_FLAVORS,
     DistanceMapModel,
     binary_decay_threshold,
     discontinuous_extension_bound,
@@ -37,48 +36,10 @@ class DatasetError(RuntimeError):
     """Synthetic dataset failed its separation-margin validation."""
 
 
-def _within(least, greatest=math.inf):
-    return (lambda v: least <= v <= greatest), "lie in [%s, %s]" % (least, greatest)
-
-
-def _one_of(*choices):
-    return (lambda v: v in choices), "be one of %s" % ", ".join(choices)
-
-
-# (test, requirement) of each config key, for every entry of a list key
-_RULES = {
-    **dict.fromkeys(("N", "M", "pairs", "d_count", "candidates", "reps", "m_list",
-                     "rate_list", "n_list"), _within(1)),
-    **dict.fromkeys(("clusters", "points_per_cluster", "q"), _within(2)),
-    "b_list": _within(1, _MAX_QUANTIZER_BITS),
-    # scales and distances; a map-eval scale of 0 derives it from sigma, delta
-    **dict.fromkeys(("sigma", "sigma_list", "delta", "delta_list", "hbar", "c",
-                     "center_scale", "eps_list", "r_list"), ((lambda v: v > 0), "be positive")),
-    **dict.fromkeys(("scale", "d_min", "d_max", "cluster_radius", "margin_factor",
-                     "e_r_half", "c0"), _within(0.0)),
-    "family": _one_of(*FAMILIES),
-    "variant": _one_of("mixture", "universal"),
-    "calculator": _one_of("pointcloud", "binary_infinite", "ball_crossing"),
-    "flavor": _one_of(*POINTCLOUD_FLAVORS),
-}
-
-
 def _check_config(cfg, kind):
-    """ConfigError for a kind mismatch or a value breaking its rule, before any work."""
+    """A kind mismatch; the config's values were checked when it was made."""
     if cfg.kind != kind:
         raise ConfigError("config kind %r does not match runner %r" % (cfg.kind, kind))
-    for key, (test, requirement) in _RULES.items():
-        for v in np.ravel(cfg.params.get(key, [])):
-            if not test(v):
-                raise ConfigError("%s must %s, got %s" % (key, requirement, v))
-
-
-def _config_map(cfg):
-    """The config's map; a bad selector is a ConfigError naming the key."""
-    try:
-        return parse_map(cfg["map"])
-    except ConfigError as e:
-        raise ConfigError("map must be a catalog selector: %s" % e) from None
 
 
 def _pair_block(rs, stream, N, dvals, metric):
@@ -129,7 +90,7 @@ def _fmt(v):
 def run_design_sim(cfg, out_dir):
     """Unquantized designed-map scatter vs theory (two projection scales)."""
     _check_config(cfg, "design_sim")
-    map_ = _config_map(cfg)
+    map_ = parse_map(cfg["map"])
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     summary_rows = []
@@ -175,7 +136,7 @@ def run_quantization_sim(cfg, out_dir):
     variant = cfg["variant"]
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
-    base_map = _config_map(cfg) if variant == "mixture" else make_sawtooth()
+    base_map = parse_map(cfg["map"]) if variant == "mixture" else make_sawtooth()
     summary_rows = []
     files = []
     for bits in cfg["b_list"]:
@@ -373,7 +334,7 @@ def run_bounds_sweep(cfg, out_dir):
 def run_map_eval(cfg, out_dir):
     """Distance/kernel curves of one map, with bounds for binary universal."""
     _check_config(cfg, "map_eval")
-    map_ = _config_map(cfg)
+    map_ = parse_map(cfg["map"])
     is_binary_universal = map_.kind == "square" and cfg["scale"] == 0.0
     if cfg["scale"] > 0:
         scale = cfg["scale"]
@@ -382,12 +343,8 @@ def run_map_eval(cfg, out_dir):
     else:
         scale = cfg["sigma"]
     spec = ProjectionSpec(cfg["family"], scale)
-    if cfg["log_grid"]:
-        if cfg["d_min"] <= 0:
-            raise ConfigError("log grid requires d_min > 0")
-        ds = np.geomspace(cfg["d_min"], cfg["d_max"], cfg["d_count"])
-    else:
-        ds = np.linspace(cfg["d_min"], cfg["d_max"], cfg["d_count"])
+    grid = np.geomspace if cfg["log_grid"] else np.linspace
+    ds = grid(cfg["d_min"], cfg["d_max"], cfg["d_count"])
     g = DistanceMapModel(map_, spec).curve(ds)
     K = DistanceMapModel(map_, spec, flavor="kernel").curve(ds)
     header = ["d", "g", "g_sqrt", "K"]

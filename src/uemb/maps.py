@@ -277,6 +277,13 @@ class PeriodicMap:
         return self._pieces
 
 
+def _check_bits(bits, most):
+    """``bits`` as an int; ValueError unless it is an integer in [1, most]."""
+    if not (1 <= bits <= most and int(bits) == bits):  # false for NaN too
+        raise ValueError("bits must be an integer in [1, %d]" % most)
+    return int(bits)
+
+
 def _quantize_values(v, value_range, bits):
     """Midpoint level of v's cell among 2^bits equal cells of value_range.
 
@@ -334,8 +341,8 @@ def make_fourier_mixture(terms):
         raise ValueError("duplicate mixture frequencies")
     clean = []
     for k, a in terms:
-        if int(k) != k or k < 1:
-            raise ValueError("mixture frequencies must be positive integers")
+        if not (1 <= k <= 2 ** 53 and int(k) == k):
+            raise ValueError("mixture frequencies must be integers in [1, 2**53]")
         a = float(a)
         if not math.isfinite(a):
             raise ValueError("mixture amplitudes must be finite")
@@ -355,11 +362,7 @@ def quantize_map(inner, bits):
     """
     if not isinstance(inner, PeriodicMap):
         raise TypeError("inner must be a PeriodicMap")
-    if int(bits) != bits or bits < 1:
-        raise ValueError("bits must be a positive integer")
-    bits = int(bits)
-    if bits > _MAX_QUANTIZER_BITS:
-        raise ValueError("bits too large for float quantization")
+    bits = _check_bits(bits, _MAX_QUANTIZER_BITS)
     lo, hi = (float(v) for v in inner.value_range)
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError("inner map must be bounded with a positive, finite range")
@@ -373,9 +376,7 @@ def make_multibit(bits):
     Pointwise identical to quantize_map(make_sawtooth(), B), whose codomain
     it takes; kept as its own kind so the selector name survives.
     """
-    if int(bits) != bits or not (1 <= bits <= 16):
-        raise ValueError("bits must be an integer in [1, 16]")
-    q = quantize_map(make_sawtooth(), int(bits))
+    q = quantize_map(make_sawtooth(), _check_bits(bits, 16))
     return PeriodicMap("multibit", q.params, q.value_range)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import _K_CAP
+from .maps import make_square_wave
 from .randproj import ProjectionSpec, _distance, _distances
 
 _SQRT2 = math.sqrt(2.0)
@@ -263,11 +263,7 @@ class DistanceMapModel:
     # -- flavored view ------------------------------------------------------
 
     def value(self, d):
-        if self.flavor == "sq_l2":
-            return self.g(d)
-        if self.flavor == "sqrt":
-            return self._value(d, "sqrt")
-        return self.kernel(d)
+        return self._value(d, self.flavor)
 
     def curve(self, ds):
         """value at each of ds, from one engine pass over the whole grid."""
@@ -276,11 +272,7 @@ class DistanceMapModel:
 
     @property
     def value_inf(self):
-        if self.flavor == "sq_l2":
-            return self.g_inf
-        if self.flavor == "sqrt":
-            return math.sqrt(self.g_inf)
-        return self._spectrum.dc_power
+        return float(self._flavored(0.0, self.flavor))
 
     def derivative(self, d):
         """Slope of the flavored curve (analytic series, not differences)."""
@@ -412,8 +404,9 @@ def universal_binary_map(d, sigma, Delta):
     """Hamming distance map of the binary universal embedding, with bounds.
 
     Evaluates  g(d) = 1/2 - sum_{i>=0} exp(-((2i+1) pi sigma d / (sqrt2
-    Delta))^2) / (pi (i + 1/2))^2  by adaptive summation, plus the
-    lower/exponential-upper/linear-upper bound triple.
+    Delta))^2) / (pi (i + 1/2))^2  by adaptive summation over the square
+    wave's series blocks, plus the lower/exponential-upper/linear-upper
+    bound triple.
     """
     _positive_finite("sigma and Delta", sigma, Delta)
     _distance(d)
@@ -427,23 +420,14 @@ def universal_binary_map(d, sigma, Delta):
     if d == 0.0:
         return 0.0, bounds
     acc = 0.0
-    partial = 0.0
-    lo, block = 1, 512
     c = (math.pi * s) ** 2 / 2.0
-    while True:
-        hi = min(lo + block - 1, _K_CAP)
-        k = np.arange(lo if lo % 2 == 1 else lo + 1, hi + 1, 2, dtype=np.float64)
-        if len(k):
-            coeff = 4.0 / (math.pi * k) ** 2
-            acc += float(coeff @ np.exp(-c * k * k))
-            partial += float(np.sum(coeff))
-        tail_p = max(0.5 - partial, 0.0)
-        rem = tail_p * math.exp(-c * (hi + 1) ** 2) if c * (hi + 1) ** 2 < 700 else 0.0
-        if rem <= 1e-14 * max(acc, 1e-3) or hi >= _K_CAP:
-            acc += rem / 2.0
+    # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly
+    for hi, k, powers, above in make_square_wave().series.blocks():
+        acc += float((2.0 * powers) @ np.exp(-c * k * k))
+        rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2) if c * (hi + 1) ** 2 < 700 else 0.0
+        if rem <= 1e-14 * max(acc, 1e-3):
             break
-        lo = hi + 1
-        block = min(block * 4, 1 << 18)
+    acc += rem / 2.0
     return min(max(0.5 - acc, 0.0), 0.5), bounds
 
 
@@ -687,12 +671,13 @@ def p2_monte_carlo(N, sigma, r, Delta, trials, rs, chunk=2048):
     partitioning cannot change the estimate.
     """
     _check_p2(N, sigma, r, Delta)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if int(N) != N:
+        raise ValueError("N must be an integer for the Monte Carlo estimate")
+    if not (1 <= trials < math.inf and int(trials) == trials):  # false for NaN too
+        raise ValueError("trials must be a positive integer")
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError("chunk must be an integer >= 1")
-    N = int(N)
+    N, trials = int(N), int(trials)
     crossings = 0
     for lo in range(0, trials, chunk):
         n = min(chunk, trials - lo)

@@ -337,6 +337,27 @@ class TestPostQuantize:
             with pytest.raises(ValueError):
                 quantize_map(make_sawtooth(), bits)
 
+    @pytest.mark.parametrize("entry,most", [
+        ("quantize_map", 40), ("make_multibit", 16), ("post_quantize", 40),
+        ("universal_scale", 40),
+    ])
+    def test_bad_bit_width_is_a_value_error(self, entry, most):
+        # one check serves all four: inf and huge widths once leaked OverflowError
+        from uemb.embedder import EmbeddingVector
+
+        y = EmbeddingVector(values=np.array([0.1, -0.3]), map_id="t")
+        call = {
+            "quantize_map": lambda b: quantize_map(make_sawtooth(), b),
+            "make_multibit": make_multibit,
+            "post_quantize": lambda b: post_quantize(y, b, 1.0),
+            "universal_scale": lambda b: universal_scale(1.0, 1.0, b),
+        }[entry]
+        for bits in (math.inf, math.nan, 2.5, 0, most + 1, 2000):
+            with pytest.raises(ValueError, match="bits must be an integer"):
+                call(bits)
+        call(most)
+        call(float(most))
+
     def test_nonfinite_rejected(self):
         # NaN has no cell; an infinity would count as an ordinary saturation
         from uemb.embedder import EmbeddingVector

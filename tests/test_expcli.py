@@ -18,6 +18,7 @@ from uemb.expcli.config import (
     DEFAULT_MIXTURE,
     SCHEMAS,
     ConfigError,
+    ExperimentConfig,
     emit_csv,
     make_config,
     parse_config,
@@ -80,6 +81,33 @@ class TestConfigParsing:
         p.write_text("kind = design_sim\nM = abc\n")
         with pytest.raises(ConfigError, match=":2:"):
             parse_config(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("N", "abc"), ("N", 2.5), ("N", True), ("sigma_list", 0.3), ("sigma_list", []),
+        ("sigma_list", [0.2, "x"]), ("d_max", math.inf), ("family", 3), ("map", 1),
+    ])
+    def test_make_config_wrong_type(self, key, value):
+        # a wrong type is a ConfigError naming the key, not a runner's TypeError
+        with pytest.raises(ConfigError, match="^%s must" % key):
+            make_config("design_sim", **{key: value})
+
+    def test_config_values_checked_however_made(self, tmp_path):
+        # make_config, parse_config and a directly built config share one check
+        with pytest.raises(ConfigError, match="^pairs must"):
+            ExperimentConfig("design_sim", {"pairs": 0})
+        with pytest.raises(ConfigError, match="^map must be a catalog selector: "):
+            make_config("map_eval", map="triangle")
+        p = tmp_path / "c.cfg"
+        p.write_text("kind = map_eval\nlog_grid = 1\nd_min = 0\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg: d_min must be positive"):
+            parse_config(p)
+        cfg = ExperimentConfig("map_eval", {"d_count": 5})
+        assert cfg.params == make_config("map_eval", d_count=5).params
+        assert cfg["map"] == "square" and cfg.seed == 0
+        # each config owns its lists: the schema's defaults stay as they are
+        make_config("design_sim")["sigma_list"].append(9.0)
+        assert make_config("design_sim", sigma_list=(0.3,))["sigma_list"] == [0.3]
+        assert make_config("design_sim")["sigma_list"] == [0.2, 0.4]
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="delta_list"):
@@ -390,7 +418,7 @@ class TestCli:
         rc = main(["retrieve", "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert key in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,text,key", [
         ("scatter", "kind = universal_scatter\nN = 16\npairs = 4\nm_list = 32,0\n",
@@ -431,20 +459,24 @@ class TestCli:
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = multibit:B=17\n", "map"),
         ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
          "map = multibit:B=17\n", "map"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = mixture:1%s:1\n" % ("0" * 400),
+         "map"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nd_min = 0\n", "d_min"),
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
             "retrieval-sigma", "map_eval-d_min", "map_eval-scale", "bounds-q", "bounds-flavor",
             "bounds-n_list", "bounds-calculator", "map_eval-multibit-0", "map_eval-multibit-17",
-            "design-multibit-17"])
+            "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
-        # counts, choices and the sign of each scale and distance
+        # counts, choices and the sign of each scale and distance, found
+        # when the config is parsed: before the output directory is made
         cfg = self._write(tmp_path, text)
         out = tmp_path / "out"
         rc = main([command, "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert "%s must" % key in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(

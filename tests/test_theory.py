@@ -154,6 +154,16 @@ class TestSummationEngine:
             assert curve.shape == ds.shape
             assert [v.hex() for v in curve.tolist()] == [model.value(d).hex() for d in ds]
 
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_value_inf_is_each_flavor_asymptote(self, m):
+        spec = ProjectionSpec("gaussian", 0.7)
+        g_inf = DistanceMapModel(m, spec).g_inf
+        spectrum = m.series or m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+        want = {"sq_l2": g_inf, "sqrt": math.sqrt(g_inf), "kernel": spectrum.dc_power}
+        for flavor, v in want.items():
+            got = DistanceMapModel(m, spec, flavor=flavor).value_inf
+            assert type(got) is float and got.hex() == v.hex(), flavor
+
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
     def test_engine_is_the_scalar_loop_bit_for_bit(self, m, family):
@@ -248,6 +258,39 @@ class TestClosedFormsAgainstEngine:
                              capture_output=True, text=True, check=True).stdout.split("\n")
         assert out[0] == "False" and out[2] == "True"
         assert out[1].split() == [universal_binary_map_l1(d, 0.9, 1.7).hex() for d in ds]
+
+    @staticmethod
+    def _own_series_loop(d, sigma, Delta):
+        # universal_binary_map's former block loop over 4 / (pi k)^2, odd k
+        s = sigma * d / Delta
+        if d == 0.0:
+            return 0.0
+        acc = partial = 0.0
+        lo, block = 1, 512
+        c = (math.pi * s) ** 2 / 2.0
+        while True:
+            hi = min(lo + block - 1, 1 << 21)
+            k = np.arange(lo if lo % 2 == 1 else lo + 1, hi + 1, 2, dtype=np.float64)
+            coeff = 4.0 / (math.pi * k) ** 2
+            acc += float(coeff @ np.exp(-c * k * k))
+            partial += float(np.sum(coeff))
+            tail_p = max(0.5 - partial, 0.0)
+            rem = tail_p * math.exp(-c * (hi + 1) ** 2) if c * (hi + 1) ** 2 < 700 else 0.0
+            if rem <= 1e-14 * max(acc, 1e-3) or hi >= 1 << 21:
+                acc += rem / 2.0
+                break
+            lo = hi + 1
+            block = min(block * 4, 1 << 18)
+        return min(max(0.5 - acc, 0.0), 0.5)
+
+    @pytest.mark.parametrize("sigma,Delta", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.4)])
+    def test_binary_map_reads_the_square_wave_series_bit_for_bit(self, sigma, Delta):
+        # the square wave's blocks give the sums of the function's former own loop
+        ds = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e-3, 6),
+                             np.linspace(0.0, 40.0, 41)[1:]]) * Delta / sigma
+        for d in ds.tolist():
+            got, _ = universal_binary_map(d, sigma, Delta)
+            assert got.hex() == self._own_series_loop(d, sigma, Delta).hex(), d
 
     def test_l1_zero_and_saturation(self):
         assert universal_binary_map_l1(0.0, 1.0, 1.0) == 0.0
@@ -770,6 +813,16 @@ class TestBallCrossing:
         # a chunk below 1 would run no trials (or hit range()'s own error)
         with pytest.raises(ValueError, match="chunk"):
             p2_monte_carlo(16, 1.0, 0.1, 1.0, 1000, RandomState(0), chunk=chunk)
+
+    def test_monte_carlo_wants_integral_dimension_and_trials(self):
+        # a truncated N would estimate another dimension than p2_bound's
+        est = p2_monte_carlo(16, 1.0, 0.1, 1.0, 1000, RandomState(0))
+        assert p2_monte_carlo(16.0, 1.0, 0.1, 1.0, 1000.0, RandomState(0)) == est
+        for N, trials in ((16.5, 1000), (16, 1000.9), (16, math.inf), (16, math.nan),
+                          (16, 0)):
+            with pytest.raises(ValueError, match="N must|trials must"):
+                p2_monte_carlo(N, 1.0, 0.1, 1.0, trials, RandomState(0))
+        assert p2_bound(16.5, 1.0, 0.1, 1.0) > p2_bound(16, 1.0, 0.1, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
