@@ -90,11 +90,9 @@ def build_operator(spec, map_, M, N, rs):
     spec.scale is used as-is; use universal_scale / build_universal_operator
     for the (sigma, Delta, B) parameterization of universal embeddings.
     """
-    M, N = int(M), int(N)
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
     A = sample_projection(spec, M, N, rs)
     w = sample_dither(M, rs)
+    M, N = A.shape
     return EmbeddingOperator(A=A, w=w, map=map_, spec=spec, M=M, N=N, seed=rs.seed)
 
 
@@ -105,8 +103,8 @@ def universal_scale(scale, Delta, bits=1):
     wraps; rescaling it to the period-1 map moves that span into the
     projection, giving scale / (2^B Delta).  B = 1 is the binary case.
     """
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
+    if not (0 < scale < math.inf and 0 < Delta < math.inf):  # false for NaN too
+        raise ValueError("scale and Delta must be positive and finite")
     return scale / (2 ** _check_bits(bits, _MAX_QUANTIZER_BITS) * Delta)
 
 

@@ -206,9 +206,11 @@ def _one_of(*choices):
 
 def _selector(v):
     try:
-        parse_map(v)
+        hbar = parse_map(v).hbar
     except ConfigError as e:
         return "be a catalog selector: %s" % e
+    if hbar == 0:  # a constant map gives every signal the same embedding
+        return "not be constant, got %s" % v
 
 
 # value rule of each config key, for every entry of a list key

@@ -4,8 +4,11 @@ Every runner is bit-reproducible from (config, seed): randomness flows
 through per-cell derived RandomStates and CSV cells are written with
 shortest round-trip float formatting, so a rerun yields identical bytes.
 Scatter outputs always carry the theory column computed at the same
-parameters.  Each cell embeds its signals once, as one value matrix;
-quant-sim quantizes that matrix in place.
+parameters.  Each scatter cell goes through ``_embedded_pairs``, which
+builds the cell's operator and embeds its signal pairs once, as one value
+matrix; quant-sim quantizes that matrix in place.  Every CSV a runner
+writes goes through ``_emit``, which also records its path in the
+result's "files".
 """
 
 from __future__ import annotations
@@ -76,11 +79,22 @@ def _pair_distances(Y):
     return np.sum(diff, axis=1) / Y.shape[1]
 
 
-def _quantized_pair_distances(op, X, bits):
-    """(unquantized, B-bit quantized) pair distances from one embedding of X."""
-    Y = _embed_matrix(op, X)
-    emb_u = _pair_distances(Y)
-    return emb_u, _pair_distances(_quantize_values(Y, op.map.value_range, bits))
+def _embedded_pairs(cell, spec, map_, M, N, dvals):
+    """The 2n x M embedding of the cell's signal pairs at distances dvals.
+
+    The operator draws from the cell's "matrix" and "dither" streams and the
+    pairs from its "signals" stream.
+    """
+    op = build_operator(spec, map_, M, N, cell)
+    X = _pair_block(cell, "signals", N, dvals, spec.signal_metric)
+    return _embed_matrix(op, X)
+
+
+def _emit(files, out_dir, name, header, rows):
+    """Write the CSV ``name`` in out_dir and append its path to files."""
+    path = os.path.join(out_dir, name)
+    emit_csv(path, header, rows)
+    files.append(path)
 
 
 def _fmt(v):
@@ -98,28 +112,20 @@ def run_design_sim(cfg, out_dir):
     for j, sigma in enumerate(cfg["sigma_list"]):
         spec = ProjectionSpec(cfg["family"], sigma)
         cell = rs.child("design:%d" % j)
-        op = build_operator(spec, map_, cfg["M"], cfg["N"], cell)
-        X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
-        emb = _pair_distances(_embed_matrix(op, X))
+        emb = _pair_distances(_embedded_pairs(cell, spec, map_, cfg["M"], cfg["N"], dvals))
         theory = DistanceMapModel(map_, spec).curve(dvals)
-        path = os.path.join(out_dir, "design_scatter_sigma=%s.csv" % _fmt(sigma))
-        emit_csv(path, ["d_true", "emb_sq_l2_mean", "g_theory"],
-                 list(zip(dvals, emb, theory)))
-        files.append(path)
+        _emit(files, out_dir, "design_scatter_sigma=%s.csv" % _fmt(sigma),
+              ["d_true", "emb_sq_l2_mean", "g_theory"], list(zip(dvals, emb, theory)))
         resid = emb - theory
         hbar = map_.hbar
         within = float(np.mean(np.abs(resid) <= 0.1))
         viol15 = float(np.mean(np.abs(resid) > 0.15))
         hoeff15 = 2.0 * math.exp(-2.0 * cfg["M"] * 0.15 ** 2 / hbar ** 4)
         summary_rows.append((sigma, cfg["pairs"], within, viol15, hoeff15, hbar))
-    spath = os.path.join(out_dir, "design_summary.csv")
-    emit_csv(
-        spath,
-        ["sigma", "pairs", "frac_within_0.1", "violation_rate_0.15",
-         "hoeffding_bound_0.15", "hbar"],
-        summary_rows,
-    )
-    files.append(spath)
+    _emit(files, out_dir, "design_summary.csv",
+          ["sigma", "pairs", "frac_within_0.1", "violation_rate_0.15",
+           "hoeffding_bound_0.15", "hbar"],
+          summary_rows)
     return {"files": files, "summary": summary_rows}
 
 
@@ -146,14 +152,14 @@ def run_quantization_sim(cfg, out_dir):
         else:
             scale = universal_scale(cfg["sigma"], cfg["delta"], bits)
         spec = ProjectionSpec(cfg["family"], scale)
-        op = build_operator(spec, base_map, cfg["M"], cfg["N"], cell)
-        X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
-        emb_u, emb_q = _quantized_pair_distances(op, X, bits)
+        Y = _embedded_pairs(cell, spec, base_map, cfg["M"], cfg["N"], dvals)
+        emb_u = _pair_distances(Y)
+        emb_q = _pair_distances(_quantize_values(Y, base_map.value_range, bits))
+        del Y  # the next cell's matrices are drawn without this one alive
         theory = DistanceMapModel(base_map, spec).curve(dvals)
-        path = os.path.join(out_dir, "quant_scatter_B=%d.csv" % bits)
-        emit_csv(path, ["d_true", "emb_sq_l2_mean", "g_theory_unquantized"],
-                 list(zip(dvals, emb_q, theory)))
-        files.append(path)
+        _emit(files, out_dir, "quant_scatter_B=%d.csv" % bits,
+              ["d_true", "emb_sq_l2_mean", "g_theory_unquantized"],
+              list(zip(dvals, emb_q, theory)))
         mean_dev = float(np.mean(np.abs(emb_q - theory)))
         # quantized-embedding inflation check on the metric scale
         e_q = base_map.hbar * 2.0 ** (-bits - 1)
@@ -161,13 +167,9 @@ def run_quantization_sim(cfg, out_dir):
         dev_q = float(np.max(np.abs(np.sqrt(emb_q) - np.sqrt(theory))))
         bound_ok = dev_q <= quantized_bound_inflation(eps_run, e_q) + 1e-12
         summary_rows.append((bits, mean_dev, eps_run, e_q, dev_q, bound_ok))
-    spath = os.path.join(out_dir, "quant_summary.csv")
-    emit_csv(
-        spath,
-        ["B", "mean_abs_dev", "eps_unquantized", "E_Q", "max_sqrt_dev", "within_inflation"],
-        summary_rows,
-    )
-    files.append(spath)
+    _emit(files, out_dir, "quant_summary.csv",
+          ["B", "mean_abs_dev", "eps_unquantized", "E_Q", "max_sqrt_dev", "within_inflation"],
+          summary_rows)
     return {"files": files, "summary": summary_rows}
 
 
@@ -178,6 +180,7 @@ def run_universal_scatter(cfg, out_dir):
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     family = cfg["family"]
     sigma = cfg["sigma"]
+    square = make_square_wave()
     summary_rows = []
     files = []
     for delta in cfg["delta_list"]:
@@ -186,21 +189,16 @@ def run_universal_scatter(cfg, out_dir):
         else:
             theory = np.array([universal_binary_map_l1(d, sigma, delta) for d in dvals])
         spec = ProjectionSpec(family, universal_scale(sigma, delta, 1))
-        d0 = DistanceMapModel(make_square_wave(), spec).D0
+        d0 = DistanceMapModel(square, spec).D0
         for M in cfg["m_list"]:
             cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
-            op = build_universal_operator(family, sigma, delta, 1, M, cfg["N"], cell)
-            X = _pair_block(cell, "signals", cfg["N"], dvals, spec.signal_metric)
-            ham = _pair_distances(_embed_matrix(op, X))
-            path = os.path.join(out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M))
-            emit_csv(path, ["d_true", "hamming_mean", "g_theory"],
-                     list(zip(dvals, ham, theory)))
-            files.append(path)
+            ham = _pair_distances(_embedded_pairs(cell, spec, square, M, cfg["N"], dvals))
+            _emit(files, out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M),
+                  ["d_true", "hamming_mean", "g_theory"], list(zip(dvals, ham, theory)))
             lo_h, hi_h = np.percentile(ham - theory, [2.5, 97.5])
             summary_rows.append((delta, M, float(hi_h - lo_h), float(d0)))
-    spath = os.path.join(out_dir, "scatter_summary.csv")
-    emit_csv(spath, ["delta", "M", "spread95", "d0_theory"], summary_rows)
-    files.append(spath)
+    _emit(files, out_dir, "scatter_summary.csv", ["delta", "M", "spread95", "d0_theory"],
+          summary_rows)
     return {"files": files, "summary": summary_rows}
 
 
@@ -276,10 +274,10 @@ def run_retrieval(cfg, out_dir):
     acc /= reps
     baseline /= reps
     rows = [(delta, rate, a) for (delta, rate), a in zip(cells, acc)]
-    path = os.path.join(out_dir, "retrieval_accuracy.csv")
-    emit_csv(path, ["delta", "rate", "accuracy"], rows)
+    files = []
+    _emit(files, out_dir, "retrieval_accuracy.csv", ["delta", "rate", "accuracy"], rows)
     return {
-        "files": [path],
+        "files": files,
         "summary": rows,
         "baseline_l2_accuracy": baseline,
         "chance": 1.0 / L,
@@ -290,20 +288,17 @@ def run_bounds_sweep(cfg, out_dir):
     """Tabulate bound calculators over parameter grids, flagging vacuity."""
     _check_config(cfg, "bounds_sweep")
     calc = cfg["calculator"]
-    files = []
+    rows, files = [], []
+    summary = {"rows": rows, "files": files}
     if calc == "pointcloud":
-        rows = []
+        header = ["flavor", "Q", "M", "eps", "exponent", "probability", "vacuous"]
         for M in cfg["m_list"]:
             for eps in cfg["eps_list"]:
                 rep = pointcloud_bound(cfg["q"], M, eps, cfg["hbar"], cfg["flavor"])
                 rows.append((cfg["flavor"], cfg["q"], M, eps,
                              rep.exponent, rep.probability, rep.vacuous))
-        path = os.path.join(out_dir, "bounds_pointcloud.csv")
-        emit_csv(path, ["flavor", "Q", "M", "eps", "exponent", "probability", "vacuous"], rows)
-        files.append(path)
-        summary = {"rows": rows}
     elif calc == "binary_infinite":
-        rows = []
+        header = ["eps", "M", "c1", "w", "no_decay", "exponent", "probability"]
         for eps in cfg["eps_list"]:
             for M in cfg["m_list"]:
                 w = 2.0 * eps * eps
@@ -312,22 +307,15 @@ def run_bounds_sweep(cfg, out_dir):
                 )
                 rows.append((eps, M, rep.extras["c1"], w,
                              rep.extras["no_decay"], rep.exponent, rep.probability))
-        path = os.path.join(out_dir, "bounds_binary_infinite.csv")
-        emit_csv(path, ["eps", "M", "c1", "w", "no_decay", "exponent", "probability"], rows)
-        files.append(path)
-        summary = {"rows": rows, "threshold": binary_decay_threshold(cfg["c0"])}
+        summary["threshold"] = binary_decay_threshold(cfg["c0"])
     else:  # ball_crossing
-        rows = []
+        header = ["N", "r", "bound", "meaningful"]
         for N in cfg["n_list"]:
             for r in cfg["r_list"]:
                 b = p2_bound(N, cfg["sigma"], r, cfg["delta"])
                 meaningful = r < p2_meaningful_radius(N, cfg["sigma"], cfg["delta"])
                 rows.append((N, r, b, meaningful))
-        path = os.path.join(out_dir, "bounds_ball_crossing.csv")
-        emit_csv(path, ["N", "r", "bound", "meaningful"], rows)
-        files.append(path)
-        summary = {"rows": rows}
-    summary["files"] = files
+    _emit(files, out_dir, "bounds_%s.csv" % calc, header, rows)
     return summary
 
 
@@ -358,9 +346,9 @@ def run_map_eval(cfg, out_dir):
             _, b = universal_binary_map(d, cfg["sigma"], cfg["delta"])
             row += [b.lower, b.upper_exp, b.upper_lin]
         rows.append(tuple(row))
-    path = os.path.join(out_dir, "map_curve.csv")
-    emit_csv(path, header, rows)
-    return {"files": [path], "rows": len(rows)}
+    files = []
+    _emit(files, out_dir, "map_curve.csv", header, rows)
+    return {"files": files, "rows": len(rows)}
 
 
 RUNNERS = {

@@ -164,13 +164,17 @@ class PeriodicMap:
     ``quantize_map`` factories below.
     """
 
-    def __init__(self, kind, params, value_range, is_binary=False):
+    def __init__(self, kind, params, value_range):
         self.kind = kind
         self.params = dict(params)
         self.value_range = (float(value_range[0]), float(value_range[1]))
-        self.is_binary = bool(is_binary)
         self._pieces = None
         self._spectrum_cache = {}
+
+    @property
+    def is_binary(self):
+        """True for the {0, 1} square wave, whose codes compare by Hamming distance."""
+        return self.kind == "square"
 
     @property
     def hbar(self):
@@ -315,7 +319,7 @@ def make_square_wave():
     AC power 1/4 (series ``_SERIES["square"]``), so the squared-distance
     map saturates at 1/2.
     """
-    return PeriodicMap("square", {}, (0.0, 1.0), is_binary=True)
+    return PeriodicMap("square", {}, (0.0, 1.0))
 
 
 def make_sawtooth():
@@ -347,6 +351,8 @@ def make_fourier_mixture(terms):
         if not math.isfinite(a):
             raise ValueError("mixture amplitudes must be finite")
         clean.append((int(k), a))
+    if not math.isfinite(sum(a * a / 2.0 for _, a in clean)):
+        raise ValueError("mixture power sum a^2/2 must be finite")
     clean.sort()
     m = PeriodicMap("mixture", {"terms": tuple(clean)}, (0.0, 0.0))
     m.value_range = _smooth_range(m)

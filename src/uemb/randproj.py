@@ -59,6 +59,13 @@ def _distances(ds):
     return ds
 
 
+def _count(n, what):
+    """``n`` as an int; ValueError unless it is an integer >= 1."""
+    if not (1 <= n < math.inf and int(n) == n):  # false for NaN too
+        raise ValueError("%s must be an integer >= 1" % what)
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ProjectionSpec:
     """Distribution family and scale of the random projection rows."""
@@ -142,9 +149,7 @@ class RandomState:
 
 def sample_projection(spec, M, N, rs):
     """M x N i.i.d. projection matrix from rs's "matrix" stream, row-major."""
-    M, N = int(M), int(N)
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
+    M, N = _count(M, "M"), _count(N, "N")
     if M * N > MAX_ELEMENTS:
         raise MemoryError("projection of %d elements exceeds cap %d" % (M * N, MAX_ELEMENTS))
     draw = rs.gaussian if spec.family == "gaussian" else rs.cauchy
@@ -155,9 +160,7 @@ def sample_projection(spec, M, N, rs):
 
 def sample_dither(M, rs):
     """Length-M i.i.d. uniform [0,1) dither from the "dither" stream of rs."""
-    M = int(M)
-    if M < 1:
-        raise ValueError("M must be positive")
+    M = _count(M, "M")
     if M > MAX_ELEMENTS:
         raise MemoryError("dither of %d elements exceeds cap" % M)
     return rs.uniform("dither", M)
@@ -189,9 +192,7 @@ def projected_diff_samples(spec, d, n, rs, stream="montecarlo", start=0):
     the cauchy family; the Monte Carlo oracle for char_fn and the maps.
     """
     d = _distance(d)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _count(n, "n")
     if d == 0:
         return np.zeros(n)
     draw = rs.gaussian if spec.family == "gaussian" else rs.cauchy

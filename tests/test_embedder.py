@@ -65,6 +65,16 @@ class TestBuildOperator:
         assert universal_scale(1.0, 1.0, 1) == pytest.approx(0.5)
         assert universal_scale(3.0, 1.5, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, -1])
+    @pytest.mark.parametrize("arg", ["scale", "Delta"])
+    def test_universal_scale_wants_positive_finite(self, arg, bad):
+        # NaN and inf once came back as nan or 0.0
+        args = {"scale": 1.0, "Delta": 1.0, arg: bad}
+        with pytest.raises(ValueError, match="scale and Delta must be positive and finite"):
+            universal_scale(args["scale"], args["Delta"])
+        args[arg] = 2.5
+        assert universal_scale(args["scale"], args["Delta"]) == args["scale"] / (2 * args["Delta"])
+
     def test_universal_operator_maps(self):
         op1 = build_universal_operator("gaussian", 1.0, 1.0, 1, 8, 4, RandomState(1))
         op2 = build_universal_operator("gaussian", 1.0, 1.0, 3, 8, 4, RandomState(1))

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import uemb
-from uemb.embedder import EmbeddingOperator, build_operator, embed_batch, embedding_distance
+from uemb.embedder import (
+    build_operator,
+    build_universal_operator,
+    embed_batch,
+    embedding_distance,
+    universal_scale,
+)
+from uemb.expcli import runners
 from uemb.expcli.config import (
     DEFAULT_MIXTURE,
     SCHEMAS,
@@ -26,11 +33,12 @@ from uemb.expcli.config import (
 )
 from uemb.expcli.main import main
 from uemb.expcli.runners import (
+    RUNNERS,
     DatasetError,
     _embed_matrix,
+    _embedded_pairs,
     _pair_block,
     _pair_distances,
-    _quantized_pair_distances,
     run_bounds_sweep,
     run_design_sim,
     run_map_eval,
@@ -38,7 +46,7 @@ from uemb.expcli.runners import (
     run_retrieval,
     run_universal_scatter,
 )
-from uemb.maps import _quantize_values, make_sawtooth, quantize_map
+from uemb.maps import _quantize_values, make_sawtooth, make_square_wave, quantize_map
 from uemb.randproj import _HALF_CELL, ProjectionSpec, RandomState
 
 
@@ -343,20 +351,59 @@ class TestOneEmbeddingPerCell:
     @pytest.mark.parametrize("bits", [1, 2, 4])
     @pytest.mark.parametrize("base", ["mixture", "sawtooth"])
     def test_in_place_quantization_equals_quantized_operator(self, base, bits):
+        # quant-sim's cell matrix, quantized in place, is the quantized map's
+        # embedding by the same cell's (A, w) of the same pairs
         base_map = parse_map(DEFAULT_MIXTURE) if base == "mixture" else make_sawtooth()
-        op = build_operator(ProjectionSpec("gaussian", 0.2), base_map, 1000, 24, RandomState(bits))
-        twin = EmbeddingOperator(
-            A=op.A, w=op.w, map=quantize_map(base_map, bits), spec=op.spec,
-            M=op.M, N=op.N, seed=op.seed,
-        )
-        X = pair_signals(op.N)
-        Y = _embed_matrix(op, X)
+        spec, cell = ProjectionSpec("gaussian", 0.2), RandomState(bits)
+        dvals = np.linspace(0.0, 2.0, 15)
+        Y = _embedded_pairs(cell, spec, base_map, 1000, 24, dvals)
         _quantize_values(Y, base_map.value_range, bits)
-        Yq = _embed_matrix(twin, X)
+        twin = build_operator(spec, quantize_map(base_map, bits), 1000, 24, cell)
+        Yq = _embed_matrix(twin, _pair_block(cell, "signals", 24, dvals, "l2"))
         assert Y.tobytes() == Yq.tobytes()
-        emb_u, emb_q = _quantized_pair_distances(op, X, bits)
-        assert emb_u.tobytes() == _pair_distances(_embed_matrix(op, X)).tobytes()
-        assert emb_q.tobytes() == _pair_distances(Yq).tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_scatter_cell_equals_universal_operator(self, family):
+        # scatter builds its square-wave operator from its own spec; the
+        # bytes are those of build_universal_operator's at (sigma, Delta, 1)
+        cell, dvals = RandomState(6), np.linspace(0.0, 3.0, 15)
+        spec = ProjectionSpec(family, universal_scale(1.0, 0.5, 1))
+        Y = _embedded_pairs(cell, spec, make_square_wave(), 256, 24, dvals)
+        op = build_universal_operator(family, 1.0, 0.5, 1, 256, 24, cell)
+        X = _pair_block(cell, "signals", 24, dvals, spec.signal_metric)
+        assert Y.tobytes() == _embed_matrix(op, X).tobytes()
+
+
+# one small config per runner kind; bounds_sweep once per calculator
+SMALL_CONFIGS = {
+    "design_sim": dict(N=16, M=32, pairs=6, sigma_list=[0.2, 0.4]),
+    "quantization_sim": dict(N=16, M=32, pairs=6, b_list=[1, 2]),
+    "universal_scatter": dict(N=16, pairs=6, delta_list=[0.5, 1.5], m_list=[32, 64]),
+    "retrieval": dict(N=16, clusters=4, points_per_cluster=3, cluster_radius=0.05,
+                      delta_list=[1.0], rate_list=[16, 32]),
+    "bounds_sweep:pointcloud": dict(calculator="pointcloud"),
+    "bounds_sweep:binary_infinite": dict(calculator="binary_infinite"),
+    "bounds_sweep:ball_crossing": dict(calculator="ball_crossing"),
+    "map_eval": dict(d_count=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CONFIGS))
+def test_result_files_are_the_files_written_in_order(tmp_path, monkeypatch, case):
+    written = []
+
+    def recording_emit_csv(path, header, rows):
+        written.append(path)
+        emit_csv(path, header, rows)
+
+    monkeypatch.setattr(runners, "emit_csv", recording_emit_csv)
+    kind = case.split(":")[0]
+    out = tmp_path / "out"
+    out.mkdir()
+    result = RUNNERS[kind](make_config(kind, **SMALL_CONFIGS[case]), str(out))
+    assert result["files"] == written
+    assert sorted(os.path.basename(f) for f in written) == sorted(os.listdir(out))
+    assert all(os.path.dirname(f) == str(out) for f in written)
 
 
 class TestCli:
@@ -462,12 +509,20 @@ class TestCli:
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = mixture:1%s:1\n" % ("0" * 400),
          "map"),
         ("map-eval", "kind = map_eval\nd_count = 5\nd_min = 0\n", "d_min"),
+        *[(command, text + "map = mixture:1:%s\n" % amp, "map")
+          for command, text in [
+              ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"),
+              ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n"),
+              ("map-eval", "kind = map_eval\nd_count = 5\n")]
+          for amp in ("0", "1e200")],
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
             "retrieval-sigma", "map_eval-d_min", "map_eval-scale", "bounds-q", "bounds-flavor",
             "bounds-n_list", "bounds-calculator", "map_eval-multibit-0", "map_eval-multibit-17",
-            "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0"])
+            "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0",
+            "design-constant", "design-power-inf", "quant-constant", "quant-power-inf",
+            "map_eval-constant", "map_eval-power-inf"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
         # when the config is parsed: before the output directory is made

@@ -45,6 +45,30 @@ def catalog():
     ]
 
 
+BINARY_CASES = {
+    "square": make_square_wave(),
+    "sawtooth": make_sawtooth(),
+    "mixture": make_fourier_mixture(FIG3_TERMS),
+    "multibit1": make_multibit(1),
+    "quantized_square1": quantize_map(make_square_wave(), 1),
+    "quantized_mix1": quantize_map(make_fourier_mixture(FIG3_TERMS), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CASES))
+def test_is_binary_is_the_square_wave(name):
+    # only the {0, 1} square wave is binary; its 1-bit quantization has
+    # levels {1/4, 3/4}
+    map_, binary = BINARY_CASES[name], name == "square"
+    assert map_.is_binary is binary
+    with pytest.raises(AttributeError):
+        map_.is_binary = not binary
+    if name == "quantized_square1":
+        assert set(np.unique(map_(np.linspace(0, 1, 101)))) == {0.25, 0.75}
+    with pytest.raises(TypeError):
+        maps.PeriodicMap("square", {}, (0.0, 1.0), is_binary=True)
+
+
 class TestSquareWave:
     def test_bin_convention(self):
         sq = make_square_wave()
@@ -129,6 +153,14 @@ class TestMixture:
             make_fourier_mixture([(0, 1.0)])
         with pytest.raises(ValueError):
             make_fourier_mixture([(1, math.inf)])
+
+    def test_power_must_be_finite(self):
+        # a finite amplitude whose a^2/2 overflows, and finite terms whose sum does
+        for terms in ([(1, 1e200)], [(k, 1e154) for k in range(1, 5)]):
+            with pytest.raises(ValueError, match="power"):
+                make_fourier_mixture(terms)
+        mix = make_fourier_mixture([(1, 1e154)])
+        assert math.isfinite(mix.power_coeffs(1e-9).ac_power)
 
 
 def scipy_min(f, a, b, maxiter=500):

@@ -8,6 +8,8 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
+from uemb.embedder import build_operator
+from uemb.maps import make_square_wave
 from uemb.randproj import (
     _BAD_DISTANCE,
     _HALF_CELL,
@@ -18,6 +20,19 @@ from uemb.randproj import (
     sample_dither,
     sample_projection,
 )
+
+
+_SPEC = ProjectionSpec("gaussian", 0.5)
+
+# each entry point that takes a count, called with the count n
+COUNT_ENTRIES = {
+    "sample_projection-M": lambda n: sample_projection(_SPEC, n, 3, RandomState(1)),
+    "sample_projection-N": lambda n: sample_projection(_SPEC, 3, n, RandomState(1)),
+    "sample_dither": lambda n: sample_dither(n, RandomState(1)),
+    "projected_diff_samples": lambda n: projected_diff_samples(_SPEC, 0.5, n, RandomState(1)),
+    "build_operator-M": lambda n: build_operator(_SPEC, make_square_wave(), n, 3, RandomState(1)),
+    "build_operator-N": lambda n: build_operator(_SPEC, make_square_wave(), 3, n, RandomState(1)),
+}
 
 
 class TestRandomState:
@@ -93,6 +108,22 @@ class TestSampling:
             sample_projection(spec, 0, 5, RandomState(0))
         with pytest.raises(ValueError):
             sample_dither(0, RandomState(0))
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+    def test_counts_must_be_integers(self, entry, bad):
+        # one check for every count: a fraction once truncated silently
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            COUNT_ENTRIES[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+    def test_integral_float_count_accepted(self, entry):
+        a, b = COUNT_ENTRIES[entry](4.0), COUNT_ENTRIES[entry](4)
+        if entry.startswith("build_operator"):
+            assert (a.M, a.N, a.operator_id) == (b.M, b.N, b.operator_id)
+            assert type(a.M) is int and type(a.N) is int
+            a, b = a.A, b.A
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestProjectionSpec:
