@@ -209,8 +209,12 @@ def _selector(v):
         hbar = parse_map(v).hbar
     except ConfigError as e:
         return "be a catalog selector: %s" % e
-    if hbar == 0:  # a constant map gives every signal the same embedding
-        return "not be constant, got %s" % v
+    # hbar^4 divides the Hoeffding bounds; a constant map (hbar = 0) gives
+    # every signal the same embedding.  Products, unlike **, cannot raise
+    # OverflowError.
+    square = hbar * hbar
+    if not 0.0 < square * square < math.inf:
+        return "have a positive, finite hbar^4, got %s" % v
 
 
 # value rule of each config key, for every entry of a list key

@@ -8,11 +8,12 @@ the library consumes is the *folded* one-sided power spectrum
 so that Parseval reads  sum_k P_k = int_0^1 h(t)^2 dt  and the squared-
 distance map of an embedding built on h saturates at 2 * sum_{k>=1} P_k.
 
-Each map states its spectrum once, through one protocol: ``series`` is the
+Each map has one spectrum, ``power_coeffs()``, computed on first use: the
 closed-form infinite series of the square wave and the sawtooth (a
-``HarmonicSeries``, None for every other kind), and ``power_coeffs(tol)``
-is the finite, certified ``PowerSpectrum`` of any map.  The summation
-engine of ``uemb.theory`` reads both alike: ``dc_power``, ``ac_power``,
+``HarmonicSeries``), the declared terms of a mixture, and the certified
+finite ``PowerSpectrum`` of a quantized kind, whose unlisted power is at
+most ``SPECTRUM_TOL`` times the larger of its total and 1.  The engine of
+``uemb.theory`` reads every kind alike: ``dc_power``, ``ac_power``,
 ``tail_bound`` and ``blocks()``, ascending (hi, k, P_k, power above hi).
 Quantizer levels are computed in one place, ``_quantize_values``.
 
@@ -42,6 +43,11 @@ SQRT2 = math.sqrt(2.0)
 # Hard ceiling on the number of retained harmonics in a certified spectrum.
 KMAX_CAP = 2 ** 16
 
+# A quantized kind's spectrum lists harmonics until the power above them is
+# at most SPECTRUM_TOL * max(total power, 1).  Relative to a map's power,
+# a faint map is not certified empty, nor a strong one uncertifiable.
+SPECTRUM_TOL = 5e-4
+
 # Last harmonic a HarmonicSeries' blocks reach.
 _K_CAP = 1 << 21
 
@@ -54,7 +60,7 @@ _MAP_BLOCK = 1 << 15
 
 
 class SpectrumToleranceError(RuntimeError):
-    """Requested spectrum tail tolerance is unreachable within the kmax cap."""
+    """A piecewise-constant spectrum's tail tolerance is unreachable within KMAX_CAP."""
 
 
 def _frac(t, out=None):
@@ -80,9 +86,9 @@ class PowerSpectrum:
     """Certified folded power spectrum of a periodic map.
 
     ``k`` and ``power`` hold the nonzero coefficients (k ascending, k=0 is
-    the DC power when present).  ``tail_bound`` bounds the power above the
-    largest retained harmonic, so total_power = sum(power) + tail_bound up
-    to the certification tolerance.  ``dc_power``, ``ac_power`` (k >= 1,
+    the DC power when present).  ``tail_bound`` bounds the power of the
+    unlisted harmonics, so the map's total power is sum(power) + tail_bound
+    up to rounding.  ``dc_power``, ``ac_power`` (k >= 1,
     without the tail) and the one block of ``blocks()`` are derived once;
     which harmonics carry the tail is unknown, so no power lies above it.
     """
@@ -90,7 +96,6 @@ class PowerSpectrum:
     k: np.ndarray
     power: np.ndarray
     tail_bound: float
-    total_power: float
     dc_power: float = field(init=False)
     ac_power: float = field(init=False)
 
@@ -169,7 +174,7 @@ class PeriodicMap:
         self.params = dict(params)
         self.value_range = (float(value_range[0]), float(value_range[1]))
         self._pieces = None
-        self._spectrum_cache = {}
+        self._spectrum = None
 
     @property
     def is_binary(self):
@@ -253,26 +258,18 @@ class PeriodicMap:
 
     # -- spectrum -----------------------------------------------------------
 
-    @property
-    def series(self):
-        """HarmonicSeries of square/sawtooth; None for finite spectra."""
-        return _SERIES.get(self.kind)
+    def power_coeffs(self):
+        """The map's folded power spectrum, computed on first use.
 
-    def power_coeffs(self, tol):
-        """Folded power spectrum with certified tail_bound <= tol.
-
-        The series truncated at the first harmonic whose tail is <= tol
-        for square/sawtooth; the declared terms for mixtures; piecewise-
-        exact Fourier integrals for the (piecewise-constant) quantized
-        kinds.  Raises SpectrumToleranceError when the tolerance would
-        require more than KMAX_CAP harmonics.
+        The closed-form ``HarmonicSeries`` for square/sawtooth; the declared
+        terms for mixtures; piecewise-exact Fourier integrals for the
+        (piecewise-constant) quantized kinds, certified to SPECTRUM_TOL.
+        Raises SpectrumToleranceError when that tolerance would require
+        more than KMAX_CAP harmonics.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        key = float(tol)
-        if key not in self._spectrum_cache:
-            self._spectrum_cache[key] = _compute_spectrum(self, tol)
-        return self._spectrum_cache[key]
+        if self._spectrum is None:
+            self._spectrum = _compute_spectrum(self)
+        return self._spectrum
 
     def constant_pieces(self):
         """(t0, t1, value) tiles of [0,1) for piecewise-constant kinds."""
@@ -536,38 +533,27 @@ def _cell_crossings(inner, bits):
 # Spectra
 
 
-def _compute_spectrum(map_, tol):
-    series = map_.series
-    if series is not None:
-        ks, powers = series.powers(1, KMAX_CAP)
-        tails = series.ac_power - np.cumsum(powers)
-        idx = np.nonzero(tails <= tol)[0]
-        if len(idx) == 0:
-            raise SpectrumToleranceError(
-                "%s tail %g > tol %g at kmax cap" % (map_.kind, tails[-1], tol)
-            )
-        m = idx[0] + 1
-        k, p = ks[:m], powers[:m]
-        if series.dc_power:
-            k, p = np.concatenate(([0], k)), np.concatenate(([series.dc_power], p))
-        return PowerSpectrum(
-            k, p, max(float(tails[m - 1]), 0.0), series.dc_power + series.ac_power
-        )
+def _compute_spectrum(map_):
+    if map_.kind in _SERIES:
+        return _SERIES[map_.kind]
     if map_.kind == "mixture":
         terms = map_.params["terms"]
         k = np.array([kk for kk, _ in terms], dtype=np.int64)
         p = np.array([a * a / 2.0 for _, a in terms])
-        return PowerSpectrum(k, p, 0.0, float(np.sum(p)))
-    return _pieces_spectrum(map_.constant_pieces(), tol)
+        return PowerSpectrum(k, p, 0.0)
+    return _pieces_spectrum(map_.constant_pieces())
 
 
-def _pieces_spectrum(pieces, tol):
+def _pieces_spectrum(pieces):
     """Exact Fourier integrals of a piecewise-constant map, per piece.
 
     For a constant v on [a, b):  H_k = v (e^{-2 pi i k a} - e^{-2 pi i k b})
     / (2 pi i k).  The pieces are contiguous, so each piece's b is the next
     one's a and e^{-2 pi i k t} is evaluated once per break.  The tail is
     certified through Parseval: total power is the exact sum of v^2 (b - a).
+    The first block is always summed, and blocks are added until the tail
+    is at most SPECTRUM_TOL * max(total, 1).  Coefficients below 1e-15 of
+    the total are left out and their power added to the tail.
     """
     t0 = np.array([a for a, _, _ in pieces])
     t1 = np.array([b for _, b, _ in pieces])
@@ -576,16 +562,12 @@ def _pieces_spectrum(pieces, tol):
     total = float(np.sum(vals ** 2 * (t1 - t0)))
     dc = float(np.sum(vals * (t1 - t0))) ** 2
 
+    tol = SPECTRUM_TOL * max(total, 1.0)
     blocks = []
     running = dc
     kmax = 0
     block = 2048
-    tail = max(total - running, 0.0)
-    while tail > tol:
-        if kmax >= KMAX_CAP:
-            raise SpectrumToleranceError(
-                "piecewise spectrum tail %g > tol %g at kmax cap" % (tail, tol)
-            )
+    while True:
         n = min(block, KMAX_CAP - kmax)
         ks = np.arange(kmax + 1, kmax + n + 1, dtype=np.int64)
         e = np.exp(-2j * np.pi * np.outer(ks, edges))
@@ -596,13 +578,18 @@ def _pieces_spectrum(pieces, tol):
         kmax += n
         block = min(block * 2, 16384)
         tail = max(total - running, 0.0)
+        if tail <= tol:
+            break
+        if kmax >= KMAX_CAP:
+            raise SpectrumToleranceError(
+                "piecewise spectrum tail %g > tol %g at kmax cap" % (tail, tol)
+            )
 
     ks = np.arange(1, kmax + 1, dtype=np.int64)
-    powers = np.concatenate(blocks) if blocks else np.zeros(0)
-    floor = 1e-15 * max(total, 1.0)
+    powers = np.concatenate(blocks)
+    floor = 1e-15 * total
     keep = powers > floor
     k = np.concatenate(([0], ks[keep])) if dc > floor else ks[keep]
     p = np.concatenate(([dc], powers[keep])) if dc > floor else powers[keep]
-    # dropped sub-floor coefficients are folded into the certified tail
     dropped = float(np.sum(powers[~keep])) + (0.0 if dc > floor else dc)
-    return PowerSpectrum(k, p, tail + dropped, total)
+    return PowerSpectrum(k, p, tail + dropped)

@@ -8,17 +8,17 @@ spectrum {P_k} and projected-distance characteristic function phi is
 its kernel is K(d) = sum_{k>=0} P_k phi(2 pi k | d), and the two satisfy
 K(d) + g(d)/2 = sum_k P_k identically.  One summation engine evaluates
 both through S = sum_{k>=1} P_k phi(2 pi k | d), and the slope likewise,
-reading either kind of spectrum (see ``uemb.maps``) block by block: a
-closed-form ``series`` with adaptive truncation against its exact AC
-total, so the identity holds to rounding and g(0) = 0 exactly, and a
-certified ``power_coeffs`` spectrum as one block whose tail_bound enters
-the certified error.  The engine takes a whole grid of distances in one
-pass, each d stopping at its own block with the sum a lone d would get,
-bit for bit; a single d is a grid of one.  Inversion and the saturation
-radius D0 bisect by replaying: each engine pass evaluates the midpoints
-of a predicted run of halvings, and the steps whose bracket was predicted
-are taken, so the result is the one-midpoint-at-a-time loop's, bit for
-bit, in a fraction of its engine passes.
+reading the map's one spectrum, ``power_coeffs()`` (see ``uemb.maps``),
+block by block: a closed-form series with adaptive truncation against its
+exact AC total, so the identity holds to rounding and g(0) = 0 exactly,
+and a finite spectrum as one block whose tail_bound enters the certified
+error.  The engine takes a whole grid of distances in one pass, each d
+stopping at its own block with the sum a lone d would get, bit for bit; a
+single d is a grid of one.  Inversion and the saturation radius D0
+bisect by replaying: each engine pass evaluates the midpoints of a
+predicted run of halvings, and the steps whose bracket was predicted are
+taken, so the result is the one-midpoint-at-a-time loop's, bit for bit,
+in a fraction of its engine passes.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -42,9 +42,6 @@ from .randproj import ProjectionSpec, _distance, _distances
 _SQRT2 = math.sqrt(2.0)
 
 SATURATION_FRACTION = 0.95
-
-# default certification tolerance for spectra of quantized (numeric) kinds
-DEFAULT_NUMERIC_SPECTRUM_TOL = 5e-4
 
 
 def _li2(x):
@@ -214,7 +211,7 @@ class DistanceMapModel:
         self.map = map_
         self.spec = spec
         self.flavor = flavor
-        self._spectrum = map_.series or map_.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+        self._spectrum = map_.power_coeffs()
         self._d0 = None
 
     # -- raw curves ---------------------------------------------------------
@@ -422,7 +419,7 @@ def universal_binary_map(d, sigma, Delta):
     acc = 0.0
     c = (math.pi * s) ** 2 / 2.0
     # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly
-    for hi, k, powers, above in make_square_wave().series.blocks():
+    for hi, k, powers, above in make_square_wave().power_coeffs().blocks():
         acc += float((2.0 * powers) @ np.exp(-c * k * k))
         rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2) if c * (hi + 1) ** 2 < 700 else 0.0
         if rem <= 1e-14 * max(acc, 1e-3):
@@ -512,15 +509,18 @@ def check_subadditivity(g, eps, delta, grid, slack=1e-9):
 class BoundReport:
     """Failure-probability upper bound.
 
-    ``probability`` is clamped to [0, 1]; ``vacuous`` marks bounds that
-    cannot certify anything (>= 1).  ``extras`` carries derived constants
-    (r, c1, ...).
+    ``probability`` is clamped to [0, 1].  ``extras`` carries derived
+    constants (r, c1, ...).
     """
 
     probability: float
     exponent: float
-    vacuous: bool
     extras: dict = field(default_factory=dict)
+
+    @property
+    def vacuous(self):
+        """True for a bound that cannot certify anything (probability >= 1)."""
+        return self.probability >= 1.0
 
 
 def _clamped_prob(lead, exponent):
@@ -558,7 +558,7 @@ def pointcloud_bound(Q, M, eps, hbar, flavor):
         expo = math.log(Q) - 2.0 * M * eps ** 2 / hbar ** 4
         lead = 2.0
     prob = _clamped_prob(lead, expo)
-    return BoundReport(probability=prob, exponent=expo, vacuous=prob >= 1.0)
+    return BoundReport(probability=prob, exponent=expo)
 
 
 def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
@@ -580,7 +580,6 @@ def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
     return BoundReport(
         probability=prob,
         exponent=expo,
-        vacuous=prob >= 1.0,
         extras={"r": r, "eps_inflation": alpha},
     )
 
@@ -613,7 +612,6 @@ def discontinuous_extension_bound(E_r_half, M, w_value, c, P_T, T_max, P_F, c0):
     return BoundReport(
         probability=prob,
         exponent=expo,
-        vacuous=prob >= 1.0,
         extras={"c1": c1, "no_decay": c1 >= w_value},
     )
 

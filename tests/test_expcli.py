@@ -515,6 +515,12 @@ class TestCli:
               ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n"),
               ("map-eval", "kind = map_eval\nd_count = 5\n")]
           for amp in ("0", "1e200")],
+        # hbar^4 underflows to 0 or overflows
+        *[(command, text + "map = mixture:1:%s\n" % amp, "map")
+          for command, text in [
+              ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"),
+              ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n")]
+          for amp in ("1e-100", "1e154")],
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
@@ -522,7 +528,8 @@ class TestCli:
             "bounds-n_list", "bounds-calculator", "map_eval-multibit-0", "map_eval-multibit-17",
             "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0",
             "design-constant", "design-power-inf", "quant-constant", "quant-power-inf",
-            "map_eval-constant", "map_eval-power-inf"])
+            "map_eval-constant", "map_eval-power-inf", "design-hbar4-zero",
+            "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
         # when the config is parsed: before the output directory is made

@@ -1,5 +1,6 @@
 """Map catalog: evaluation conventions, codomains, and certified spectra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from uemb import maps
 from uemb.maps import (
     _MAP_BLOCK,
+    _SERIES,
     KMAX_CAP,
     SpectrumToleranceError,
     _bounded_min,
@@ -86,16 +88,20 @@ class TestSquareWave:
 
     def test_spectrum_values(self):
         # folded power: DC 1/4, P_k = 2/(pi k)^2 for odd k, 0 for even
-        sp = make_square_wave().power_coeffs(2e-6)
-        assert sp.k[0] == 0 and sp.power[0] == pytest.approx(0.25)
-        assert sp.k[1] == 1 and sp.power[1] == pytest.approx(2.0 / math.pi ** 2)
-        assert 2 not in set(sp.k.tolist())
-        # total AC power 1/4 within 1e-8 (plus certified tail)
-        assert sp.ac_power + sp.tail_bound == pytest.approx(0.25, abs=1e-8)
+        sp = make_square_wave().power_coeffs()
+        assert sp is _SERIES["square"] and sp.dc_power == 0.25
+        ks, powers = sp.powers(1, 9)
+        assert ks.tolist() == [1, 3, 5, 7, 9]
+        assert powers[0] == pytest.approx(2.0 / math.pi ** 2)
+        assert all(np.all(k % 2 == 1) for _, k, _, _ in sp.blocks())
 
     def test_total_power(self):
-        sp = make_square_wave().power_coeffs(2e-6)
-        assert sp.total_power == pytest.approx(0.5)
+        # DC plus every harmonic is int h^2 = 1/2; the blocks reach 2^21,
+        # leaving about 1/(pi^2 2^21) above them
+        sp = make_square_wave().power_coeffs()
+        assert sp.dc_power + sp.ac_power == 0.5 and sp.tail_bound == 0.0
+        listed = sum(float(np.sum(p)) for _, _, p, _ in sp.blocks())
+        assert sp.dc_power + listed == pytest.approx(0.5, abs=1e-7)
 
 
 class TestSawtooth:
@@ -111,16 +117,19 @@ class TestSawtooth:
         assert saw.hbar == pytest.approx(SQRT2)
 
     def test_spectrum(self):
-        sp = make_sawtooth().power_coeffs(2e-6)
-        assert sp.k[0] == 1
-        assert sp.power[0] == pytest.approx(1.0 / math.pi ** 2)
-        assert sp.power[4] == pytest.approx(1.0 / (5 * math.pi) ** 2)
-        # asymptote constant of the distance map: 2 sum P_k = 1/3
-        assert 2 * (sp.ac_power + sp.tail_bound) == pytest.approx(1.0 / 3.0, abs=1e-5)
+        sp = make_sawtooth().power_coeffs()
+        assert sp is _SERIES["sawtooth"] and sp.dc_power == 0.0
+        ks, powers = sp.powers(1, 5)
+        assert ks.tolist() == [1, 2, 3, 4, 5]
+        assert powers[0] == pytest.approx(1.0 / math.pi ** 2)
+        assert powers[4] == pytest.approx(1.0 / (5 * math.pi) ** 2)
 
     def test_parseval_value(self):
-        sp = make_sawtooth().power_coeffs(2e-6)
-        assert sp.total_power == pytest.approx(1.0 / 6.0)
+        # sum P_k = int h^2 = 1/6, so the distance map's asymptote is 1/3
+        sp = make_sawtooth().power_coeffs()
+        assert sp.ac_power == pytest.approx(1.0 / 6.0) and sp.tail_bound == 0.0
+        listed = sum(float(np.sum(p)) for _, _, p, _ in sp.blocks())
+        assert listed == pytest.approx(1.0 / 6.0, abs=1e-6)
 
 
 class TestMixture:
@@ -130,14 +139,14 @@ class TestMixture:
 
     def test_spectrum_support_equals_frequencies(self):
         mix = make_fourier_mixture([(3, 0.5), (7, 1.25)])
-        sp = mix.power_coeffs(1e-9)
+        sp = mix.power_coeffs()
         assert sp.k.tolist() == [3, 7]
         assert sp.power[0] == pytest.approx(0.5 ** 2 / 2)
         assert sp.power[1] == pytest.approx(1.25 ** 2 / 2)
         assert sp.tail_bound == 0.0
 
     def test_single_tone(self):
-        sp = make_fourier_mixture([(1, 1.0)]).power_coeffs(1e-9)
+        sp = make_fourier_mixture([(1, 1.0)]).power_coeffs()
         assert sp.k.tolist() == [1]
 
     def test_empty_rejected(self):
@@ -160,7 +169,7 @@ class TestMixture:
             with pytest.raises(ValueError, match="power"):
                 make_fourier_mixture(terms)
         mix = make_fourier_mixture([(1, 1e154)])
-        assert math.isfinite(mix.power_coeffs(1e-9).ac_power)
+        assert math.isfinite(mix.power_coeffs().ac_power)
 
 
 def scipy_min(f, a, b, maxiter=500):
@@ -481,45 +490,27 @@ class TestInPlaceEvaluation:
 
 class TestSpectra:
     def test_parseval_across_catalog(self):
+        # DC, AC and the certified tail add up to int h^2
         for name, m, tol in catalog():
-            sp = m.power_coeffs(tol)
-            power = oracle_power(m)
-            err = abs(float(np.sum(sp.power)) + sp.tail_bound - power)
+            sp = m.power_coeffs()
+            err = abs(sp.dc_power + sp.ac_power + sp.tail_bound - oracle_power(m))
             assert err <= 2 * tol, (name, err)
 
     def test_spectrum_invariants(self):
-        for name, m, tol in catalog():
-            sp = m.power_coeffs(tol)
-            assert np.all(sp.power >= 0), name
-            assert np.all(np.diff(sp.k) > 0), name
+        for name, m, _ in catalog():
+            sp = m.power_coeffs()
+            last = 0
+            for hi, k, p, above in itertools.islice(sp.blocks(), 3):
+                assert np.all(p >= 0) and above >= 0, name
+                assert k[0] > last and np.all(np.diff(k) > 0) and k[-1] <= hi, name
+                last = hi
             assert sp.tail_bound >= 0, name
 
-    def test_square_kmax_from_tail(self):
-        # tail of sum over odd k of 2/(pi k)^2 is ~ 1/(pi^2 kmax)
-        sp = make_square_wave().power_coeffs(1e-5)
-        kmax = int(sp.k[-1])
-        assert 0.25 - sp.ac_power <= 1e-5
-        assert kmax <= math.ceil(1.0 / (math.pi ** 2 * 1e-5)) + 2
-
-    def test_tolerance_unreachable_raises(self):
+    def test_tolerance_unreachable_raises(self, monkeypatch):
+        monkeypatch.setattr(maps, "SPECTRUM_TOL", 1e-12)
         with pytest.raises(SpectrumToleranceError):
-            make_sawtooth().power_coeffs(1e-12)
+            _pieces_spectrum(make_multibit(3).constant_pieces())
         assert KMAX_CAP == 2 ** 16
-
-    def test_power_coeffs_read_the_series(self):
-        # the certified spectrum is the closed-form series, bit for bit
-        for m in (make_square_wave(), make_sawtooth()):
-            series = m.series
-            for tol in (1e-3, 2e-6):
-                sp = m.power_coeffs(tol)
-                ac = sp.k >= 1
-                ks, powers = series.powers(1, int(sp.k[-1]))
-                np.testing.assert_array_equal(sp.k[ac], ks)
-                np.testing.assert_array_equal(sp.power[ac], powers)
-                assert sp.dc_power == series.dc_power
-                assert sp.total_power == series.dc_power + series.ac_power
-        assert make_multibit(2).series is None
-        assert make_fourier_mixture(FIG3_TERMS).series is None
 
     def test_pieces_spectrum_equals_per_piece_integrals(self):
         # one exp per break gives the bits of two exps per piece
@@ -542,21 +533,21 @@ class TestSpectra:
         mix = make_fourier_mixture(FIG3_TERMS)
         for m in (make_square_wave(), make_multibit(3), quantize_map(mix, 1),
                   quantize_map(mix, 3)):
-            sp = _pieces_spectrum(m.constant_pieces(), 5e-4)
-            want = ref(m.constant_pieces(), 5e-4)
+            sp = _pieces_spectrum(m.constant_pieces())
+            want = ref(m.constant_pieces(), maps.SPECTRUM_TOL)
             ac = sp.k >= 1
             assert sp.power[ac].tobytes() == want[sp.k[ac] - 1].tobytes(), m.name
 
     def test_caching(self):
         m = make_square_wave()
-        assert m.power_coeffs(1e-5) is m.power_coeffs(1e-5)
+        assert m.power_coeffs() is m.power_coeffs()
 
     def test_power_spectrum_validation(self):
         from uemb.maps import PowerSpectrum
 
         with pytest.raises(ValueError):
-            PowerSpectrum(np.array([1]), np.array([-0.1]), 0.0, 1.0)
+            PowerSpectrum(np.array([1]), np.array([-0.1]), 0.0)
         with pytest.raises(ValueError):
-            PowerSpectrum(np.array([2, 1]), np.array([0.1, 0.1]), 0.0, 1.0)
+            PowerSpectrum(np.array([2, 1]), np.array([0.1, 0.1]), 0.0)
         with pytest.raises(ValueError):
-            PowerSpectrum(np.array([1]), np.array([0.1]), -1e-9, 1.0)
+            PowerSpectrum(np.array([1]), np.array([0.1]), -1e-9)

@@ -13,8 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uemb
-from uemb import theory
+from uemb import maps, theory
+from uemb.expcli.config import parse_map
 from uemb.maps import (
+    HarmonicSeries,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -23,7 +25,6 @@ from uemb.maps import (
 )
 from uemb.randproj import ProjectionSpec, RandomState, char_fn
 from uemb.theory import (
-    DEFAULT_NUMERIC_SPECTRUM_TOL,
     SATURATION_FRACTION,
     DistanceMapModel,
     _phi_sum,
@@ -88,10 +89,9 @@ class TestDistanceMap:
     def test_uncertified_spectrum_raises(self, monkeypatch):
         # quantized kinds need a certified spectrum; an unreachable tolerance
         # propagates as the spectrum error
-        from uemb import theory
         from uemb.maps import SpectrumToleranceError
 
-        monkeypatch.setattr(theory, "DEFAULT_NUMERIC_SPECTRUM_TOL", 1e-12)
+        monkeypatch.setattr(maps, "SPECTRUM_TOL", 1e-12)
         q = quantize_map(make_fourier_mixture(FIG3), 3)
         with pytest.raises(SpectrumToleranceError):
             DistanceMapModel(q, ProjectionSpec("gaussian", 1.0))
@@ -115,7 +115,7 @@ class TestSummationEngine:
     def test_finite_g_is_the_listed_sum(self):
         # g of a finite spectrum is 2 max(ac - sum_k P_k phi_k, 0) over power_coeffs
         for m in self.FINITE:
-            sp = m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+            sp = m.power_coeffs()
             ac = sp.k >= 1
             ks, p = sp.k[ac].astype(np.float64), sp.power[ac]
             ac_power = float(np.sum(p))
@@ -128,12 +128,12 @@ class TestSummationEngine:
     def test_error_carries_tail_bound(self):
         spec = ProjectionSpec("gaussian", 0.3)
         for m in self.FINITE[1:]:
-            sp = m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+            sp = m.power_coeffs()
             assert sp.tail_bound > 0
             # one block with nothing above it: the error is the tail itself
             _, err = _phi_sum(sp, spec, np.array([1e-6, 0.1, 5.0]))
             assert np.all(err == sp.tail_bound)
-        series = make_sawtooth().series
+        series = make_sawtooth().power_coeffs()
         ks, p = series.powers(1, 1 << 20)
         s, err = _phi_sum(series, spec, np.array([1e-3, 0.1]))
         for d, s_d, err_d in zip((1e-3, 0.1), s, err):
@@ -158,7 +158,7 @@ class TestSummationEngine:
     def test_value_inf_is_each_flavor_asymptote(self, m):
         spec = ProjectionSpec("gaussian", 0.7)
         g_inf = DistanceMapModel(m, spec).g_inf
-        spectrum = m.series or m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+        spectrum = m.power_coeffs()
         want = {"sq_l2": g_inf, "sqrt": math.sqrt(g_inf), "kernel": spectrum.dc_power}
         for flavor, v in want.items():
             got = DistanceMapModel(m, spec, flavor=flavor).value_inf
@@ -170,12 +170,47 @@ class TestSummationEngine:
         # S_hat and err of a grid, from tiny d (the series runs to its cap)
         # to saturation, equal a plain-float loop over the blocks at each d
         spec = ProjectionSpec(family, 0.7)
-        sp = m.series or m.power_coeffs(DEFAULT_NUMERIC_SPECTRUM_TOL)
+        sp = m.power_coeffs()
         ds = np.geomspace(1e-9, 1e2, 23)
         s, err = _phi_sum(sp, spec, ds)
         got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), err.tolist())]
         ref = [scalar_phi_sum(sp, spec, d) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
+
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_power_coeffs_is_the_spectrum_the_model_sums(self, m, monkeypatch):
+        # one spectrum per map: computed once, on first use, and summed by
+        # every model of the map
+        fresh = parse_map(m.name)
+        computed, summed = [], []
+        compute, phi_sum = maps._compute_spectrum, theory._phi_sum
+        monkeypatch.setattr(maps, "_compute_spectrum",
+                            lambda map_: computed.append(map_) or compute(map_))
+        monkeypatch.setattr(theory, "_phi_sum",
+                            lambda sp, *args: summed.append(sp) or phi_sum(sp, *args))
+        for family in ("gaussian", "cauchy"):
+            DistanceMapModel(fresh, ProjectionSpec(family, 0.7)).g(0.5)
+        sp = fresh.power_coeffs()
+        assert computed == [fresh]
+        assert len(summed) == 2 and all(s is sp for s in summed)
+        if m.kind in ("square", "sawtooth"):
+            assert sp is maps._SERIES[m.kind]
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_quantized_curve_scales_with_power(self, family):
+        # the spectrum's tolerance and floor are relative to the map's power,
+        # so Q_3(a h) lists the harmonics of Q_3(h) and its curve is a^2 times
+        # that one: not 0 for a faint map, not an error for a strong one
+        spec = ProjectionSpec(family, 0.7)
+        ds = np.geomspace(1e-3, 1e2, 25)
+        for terms in ([(1, 1.0)], FIG3):
+            ref = DistanceMapModel(quantize_map(make_fourier_mixture(terms), 3), spec)
+            want = ref.curve(ds)
+            for a in (1e-8, 0.01, 100.0, 1e4):
+                scaled = make_fourier_mixture([(k, a * b) for k, b in terms])
+                model = DistanceMapModel(quantize_map(scaled, 3), spec)
+                np.testing.assert_allclose(model.curve(ds), a * a * want, rtol=1e-10)
+                assert model.g_inf == pytest.approx(a * a * ref.g_inf, rel=1e-10)
 
     def test_tiny_d_curve_memory_is_bounded(self):
         # 500 distances that each run the series to its cap: phi is built in
@@ -499,7 +534,8 @@ class TestBisectionReplay:
         # 80 ms a value below 1e-4, where its sum runs to the harmonic cap,
         # so its draws start there
         model = replay_model(i, family, flavor)
-        low = -4.0 if model.map.series else math.log10(TINY_D_SCALE) - 6.0
+        series = isinstance(model.map.power_coeffs(), HarmonicSeries)
+        low = -4.0 if series else math.log10(TINY_D_SCALE) - 6.0
         u = 10.0 ** (low + frac * (math.log10(3.0) - low))
         target = model.value(u / model.spec.scale) * nudge
         got = model.invert(target, rel_tol)
