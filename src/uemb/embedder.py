@@ -229,14 +229,17 @@ _HEADER = struct.Struct("<4sHHIQ")
 def save_embeddings(path, vectors):
     """Write embeddings to the UEMB container; bit-exact round trip.
 
-    The payload is one count x M array: binary {0,1} embeddings are packed
-    8 per byte along each row (flag bit 0), everything else is raw float64.
+    The payload is one count x M array, M >= 1: binary {0,1} embeddings are
+    packed 8 per byte along each row (flag bit 0), everything else is raw
+    float64.
     """
     vectors = list(vectors)
     if vectors:
         M = vectors[0].values.size
         map_id = vectors[0].map_id
         for v in vectors:
+            if v.values.ndim != 1 or v.values.size == 0:
+                raise ValueError("each embedding must be a 1-D array of at least one value")
             if v.values.size != M or v.map_id != map_id:
                 raise ValueError("all embeddings in one file must share M and map_id")
         packed = all(v.binary for v in vectors)

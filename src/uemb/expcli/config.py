@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from ..maps import (
     _MAX_QUANTIZER_BITS,
+    SpectrumToleranceError,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -206,15 +207,20 @@ def _one_of(*choices):
 
 def _selector(v):
     try:
-        hbar = parse_map(v).hbar
+        map_ = parse_map(v)
     except ConfigError as e:
         return "be a catalog selector: %s" % e
     # hbar^4 divides the Hoeffding bounds; a constant map (hbar = 0) gives
     # every signal the same embedding.  Products, unlike **, cannot raise
     # OverflowError.
-    square = hbar * hbar
+    square = map_.hbar * map_.hbar
     if not 0.0 < square * square < math.inf:
         return "have a positive, finite hbar^4, got %s" % v
+    # every kind with a map key draws its theory curve from the spectrum
+    try:
+        map_.power_coeffs()
+    except (SpectrumToleranceError, ValueError) as e:
+        return "have a certified spectrum: %s" % e
 
 
 # value rule of each config key, for every entry of a list key

@@ -52,6 +52,13 @@ SPECTRUM_TOL = 5e-4
 _K_CAP = 1 << 21
 
 _MAX_QUANTIZER_BITS = 40  # quantize_map's finest B
+# A quantized sawtooth has 2^B pieces: B of a multibit map, and of a
+# sawtooth whose constant pieces are listed, is at most this.
+_MAX_SAWTOOTH_BITS = 16
+
+# Complex exponentials in one block of a piecewise spectrum (2^22 complex128
+# is 64 MiB): a block of more harmonics x breaks is built in row chunks.
+_SPECTRUM_BLOCK = 1 << 22
 
 
 # Elements per block of map evaluation (2^15 float64 is 256 KiB); the
@@ -379,7 +386,7 @@ def make_multibit(bits):
     Pointwise identical to quantize_map(make_sawtooth(), B), whose codomain
     it takes; kept as its own kind so the selector name survives.
     """
-    q = quantize_map(make_sawtooth(), _check_bits(bits, 16))
+    q = quantize_map(make_sawtooth(), _check_bits(bits, _MAX_SAWTOOTH_BITS))
     return PeriodicMap("multibit", q.params, q.value_range)
 
 
@@ -498,6 +505,9 @@ def _constant_pieces(map_):
     inner, bits = map_.params["inner"], map_.params["B"]
     if inner.kind == "sawtooth":
         # the sawtooth is linear: its cells end at the exact dyadics j/2^B
+        if bits > _MAX_SAWTOOTH_BITS:
+            raise ValueError("a quantized sawtooth has 2^B pieces: B must be at most %d "
+                             "to list them, got %d" % (_MAX_SAWTOOTH_BITS, bits))
         breaks = np.arange(2 ** bits + 1) / 2 ** bits
     elif inner.kind == "mixture":
         breaks = _cell_crossings(inner, bits)
@@ -510,7 +520,12 @@ def _constant_pieces(map_):
 
 
 def _cell_crossings(inner, bits):
-    """Quantizer-cell boundaries of a smooth inner map, located by bisection."""
+    """Quantizer-cell boundaries of a smooth inner map, located by bisection.
+
+    Each change of cell between neighbouring points of a 2^-15 grid is one
+    crossing; ValueError where two neighbours lie more than one cell apart,
+    as some cell between them would be lost.
+    """
 
     def cell(t):
         return _quantize_values(inner(t), inner.value_range, bits)
@@ -518,7 +533,12 @@ def _cell_crossings(inner, bits):
     n = 1 << 15
     grid = np.arange(n + 1) / n
     c = cell(grid)
-    i = np.nonzero(np.diff(c) != 0)[0]
+    jump = np.abs(np.diff(c))
+    lo, hi = inner.value_range
+    if np.any(jump > 1.5 * (hi - lo) / 2 ** bits):
+        raise ValueError("%s has quantizer cells narrower than the 2^-15 crossing grid "
+                         "at B=%d" % (inner.name, bits))
+    i = np.nonzero(jump)[0]
     # all crossings at once: each keeps a in the cell of its left grid point
     a, b, ca = grid[i], grid[i + 1], c[i]
     for _ in range(60):
@@ -551,6 +571,8 @@ def _pieces_spectrum(pieces):
     / (2 pi i k).  The pieces are contiguous, so each piece's b is the next
     one's a and e^{-2 pi i k t} is evaluated once per break.  The tail is
     certified through Parseval: total power is the exact sum of v^2 (b - a).
+    A block of more than _SPECTRUM_BLOCK exponentials is built in chunks of
+    harmonics, each within that size.
     The first block is always summed, and blocks are added until the tail
     is at most SPECTRUM_TOL * max(total, 1).  Coefficients below 1e-15 of
     the total are left out and their power added to the tail.
@@ -567,12 +589,16 @@ def _pieces_spectrum(pieces):
     running = dc
     kmax = 0
     block = 2048
+    rows = max(1, _SPECTRUM_BLOCK // len(edges))  # harmonics per chunk
     while True:
         n = min(block, KMAX_CAP - kmax)
         ks = np.arange(kmax + 1, kmax + n + 1, dtype=np.int64)
-        e = np.exp(-2j * np.pi * np.outer(ks, edges))
-        hk = (e[:, :-1] - e[:, 1:]) @ vals / (2j * np.pi * ks)
-        pw = 2.0 * np.abs(hk) ** 2
+        pw = np.empty(n)
+        for i in range(0, n, rows):
+            k = ks[i:i + rows]
+            e = np.exp(-2j * np.pi * np.outer(k, edges))
+            hk = (e[:, :-1] - e[:, 1:]) @ vals / (2j * np.pi * k)
+            pw[i:i + rows] = 2.0 * np.abs(hk) ** 2
         blocks.append(pw)
         running += float(np.sum(pw))
         kmax += n

@@ -169,15 +169,14 @@ def sample_dither(M, rs):
 def char_fn(spec, xi, d):
     """phi_l(xi | d), the characteristic function of the projected distance.
 
-    d is one distance or an array of them, broadcast against xi.  A scalar
-    xi squares through pow, as numpy's scalar ** 2 does, so each entry of an
-    array d has the bits of its own scalar call.
+    d is one distance or an array of them, broadcast against xi.  The
+    exponent is squared by np.square at a scalar and an array xi alike, so
+    each entry of an array d or xi has the bits of its own scalar call.
     """
     d = _distances(d).reshape(np.shape(d))
     xi = np.asarray(xi, dtype=np.float64)
     if spec.family == "gaussian":
-        x = spec.scale * d * xi
-        out = np.exp(-0.5 * (np.float_power(x, 2.0) if xi.ndim == 0 else x ** 2))
+        out = np.exp(-0.5 * np.square(spec.scale * d * xi))
     else:
         out = np.exp(-spec.scale * d * np.abs(xi))
     if out.ndim == 0:

@@ -61,24 +61,12 @@ def _li2(x):
 # row longer than a block is evaluated alone.
 _PHI_BLOCK = 1 << 15
 
-def _pow2(x, out):
-    """x ** 2 through pow, which is how char_fn squares at a scalar xi.
 
-    A numpy scalar's ** 2 calls pow, whose result can differ from x * x
-    (what an array's ** 2 computes) in the last bit.
-    """
-    return np.float_power(x, 2.0, out=out)
-
-
-def _phi(spec, ds, xi, square=np.square):
-    """char_fn on the grid ds x xi, bit for bit, without its check of d.
-
-    ``square`` squares the gaussian exponent in place: np.square as
-    char_fn does for an array xi, _pow2 as it does for a scalar one.
-    """
+def _phi(spec, ds, xi):
+    """char_fn on the grid ds x xi, bit for bit, without its check of d."""
     if spec.family == "gaussian":
         out = np.multiply(spec.scale, ds)[:, None] * xi
-        square(out, out=out)
+        np.square(out, out=out)
         np.multiply(out, -0.5, out=out)
     else:
         out = np.multiply(-spec.scale, ds)[:, None] * xi
@@ -100,22 +88,22 @@ def _dots(spec, ds, xi, powers):
     return out
 
 
-def _phi_sum(spectrum, spec, ds, rtol=1e-12):
+def _phi_sum(spectrum, spec, ds):
     """S = sum_{k>=1} P_k phi(2 pi k | d) at each of ds, with certified errors.
 
     ds is a 1-D array of distances checked by ``_distances``.  Returns
     arrays (S_hat, err) with |S - S_hat| <= err.  Each d sums the blocks in
     order, as a scalar loop would, and stops at its own block: phi is
     nonincreasing in k for both families, so the power above a block adds
-    at most rem = above * phi(2 pi (hi+1) | d), and once that is negligible
-    half of it goes into S_hat and half into err, with the tail_bound (on
-    unknown harmonics).  At d = 0, phi is 1 and S is ac_power exactly.
+    at most rem = above * phi(2 pi (hi+1) | d), and once that is 1e-12 of
+    max(S, ac_power / 1000) or less, half of it goes into S_hat and half
+    into err, with the tail_bound.  At d = 0, S is ac_power exactly.
     """
     if np.count_nonzero(ds) < len(ds):
         s_hat = np.full(len(ds), spectrum.ac_power)
         err = np.full(len(ds), spectrum.tail_bound)
         pos = ds > 0.0
-        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos], rtol)
+        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos])
         return s_hat, err
     s_hat, err = np.empty(len(ds)), np.empty(len(ds))
     rows, d, s = slice(None), ds, 0.0  # the rows still summing, their d and sums
@@ -125,17 +113,17 @@ def _phi_sum(spectrum, spec, ds, rtol=1e-12):
         if not above:  # nothing above this block, as for a finite spectrum
             s_hat[rows], err[rows] = s, spectrum.tail_bound
             break
-        rem = above * _phi(spec, d, 2.0 * np.pi * (hi + 1), _pow2)[:, 0]
+        rem = above * _phi(spec, d, 2.0 * np.pi * (hi + 1))[:, 0]
         # every row's estimate so far: a row that stops here keeps it
         s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
-        keep = rem > rtol * np.maximum(s, floor)
+        keep = rem > 1e-12 * np.maximum(s, floor)
         rows, d, s = np.arange(len(ds))[rows][keep], d[keep], s[keep]
         if not len(d):
             break
     return s_hat, err
 
 
-def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
+def _phi_deriv_sum(spectrum, spec, d):
     """sum_{k>=1} P_k |d phi(2 pi k | d) / dd|; positive, equals g'(d)/2."""
     gaussian = spec.family == "gaussian"
     if gaussian and d == 0.0:
@@ -153,7 +141,7 @@ def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
         else:
             contrib = float(powers @ (spec.scale * np.abs(xi) * phi))
         s += contrib
-        if hi >= 2 * k_peak and contrib <= rtol * max(s, 1e-300):
+        if hi >= 2 * k_peak and contrib <= 1e-10 * max(s, 1e-300):
             break
     return s
 
@@ -169,7 +157,7 @@ def _phi_deriv_sum(spectrum, spec, d, rtol=1e-10):
 _LADDER, _PATH = 16, 6
 
 
-def _halvings(lo, hi, steps, rel_tol, max_steps, root, n):
+def _halvings(lo, hi, rel_tol, root, n):
     """Brackets of up to n bisection steps from (lo, hi) toward ``root``.
 
     The path DistanceMapModel._bisect takes if its root is at ``root``:
@@ -177,7 +165,7 @@ def _halvings(lo, hi, steps, rel_tol, max_steps, root, n):
     bisection stops.  The first bracket is (lo, hi) unless it stops there.
     """
     path = []
-    while len(path) < n and hi - lo > rel_tol * max(hi, 1e-300) and steps != max_steps:
+    while len(path) < n and hi - lo > rel_tol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -186,7 +174,6 @@ def _halvings(lo, hi, steps, rel_tol, max_steps, root, n):
             hi = mid
         else:
             lo = mid
-        steps += 1
     return path
 
 
@@ -290,11 +277,11 @@ class DistanceMapModel:
         if self.flavor == "kernel":
             raise ValueError("kernel flavor is decreasing; use sq_l2 or sqrt")
 
-    def _bisect(self, target, hi, rel_tol=0.0, max_steps=None):
+    def _bisect(self, target, hi, rel_tol=0.0):
         """(lo, hi) from [0, hi] with value(lo) < target <= value(hi).
 
-        Halves until within rel_tol of hi, after max_steps halvings, or once
-        the midpoint equals an end, after which no halving moves either end.
+        Halves until within rel_tol of hi or until the midpoint equals an
+        end: at rel_tol = 0, lo and hi end as adjacent floats.
 
         The halvings are replayed from engine passes.  Each pass predicts
         the next brackets (``_halvings`` toward a guessed root), evaluates
@@ -307,13 +294,13 @@ class DistanceMapModel:
         bracket, so (lo, hi) is that of halving one midpoint at a time, bit
         for bit, also where the curve is not monotone.
         """
-        lo, steps, n = 0.0, 0, _LADDER
+        lo, n = 0.0, _LADDER
         v_lo, v_hi = 0.0, None  # value(0) is 0 for the monotone flavors
         while True:
             root = lo
             if v_hi is not None and v_hi > v_lo:
                 root = lo + (target - v_lo) * (hi - lo) / (v_hi - v_lo)
-            path = _halvings(lo, hi, steps, rel_tol, max_steps, root, n)
+            path = _halvings(lo, hi, rel_tol, root, n)
             if not path:
                 return lo, hi
             mids = [0.5 * (a + b) for a, b in path]
@@ -326,7 +313,6 @@ class DistanceMapModel:
                     hi, v_hi = mid, v
                 else:
                     lo, v_lo = mid, v
-                steps += 1
             n = _PATH
 
     @property
@@ -342,15 +328,10 @@ class DistanceMapModel:
                 hi *= 2.0
             else:
                 raise RuntimeError("saturation radius not bracketed")
-            _, self._d0 = self._bisect(target, hi, max_steps=100)
-            self._check_monotone_grid()
+            _, self._d0 = self._bisect(target, hi)
+            if np.any(np.diff(self.curve(np.linspace(0.0, self._d0, 65))) < -1e-12):
+                raise RuntimeError("distance map is not monotone on [0, D0]")
         return self._d0
-
-    def _check_monotone_grid(self, n=65, slack=1e-12):
-        ds = np.linspace(0.0, self._d0, n)
-        vals = self.curve(ds)
-        if np.any(np.diff(vals) < -slack):
-            raise RuntimeError("distance map is not monotone on [0, D0]")
 
     def invert(self, gval, rel_tol=1e-10):
         """(d, status): the signal distance with value(d) = gval.
@@ -421,7 +402,7 @@ def universal_binary_map(d, sigma, Delta):
     # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly
     for hi, k, powers, above in make_square_wave().power_coeffs().blocks():
         acc += float((2.0 * powers) @ np.exp(-c * k * k))
-        rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2) if c * (hi + 1) ** 2 < 700 else 0.0
+        rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2)
         if rem <= 1e-14 * max(acc, 1e-3):
             break
     acc += rem / 2.0

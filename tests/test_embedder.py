@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uemb.embedder import (
+    EmbeddingVector,
     FormatError,
     _embed_matrix,
     build_operator,
@@ -405,6 +406,15 @@ class TestPersistence:
         p = tmp_path / "empty.uemb"
         save_embeddings(p, [])
         assert load_embeddings(p) == []
+
+    # load_embeddings refuses vectors of length 0, and a 2 x 3 array would
+    # reload as one vector of length 6: neither is written
+    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))], ids=["empty", "2-D"])
+    def test_unloadable_values_not_saved(self, tmp_path, values):
+        p = tmp_path / "bad.uemb"
+        with pytest.raises(ValueError, match="1-D array of at least one value"):
+            save_embeddings(p, [EmbeddingVector(values, "m") for _ in range(3)])
+        assert not p.exists()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.uemb"

@@ -521,6 +521,15 @@ class TestCli:
               ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"),
               ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n")]
           for amp in ("1e-100", "1e154")],
+        # spectra that cannot be certified: a tail past the harmonic cap,
+        # cells finer than the crossing grid, a sawtooth of 2^17 pieces
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:mixture:400:1:B=1\n",
+         "map"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
+         "map = quantized:mixture:400:1:B=1\n", "map"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:mixture:1:1:B=14\n",
+         "map"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:sawtooth:B=17\n", "map"),
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
@@ -529,7 +538,8 @@ class TestCli:
             "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0",
             "design-constant", "design-power-inf", "quant-constant", "quant-power-inf",
             "map_eval-constant", "map_eval-power-inf", "design-hbar4-zero",
-            "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf"])
+            "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf", "map_eval-tail-cap",
+            "design-tail-cap", "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
         # when the config is parsed: before the output directory is made

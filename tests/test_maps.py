@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,23 @@ class TestInPlaceEvaluation:
                 msg = "%s B=%d" % (terms, bits)
                 np.testing.assert_array_equal(bit_pattern(got), bit_pattern(want), msg)
 
+    def test_cell_crossings_refuse_cells_finer_than_grid(self):
+        # sin(2 pi t) has 2 (2^B - 1) pieces; from B = 14 its steepest cells
+        # are narrower than a grid step, and neighbours skip a cell
+        sine = make_fourier_mixture([(1, 1.0)])
+        assert len(quantize_map(sine, 13).constant_pieces()) == 2 * (2 ** 13 - 1)
+        for bits in (14, 15, 40):
+            with pytest.raises(ValueError, match="crossing grid"):
+                quantize_map(sine, bits).constant_pieces()
+
+    def test_sawtooth_pieces_refused_above_16_bits(self):
+        # 2^B pieces: refused before any break is allocated
+        assert len(quantize_map(make_sawtooth(), 16).constant_pieces()) == 2 ** 16
+        for m in (quantize_map(make_sawtooth(), 17), quantize_map(make_sawtooth(), 40),
+                  quantize_map(quantize_map(make_sawtooth(), 17), 2)):
+            with pytest.raises(ValueError, match="at most 16"):
+                m.power_coeffs()
+
 
 class TestSpectra:
     def test_parseval_across_catalog(self):
@@ -537,6 +555,23 @@ class TestSpectra:
             want = ref(m.constant_pieces(), maps.SPECTRUM_TOL)
             ac = sp.k >= 1
             assert sp.power[ac].tobytes() == want[sp.k[ac] - 1].tobytes(), m.name
+
+    def test_large_blocks_built_in_row_chunks(self, monkeypatch):
+        # chunks of rows give the same powers to rounding, in a fraction of
+        # the memory of one 2048 x 257 block of exponentials (8.4 MB)
+        pieces = make_multibit(8).constant_pieces()
+        whole = _pieces_spectrum(pieces)
+        monkeypatch.setattr(maps, "_SPECTRUM_BLOCK", 1 << 12)
+        tracemalloc.start()
+        try:
+            chunked = _pieces_spectrum(pieces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        np.testing.assert_array_equal(chunked.k, whole.k)
+        np.testing.assert_allclose(chunked.power, whole.power, rtol=1e-9)
+        assert chunked.tail_bound == pytest.approx(whole.tail_bound, rel=1e-9)
 
     def test_caching(self):
         m = make_square_wave()

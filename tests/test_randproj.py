@@ -216,6 +216,10 @@ class TestCharFn:
             np.testing.assert_array_equal(
                 char_fn(spec, xi, ds).view(np.uint64),
                 np.array([char_fn(spec, xi, d) for d in ds]).view(np.uint64))
+        # a scalar xi squares as a one-entry array does, at a d where pow
+        # and x * x round the square apart
+        d = float.fromhex("0x1.1451eb851eb85p+2")
+        assert char_fn(spec, 2.0, d) == char_fn(spec, np.array([2.0]), d)[0]
         # an array xi broadcasts against an array d
         xi = np.array([1.0, 2.0, 3.0])
         assert char_fn(spec, xi, [[0.5], [1.0]]).shape == (2, 3)

@@ -461,10 +461,10 @@ class TestInversion:
         assert abs(d0_rt - target) / target < 0.05
 
 
-def scalar_bisect(model, target, hi, rel_tol=0.0, max_steps=None):
+def scalar_bisect(model, target, hi, rel_tol=0.0):
     """Reference bisection: one lone value(mid) per halving."""
-    lo, steps = 0.0, 0
-    while hi - lo > rel_tol * max(hi, 1e-300) and steps != max_steps:
+    lo = 0.0
+    while hi - lo > rel_tol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -472,7 +472,6 @@ def scalar_bisect(model, target, hi, rel_tol=0.0, max_steps=None):
             hi = mid
         else:
             lo = mid
-        steps += 1
     return lo, hi
 
 
@@ -482,7 +481,7 @@ def scalar_d0(model):
     hi = 1.0 / model.spec.scale
     while model.value(hi) < target:
         hi *= 2.0
-    return scalar_bisect(model, target, hi, max_steps=100)[1]
+    return scalar_bisect(model, target, hi)[1]
 
 
 def scalar_invert(model, gval, rel_tol):
@@ -517,6 +516,17 @@ class TestBisectionReplay:
             spec = ProjectionSpec(family, 0.7)
             ref = scalar_d0(DistanceMapModel(m, spec, flavor=flavor))
             assert DistanceMapModel(m, spec, flavor=flavor).D0.hex() == ref.hex(), m.name
+
+    def test_d0_is_the_smallest_saturated_float(self):
+        # harmonic 1e15 saturates near d = 1e-15: the bisection from
+        # hi = 1 takes over 100 halvings, and D0 is still the first float
+        # whose value reaches the target
+        model = DistanceMapModel(parse_map("mixture:1000000000000000:1"),
+                                 ProjectionSpec("gaussian", 1.0))
+        target = SATURATION_FRACTION * model.value_inf
+        d0 = model.D0
+        assert model.value(d0) >= target
+        assert model.value(math.nextafter(d0, 0.0)) < target
 
     @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
