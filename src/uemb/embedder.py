@@ -9,8 +9,8 @@ shapes (M=256, N=64 and M=128, N=32 measured) OpenBLAS rounds a row by the
 rows batched with it, so embed, embed_batch and a split batch can differ
 in the last bit: smooth maps show it, the square wave hides it.
 
-A batch of n signals allocates one n x M float64 array: the GEMM writes
-into it chunk by chunk, the dither is added and the map applied in place.
+A batch of n signals allocates one n x M float64 array: one GEMM writes
+it, the dither is added and the map applied in place.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .maps import (
     make_square_wave,
 )
 from .randproj import ProjectionSpec, sample_dither, sample_projection
-
-_CHUNK_ROWS = 4096
 
 MAGIC = b"UEMB"
 FORMAT_VERSION = 1
@@ -122,20 +120,10 @@ def build_universal_operator(family, scale, Delta, bits, M, N, rs):
 def _project_rows(op, X):
     """X @ A.T + w through a fixed >=2-row GEMM path (see module docstring).
 
-    Each GEMM of two or more rows writes straight into its rows of the
-    result; only a one-row chunk goes through a padded two-row product.
+    Two or more rows (or none) are one GEMM; one row goes through a
+    padded two-row product and keeps its first row.
     """
-    n = X.shape[0]
-    out = np.empty((n, op.M))
-    At = op.A.T
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        block = X[lo:hi]
-        if hi - lo == 1:
-            padded = np.concatenate([block, block], axis=0) @ At
-            out[lo:hi] = padded[:1]
-        else:
-            np.matmul(block, At, out=out[lo:hi])
+    out = ((np.concatenate([X, X]) if len(X) == 1 else X) @ op.A.T)[:len(X)]
     out += op.w
     return out
 

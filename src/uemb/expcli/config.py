@@ -8,7 +8,8 @@ e.g. ``square``, ``multibit:B=2``, ``mixture:1:0.7071,10:0.7071``,
 
 Each kind's keys, types and defaults (``SCHEMAS``) and each key's value
 rule (``_RULES``) are stated here once; an ``ExperimentConfig`` is checked
-against them when it is made, however it is made, before any output.
+against them when it is made, however it is made, before any output; the
+map a ``map`` key names is built and certified there, once, for the run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..maps import (
     make_square_wave,
     quantize_map,
 )
-from ..randproj import FAMILIES
+from ..randproj import FAMILIES, MAX_ELEMENTS
 from ..theory import POINTCLOUD_FLAVORS
 
 # Fig-3-style default design map: sin(2 pi t) + sin(20 pi t), scaled.
@@ -205,22 +206,23 @@ def _one_of(*choices):
     return _rule(lambda v: v in choices, "be one of %s" % ", ".join(choices))
 
 
-def _selector(v):
+def _checked_map(selector):
     try:
-        map_ = parse_map(v)
+        map_ = parse_map(selector)
     except ConfigError as e:
-        return "be a catalog selector: %s" % e
+        raise ConfigError("map must be a catalog selector: %s" % e) from None
     # hbar^4 divides the Hoeffding bounds; a constant map (hbar = 0) gives
     # every signal the same embedding.  Products, unlike **, cannot raise
     # OverflowError.
     square = map_.hbar * map_.hbar
     if not 0.0 < square * square < math.inf:
-        return "have a positive, finite hbar^4, got %s" % v
+        raise ConfigError("map must have a positive, finite hbar^4, got %s" % selector)
     # every kind with a map key draws its theory curve from the spectrum
     try:
         map_.power_coeffs()
     except (SpectrumToleranceError, ValueError) as e:
-        return "have a certified spectrum: %s" % e
+        raise ConfigError("map must have a certified spectrum: %s" % e) from None
+    return map_
 
 
 # value rule of each config key, for every entry of a list key
@@ -238,7 +240,7 @@ _RULES = {
     "variant": _one_of("mixture", "universal"),
     "calculator": _one_of("pointcloud", "binary_infinite", "ball_crossing"),
     "flavor": _one_of(*POINTCLOUD_FLAVORS),
-    "map": _selector,
+    "log_grid": _within(0, 1),
 }
 
 
@@ -253,11 +255,14 @@ class ExperimentConfig:
     """Declarative description of one simulation run.
 
     Made with every key of its kind (a missing one at its default), each
-    value checked by its type and rule: a fault is "<key> must ...".
+    value checked by its type and rule: a fault is "<key> must ...".  The
+    map a ``map`` key names, as that check built it, is kept as ``map``
+    (else None) for the runner; ``params["map"]`` stays the selector.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
+    map: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         schema = _schema(self.kind)
@@ -280,7 +285,13 @@ class ExperimentConfig:
             params[key] = list(value) if typ in _LISTS else value  # a list of its own
         if self.kind == "map_eval" and params["log_grid"] and params["d_min"] <= 0:
             raise ConfigError("d_min must be positive on a log grid, got %s" % params["d_min"])
+        for key in ("M", "m_list", "rate_list") if "N" in params else ():  # the M-list
+            M = params.get(key, 0) if key == "M" else max(params.get(key, [0]))
+            if M * params["N"] > MAX_ELEMENTS:  # randproj's cap on one M x N projection
+                raise ConfigError("%s must keep M x N within %d elements, got %d x %d"
+                                  % (key, MAX_ELEMENTS, M, params["N"]))
         self.params = params
+        self.map = _checked_map(params["map"]) if "map" in params else None
 
     def __getitem__(self, key):
         return self.params[key]

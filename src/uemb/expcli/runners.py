@@ -8,7 +8,8 @@ parameters.  Each scatter cell goes through ``_embedded_pairs``, which
 builds the cell's operator and embeds its signal pairs once, as one value
 matrix; quant-sim quantizes that matrix in place.  Every CSV a runner
 writes goes through ``_emit``, which also records its path in the
-result's "files".
+result's "files".  A map key's map is ``cfg.map``, built and certified
+once, by the config check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..theory import (
     universal_binary_map,
     universal_binary_map_l1,
 )
-from .config import ConfigError, emit_csv, parse_map
+from .config import ConfigError, emit_csv
 
 
 class DatasetError(RuntimeError):
@@ -104,7 +105,7 @@ def _fmt(v):
 def run_design_sim(cfg, out_dir):
     """Unquantized designed-map scatter vs theory (two projection scales)."""
     _check_config(cfg, "design_sim")
-    map_ = parse_map(cfg["map"])
+    map_ = cfg.map
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     summary_rows = []
@@ -142,7 +143,7 @@ def run_quantization_sim(cfg, out_dir):
     variant = cfg["variant"]
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
-    base_map = parse_map(cfg["map"]) if variant == "mixture" else make_sawtooth()
+    base_map = cfg.map if variant == "mixture" else make_sawtooth()
     summary_rows = []
     files = []
     for bits in cfg["b_list"]:
@@ -322,7 +323,7 @@ def run_bounds_sweep(cfg, out_dir):
 def run_map_eval(cfg, out_dir):
     """Distance/kernel curves of one map, with bounds for binary universal."""
     _check_config(cfg, "map_eval")
-    map_ = parse_map(cfg["map"])
+    map_ = cfg.map
     is_binary_universal = map_.kind == "square" and cfg["scale"] == 0.0
     if cfg["scale"] > 0:
         scale = cfg["scale"]

@@ -112,6 +112,8 @@ class TestConfigParsing:
         cfg = ExperimentConfig("map_eval", {"d_count": 5})
         assert cfg.params == make_config("map_eval", d_count=5).params
         assert cfg["map"] == "square" and cfg.seed == 0
+        assert cfg.map.name == "square"
+        assert make_config("bounds_sweep", calculator="pointcloud").map is None
         # each config owns its lists: the schema's defaults stay as they are
         make_config("design_sim")["sigma_list"].append(9.0)
         assert make_config("design_sim", sigma_list=(0.3,))["sigma_list"] == [0.3]
@@ -530,6 +532,12 @@ class TestCli:
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:mixture:1:1:B=14\n",
          "map"),
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:sawtooth:B=17\n", "map"),
+        # projections past randproj.MAX_ELEMENTS, and a grid flag other than 0 or 1
+        ("design-sim", "kind = design_sim\nN = 20000\nM = 20000\nsigma_list = 0.3\n", "M"),
+        ("scatter", "kind = universal_scatter\nN = 70000\nm_list = 2048\n", "m_list"),
+        ("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16,3000000\n",
+         "rate_list"),
+        ("map-eval", "kind = map_eval\nd_count = 5\nlog_grid = 7\n", "log_grid"),
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
@@ -539,7 +547,9 @@ class TestCli:
             "design-constant", "design-power-inf", "quant-constant", "quant-power-inf",
             "map_eval-constant", "map_eval-power-inf", "design-hbar4-zero",
             "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf", "map_eval-tail-cap",
-            "design-tail-cap", "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17"])
+            "design-tail-cap", "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
+            "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
+            "map_eval-log_grid-7"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
         # when the config is parsed: before the output directory is made
@@ -549,6 +559,21 @@ class TestCli:
         assert rc == 2
         assert "%s must" % key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,text", [
+        ("map-eval", "kind = map_eval\nd_count = 5\nmap = multibit:B=4\n"),
+        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
+         "map = quantized:%s:B=3\n" % DEFAULT_MIXTURE),
+    ], ids=["map_eval-multibit", "design-quantized"])
+    def test_run_certifies_its_map_once(self, tmp_path, monkeypatch, command, text):
+        # the runner uses the map the config check built and certified
+        calls = []
+        spectrum = uemb.maps._pieces_spectrum
+        monkeypatch.setattr(uemb.maps, "_pieces_spectrum",
+                            lambda pieces: calls.append(1) or spectrum(pieces))
+        cfg = self._write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(
