@@ -257,7 +257,9 @@ class ExperimentConfig:
     Made with every key of its kind (a missing one at its default), each
     value checked by its type and rule: a fault is "<key> must ...".  The
     map a ``map`` key names, as that check built it, is kept as ``map``
-    (else None) for the runner; ``params["map"]`` stays the selector.
+    for the runner; ``params["map"]`` stays the selector.  ``map`` is None
+    for a kind without that key and for quant-sim's universal variant,
+    which never builds it.
     """
 
     kind: str
@@ -291,7 +293,9 @@ class ExperimentConfig:
                 raise ConfigError("%s must keep M x N within %d elements, got %d x %d"
                                   % (key, MAX_ELEMENTS, M, params["N"]))
         self.params = params
-        self.map = _checked_map(params["map"]) if "map" in params else None
+        # quant-sim's universal variant runs the sawtooth, not its map key's map
+        uses_map = "map" in params and params.get("variant") != "universal"
+        self.map = _checked_map(params["map"]) if uses_map else None
 
     def __getitem__(self, key):
         return self.params[key]

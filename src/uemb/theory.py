@@ -18,7 +18,9 @@ single d is a grid of one.  Inversion and the saturation radius D0
 bisect by replaying: each engine pass evaluates the midpoints of a
 predicted run of halvings, and the steps whose bracket was predicted are
 taken, so the result is the one-midpoint-at-a-time loop's, bit for bit,
-in a fraction of its engine passes.
+in a fraction of its engine passes.  Every inversion's first pass is the
+same ladder D0/2, ..., D0/2^16, so a model evaluates it once, on its
+first inversion, and keeps it beside D0.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import make_square_wave
+from .maps import HarmonicSeries, make_square_wave
 from .randproj import ProjectionSpec, _distance, _distances
 
 _SQRT2 = math.sqrt(2.0)
@@ -124,9 +126,16 @@ def _phi_sum(spectrum, spec, ds):
 
 
 def _phi_deriv_sum(spectrum, spec, d):
-    """sum_{k>=1} P_k |d phi(2 pi k | d) / dd|; positive, equals g'(d)/2."""
+    """sum_{k>=1} P_k |d phi(2 pi k | d) / dd|; positive, equals g'(d)/2.
+
+    At d = 0 a Gaussian sum of finitely many terms has slope 0, and a
+    series P_k = c / (pi k)^2 on k = 1, 1 + step, ... the limit of its
+    Riemann sum, 2 c scale / (step sqrt(2 pi)).
+    """
     gaussian = spec.family == "gaussian"
     if gaussian and d == 0.0:
+        if isinstance(spectrum, HarmonicSeries):
+            return 2.0 * spectrum.c * spec.scale / (spectrum.step * math.sqrt(2.0 * math.pi))
         return 0.0
     k_peak = 1.0 / (math.pi * spec.scale * d * _SQRT2) if gaussian else 1.0
     s = 0.0
@@ -200,6 +209,7 @@ class DistanceMapModel:
         self.flavor = flavor
         self._spectrum = map_.power_coeffs()
         self._d0 = None
+        self._ladder = None  # (path, (mids, values)) of invert's first pass
 
     # -- raw curves ---------------------------------------------------------
 
@@ -277,6 +287,12 @@ class DistanceMapModel:
         if self.flavor == "kernel":
             raise ValueError("kernel flavor is decreasing; use sq_l2 or sqrt")
 
+    def _midpoint_values(self, path):
+        """(mids, values) at the midpoints of the brackets, from one engine pass."""
+        mids = [0.5 * (a + b) for a, b in path]
+        s, _ = _phi_sum(self._spectrum, self.spec, np.array(mids))
+        return mids, self._flavored(s, self.flavor).tolist()
+
     def _bisect(self, target, hi, rel_tol=0.0):
         """(lo, hi) from [0, hi] with value(lo) < target <= value(hi).
 
@@ -289,10 +305,12 @@ class DistanceMapModel:
         true bracket is the predicted one: up to and including the first
         step that goes the other way.  The guess is the secant through the
         bracket's ends, with value(0) = 0; while value(hi) is unknown it is
-        lo, so the path is the ladder hi/2, hi/4, ...  Each midpoint gets
-        the bits a lone value(mid) gets and each step is decided on the true
-        bracket, so (lo, hi) is that of halving one midpoint at a time, bit
-        for bit, also where the curve is not monotone.
+        lo, so the path is the ladder hi/2, hi/4, ...  A pass whose path is
+        that of the model's kept ladder (see ``invert``) reads its values
+        from there.  Each midpoint gets the bits a lone value(mid) gets and
+        each step is decided on the true bracket, so (lo, hi) is that of
+        halving one midpoint at a time, bit for bit, also where the curve is
+        not monotone.
         """
         lo, n = 0.0, _LADDER
         v_lo, v_hi = 0.0, None  # value(0) is 0 for the monotone flavors
@@ -303,9 +321,10 @@ class DistanceMapModel:
             path = _halvings(lo, hi, rel_tol, root, n)
             if not path:
                 return lo, hi
-            mids = [0.5 * (a + b) for a, b in path]
-            s, _ = _phi_sum(self._spectrum, self.spec, np.array(mids))
-            vals = self._flavored(s, self.flavor).tolist()
+            if self._ladder is not None and path == self._ladder[0]:
+                mids, vals = self._ladder[1]
+            else:
+                mids, vals = self._midpoint_values(path)
             for bracket, mid, v in zip(path, mids, vals):
                 if bracket != (lo, hi):
                     break
@@ -338,6 +357,11 @@ class DistanceMapModel:
 
         status is "unique", "saturated" (gval at or past 95% of the
         asymptote; d is D0) or "below_range" (gval < 0; d is 0).
+
+        The bisection starts from (0, D0) and its first engine pass is the
+        ladder D0/2, ..., D0/2^16 whatever gval and rel_tol are (lo = 0 and
+        rel_tol < 1 never stop it).  The model evaluates that pass on its
+        first inversion and replays every later one from it, bit for bit.
         """
         self._require_monotone_flavor()
         if not math.isfinite(gval):
@@ -351,6 +375,9 @@ class DistanceMapModel:
             return d0, "saturated"
         if gval == 0.0:
             return 0.0, "unique"
+        if self._ladder is None:
+            path = _halvings(0.0, d0, 0.0, 0.0, _LADDER)
+            self._ladder = (path, self._midpoint_values(path))
         lo, hi = self._bisect(gval, d0, rel_tol)
         return 0.5 * (lo + hi), "unique"
 

@@ -575,6 +575,20 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
+    def test_universal_quant_sim_builds_no_map(self, tmp_path, monkeypatch):
+        # the universal variant runs the sawtooth: its map key's map, here
+        # one whose spectrum cannot be certified, is neither built nor refused
+        calls = []
+        spectrum = uemb.maps._pieces_spectrum
+        monkeypatch.setattr(uemb.maps, "_pieces_spectrum",
+                            lambda pieces: calls.append(1) or spectrum(pieces))
+        text = ("kind = quantization_sim\nvariant = universal\nN = 16\nM = 32\n"
+                "pairs = 4\nmap = quantized:mixture:400:1:B=1\n")
+        cfg = self._write(tmp_path, text)
+        assert main(["quant-sim", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
+        assert parse_config(cfg).map is None
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(
             tmp_path,

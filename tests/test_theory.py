@@ -584,6 +584,28 @@ class TestBisectionReplay:
                 assert [(d.hex(), s) for d, s in got] == [(d.hex(), s) for d, s in ref]
         assert 3 * replay_calls <= ref_calls
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_ladder_evaluated_once_per_model(self, family, monkeypatch):
+        # every inversion's first pass is D0/2, ..., D0/2^16: over 20
+        # inversions of one model those 16 rows reach the engine once
+        engine, rows = theory._phi_sum, []
+
+        def counted(spectrum, spec, ds):
+            rows.extend(ds.tolist())
+            return engine(spectrum, spec, ds)
+
+        scale = 0.5
+        model = DistanceMapModel(make_multibit(4), ProjectionSpec(family, scale))
+        d0 = model.D0
+        targets = model.curve(np.logspace(-9.0, 2.0, 200)[::10] / scale).tolist()
+        monkeypatch.setattr(theory, "_phi_sum", counted)
+        got = [model.invert(g) for g in targets]
+        monkeypatch.setattr(theory, "_phi_sum", engine)
+        assert [rows.count(d0 / 2.0 ** i) for i in range(1, 17)] == [1] * 16
+        assert sum(status == "unique" for _, status in got) >= 10
+        ref = [scalar_invert(model, g, 1e-10) for g in targets]
+        assert [(d.hex(), s) for d, s in got] == [(d.hex(), s) for d, s in ref]
+
 
 class TestAmbiguity:
     def test_zero_errors_zero_ambiguity(self):
@@ -600,6 +622,19 @@ class TestAmbiguity:
         amb = ambiguity(model, d_w, eps, 0.0)
         slope = math.sqrt(2 / math.pi) * sigma / Delta
         assert amb == pytest.approx(eps / slope, rel=0.08)
+
+    def test_gaussian_series_slope_at_zero_is_its_limit(self):
+        # g'(0) of P_k = c / (pi k)^2 on k = 1, 1 + step, ... is
+        # 4 c scale / (step sqrt(2 pi)), the limit of g'(d); a finite sum's is 0
+        model = _square_model()
+        assert model.derivative(0.0) == pytest.approx(0.7978845608, rel=1e-9)
+        assert model.derivative(0.0) == pytest.approx(model.derivative(1e-6), rel=1e-9)
+        assert ambiguity(model, 0.0, 0.01, 0.0) == pytest.approx(0.012533141373155, rel=1e-12)
+        saw = DistanceMapModel(make_sawtooth(), ProjectionSpec("gaussian", 1.0))
+        assert saw.derivative(0.0) == pytest.approx(4.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
+        assert saw.derivative(0.0) == pytest.approx(saw.derivative(1e-6), rel=1e-5)
+        finite = DistanceMapModel(make_multibit(3), ProjectionSpec("gaussian", 1.0))
+        assert finite.derivative(0.0) == 0.0
 
     def test_saturated_is_infinite(self):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
