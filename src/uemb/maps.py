@@ -586,18 +586,21 @@ def _pieces_spectrum(pieces):
 
     where t_j are the pieces' left edges and J_j = v_j - v_{j-1} their
     cyclic jumps (v_{-1} is the last piece's value).  For a block's
-    harmonics k = k0 + Q p + q, q = 1..Q, the exponential is the product
-    of two tables: e^{-2 pi i (k0 + Q p) t_j}, one row per p, and the step
+    harmonics k = k0 + Q p + q, q = 1..Q, the exponential is the product of
+    two tables: e^{-2 pi i (k0 + Q p) t_j}, one row per p, and the step
     table J_j e^{-2 pi i q t_j}, built once.  A block of n harmonics and E
     breaks takes n E / Q exponentials, not n E; the sum over the breaks is
     ``np.einsum``, which uses no BLAS, so its bits do not depend on the
-    thread count.  Q is 64, halved while its table would hold more than
-    _SPECTRUM_BLOCK entries, and the rows are built in chunks within that
-    size too.  Each P_k agrees with the per-piece integrals (two
-    exponentials per piece) within 2.4e-15 of the total power: multibit at
-    B = 3, 4, 8 and 12 and the quantized design mixture at B = 1, 3 and 8,
-    and multibit at B = 4 and 12 out to k = 63488 under a tolerance of
-    2e-6.  The worst, 2.4e-15, is P_1 at B = 12.
+    thread count.  Q is 64: its step table of 64 E entries fits in
+    _SPECTRUM_BLOCK = 2^22, as E <= 2^16 (2^B pieces of a quantized
+    sawtooth, B <= 16; one break per step of a quantized mixture's 2^-15
+    crossing grid; quantizing a piecewise map keeps its breaks), and rows
+    are built in chunks within that size too.  Each P_k agrees with the
+    per-piece integrals (two exponentials per piece) within 2.4e-15 of the
+    total power: multibit at B = 3, 4, 8 and 12 and the quantized design
+    mixture at B = 1, 3 and 8, and multibit at B = 4 and 12 out to
+    k = 63488 under a tolerance of 2e-6.  The worst, 2.4e-15, is P_1 at
+    B = 12.
     The tail is certified through Parseval: total power is the exact sum of
     v^2 (b - a).  The first block is always summed, and blocks are added
     until the tail is at most SPECTRUM_TOL * max(total, 1).  Coefficients
@@ -612,8 +615,6 @@ def _pieces_spectrum(pieces):
     dc = float(np.sum(vals * (t1 - t0))) ** 2
 
     steps = 64
-    while steps > 1 and steps * len(t0) > _SPECTRUM_BLOCK:
-        steps //= 2
     step = _phases(np.arange(1, steps + 1), t0)
     step *= jumps
     rows = max(1, _SPECTRUM_BLOCK // len(t0))  # rows of k0 + Q p per chunk

@@ -7,20 +7,21 @@ spectrum {P_k} and projected-distance characteristic function phi is
 
 its kernel is K(d) = sum_{k>=0} P_k phi(2 pi k | d), and the two satisfy
 K(d) + g(d)/2 = sum_k P_k identically.  One summation engine evaluates
-both through S = sum_{k>=1} P_k phi(2 pi k | d), and the slope likewise,
-reading the map's one spectrum, ``power_coeffs()`` (see ``uemb.maps``),
-block by block: a closed-form series with adaptive truncation against its
-exact AC total, so the identity holds to rounding and g(0) = 0 exactly,
-and a finite spectrum as one block whose tail_bound enters the certified
-error.  The engine takes a whole grid of distances in one pass, each d
-stopping at its own block with the sum a lone d would get, bit for bit; a
-single d is a grid of one.  Inversion and the saturation radius D0
-bisect by replaying: each engine pass evaluates the midpoints of a
-predicted run of halvings, and the steps whose bracket was predicted are
-taken, so the result is the one-midpoint-at-a-time loop's, bit for bit,
-in a fraction of its engine passes.  Every inversion's first pass is the
-same ladder D0/2, ..., D0/2^16, so a model evaluates it once, on its
-first inversion, and keeps it beside D0.
+both through S = sum_{k>=1} P_k phi(2 pi k | d), and the slope g'(d) as
+2 sum_{k>=1} P_k |d phi(2 pi k | d) / dd|, reading the map's one
+spectrum, ``power_coeffs()`` (see ``uemb.maps``), block by block: a
+closed-form series with adaptive truncation against its exact AC total,
+so the identity holds to rounding and g(0) = 0 exactly, and a finite
+spectrum as one block whose tail_bound enters the certified error.  The
+engine takes a whole grid of distances in one pass, each d stopping at
+its own block with the sum a lone d would get, bit for bit; a single d
+is a grid of one.  Inversion and the saturation radius D0 bisect by
+replaying: each engine pass evaluates the midpoints of a predicted run
+of halvings, and the steps whose bracket was predicted are taken, so the
+result is the one-midpoint-at-a-time loop's, bit for bit, in a fraction
+of its engine passes.  Every inversion's first pass is the same ladder
+D0/2, ..., D0/2^16, so a model evaluates it once, on its first
+inversion, and keeps it beside D0.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -40,8 +41,6 @@ import numpy as np
 
 from .maps import HarmonicSeries, make_square_wave
 from .randproj import ProjectionSpec, _distance, _distances
-
-_SQRT2 = math.sqrt(2.0)
 
 SATURATION_FRACTION = 0.95
 
@@ -75,47 +74,63 @@ def _phi(spec, ds, xi):
     return np.exp(out, out=out)
 
 
-def _dots(spec, ds, xi, powers):
-    """powers . phi(xi | d) for each of ds, in phi blocks of _PHI_BLOCK elements.
+def _slope(spec, ds, xi):
+    """-d phi(xi | d) / dd on the grid ds x xi: phi (scale xi)^2 d for the
+    Gaussian family, phi scale xi for the Cauchy."""
+    sxi, out = np.multiply(spec.scale, xi), _phi(spec, ds, xi)
+    out *= sxi
+    if spec.family == "gaussian":
+        out *= sxi
+        out *= ds[:, None]
+    return out
+
+
+def _dots(spec, ds, xi, powers, term=_phi):
+    """powers . term(xi | d) for each of ds, in blocks of _PHI_BLOCK elements.
 
     Each row's dot product is its own (np.vecdot); a matrix-vector product
     would sum in another order.
     """
     rows = max(1, _PHI_BLOCK // max(len(xi), 1))
     if len(ds) <= rows:
-        return np.vecdot(_phi(spec, ds, xi), powers)
+        return np.vecdot(term(spec, ds, xi), powers)
     out = np.empty(len(ds))
     for i in range(0, len(ds), rows):
-        np.vecdot(_phi(spec, ds[i:i + rows], xi), powers, out=out[i:i + rows])
+        np.vecdot(term(spec, ds[i:i + rows], xi), powers, out=out[i:i + rows])
     return out
 
 
-def _phi_sum(spectrum, spec, ds):
-    """S = sum_{k>=1} P_k phi(2 pi k | d) at each of ds, with certified errors.
+def _phi_sum(spectrum, spec, ds, term=_phi):
+    """S = sum_{k>=1} P_k term(2 pi k | d) at each of ds, with certified errors.
 
-    ds is a 1-D array of distances checked by ``_distances``.  Returns
-    arrays (S_hat, err) with |S - S_hat| <= err.  Each d sums the blocks in
-    order, as a scalar loop would, and stops at its own block: phi is
-    nonincreasing in k for both families, so the power above a block adds
-    at most rem = above * phi(2 pi (hi+1) | d), and once that is 1e-12 of
-    max(S, ac_power / 1000) or less, half of it goes into S_hat and half
-    into err, with the tail_bound.  At d = 0, S is ac_power exactly.
+    ds is a 1-D array of distances checked by ``_distances``; term is
+    ``_phi`` or ``_slope`` (d > 0 only).  Returns arrays (S_hat, err) with
+    |S - S_hat| <= err.  Each d sums the blocks in order, as a scalar loop
+    would, and stops at its own block once rem = above * term(2 pi (hi+1) | d)
+    is 1e-12 of max(S, ac_power / 1000) or less; half of rem goes into S_hat
+    and half into err, with the tail_bound.  At d = 0, S is ac_power exactly.
+
+    rem bounds the rest where term falls in k: phi always, the slope past its
+    peak at 2 pi k scale d = sqrt 2 (Gaussian) or 1 (Cauchy).  Below the peak
+    rem >= S above / (ac_power - above), over 1e-12 S for a series before
+    _K_CAP, so only S < ac_power / 1000 can stop it there: a Gaussian series
+    at scale^2 d < ~1e-19, far below where _K_CAP already cuts its slope.
     """
     if np.count_nonzero(ds) < len(ds):
         s_hat = np.full(len(ds), spectrum.ac_power)
         err = np.full(len(ds), spectrum.tail_bound)
         pos = ds > 0.0
-        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos])
+        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos], term)
         return s_hat, err
     s_hat, err = np.empty(len(ds)), np.empty(len(ds))
     rows, d, s = slice(None), ds, 0.0  # the rows still summing, their d and sums
     floor = 1e-3 * spectrum.ac_power
     for hi, ks, powers, above in spectrum.blocks():
-        s = s + _dots(spec, d, 2.0 * np.pi * ks, powers)
+        s = s + _dots(spec, d, 2.0 * np.pi * ks, powers, term)
         if not above:  # nothing above this block, as for a finite spectrum
             s_hat[rows], err[rows] = s, spectrum.tail_bound
             break
-        rem = above * _phi(spec, d, 2.0 * np.pi * (hi + 1))[:, 0]
+        rem = above * term(spec, d, 2.0 * np.pi * (hi + 1))[:, 0]
         # every row's estimate so far: a row that stops here keeps it
         s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
         keep = rem > 1e-12 * np.maximum(s, floor)
@@ -123,36 +138,6 @@ def _phi_sum(spectrum, spec, ds):
         if not len(d):
             break
     return s_hat, err
-
-
-def _phi_deriv_sum(spectrum, spec, d):
-    """sum_{k>=1} P_k |d phi(2 pi k | d) / dd|; positive, equals g'(d)/2.
-
-    At d = 0 a Gaussian sum of finitely many terms has slope 0, and a
-    series P_k = c / (pi k)^2 on k = 1, 1 + step, ... the limit of its
-    Riemann sum, 2 c scale / (step sqrt(2 pi)).
-    """
-    gaussian = spec.family == "gaussian"
-    if gaussian and d == 0.0:
-        if isinstance(spectrum, HarmonicSeries):
-            return 2.0 * spectrum.c * spec.scale / (spectrum.step * math.sqrt(2.0 * math.pi))
-        return 0.0
-    k_peak = 1.0 / (math.pi * spec.scale * d * _SQRT2) if gaussian else 1.0
-    s = 0.0
-    for hi, ks, powers, above in spectrum.blocks():
-        if d == 0.0 and above:
-            # cauchy slope at 0 is sum_k P_k gamma 2 pi k: a 1/k^2 tail diverges
-            return math.inf
-        xi = 2.0 * np.pi * ks
-        phi = _phi(spec, np.array((d,)), xi)[0]
-        if gaussian:
-            contrib = float(powers @ ((spec.scale ** 2) * xi ** 2 * d * phi))
-        else:
-            contrib = float(powers @ (spec.scale * np.abs(xi) * phi))
-        s += contrib
-        if hi >= 2 * k_peak and contrib <= 1e-10 * max(s, 1e-300):
-            break
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +254,20 @@ class DistanceMapModel:
         return float(self._flavored(0.0, self.flavor))
 
     def derivative(self, d):
-        """Slope of the flavored curve (analytic series, not differences)."""
-        d = _distance(d)
-        gp = 2.0 * _phi_deriv_sum(self._spectrum, self.spec, d)
+        """Slope of the flavored curve from g'(d) = 2 sum_{k>=1} P_k |d phi / dd|:
+        the engine's sum at d > 0; at d = 0 a series P_k = c / (pi k)^2 on k = 1,
+        1 + step, ... has 4 c scale / (step sqrt(2 pi)) (Gaussian) or inf (Cauchy)."""
+        d, sp, spec = _distance(d), self._spectrum, self.spec
+        if d > 0.0:
+            s = _phi_sum(sp, spec, np.array((d,)), _slope)[0][0]
+        elif not isinstance(sp, HarmonicSeries):
+            (_, ks, powers, _), = sp.blocks()
+            s = _dots(spec, np.zeros(1), 2.0 * np.pi * ks, powers, _slope)[0]
+        elif spec.family == "gaussian":
+            s = 2.0 * sp.c * spec.scale / (sp.step * math.sqrt(2.0 * math.pi))
+        else:
+            s = math.inf
+        gp = 2.0 * float(s)
         if self.flavor == "sq_l2":
             return gp
         if self.flavor == "sqrt":
@@ -456,8 +452,10 @@ def universal_binary_map_l1(d, gamma, Delta):
 
 
 def ambiguity(model, d_W, eps, delta):
-    """(eps + delta d_W) / g'(d~) at d~ = invert(d_W); inf when saturated."""
-    _nonnegative_finite("eps and delta", eps, delta)
+    """(eps + delta d_W) / g'(d~) at d~ = invert(d_W); inf when saturated.
+
+    d_W, eps and delta are finite and >= 0, so the precision is >= 0 too."""
+    _nonnegative_finite("d_W, eps and delta", d_W, eps, delta)
     num = eps + delta * d_W
     d_est, status = model.invert(d_W)
     if status == "saturated":

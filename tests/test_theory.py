@@ -97,12 +97,20 @@ class TestDistanceMap:
             DistanceMapModel(q, ProjectionSpec("gaussian", 1.0))
 
 
-def scalar_phi_sum(spectrum, spec, d, rtol=1e-12):
+def slope_fn(spec, xi, d):
+    """-d char_fn(spec, xi, d) / dd in plain floats."""
+    sxi = spec.scale * xi
+    if spec.family == "gaussian":
+        return char_fn(spec, xi, d) * sxi * sxi * d
+    return char_fn(spec, xi, d) * sxi
+
+
+def scalar_phi_sum(spectrum, spec, d, term=char_fn, rtol=1e-12):
     """Reference (S_hat, err) at one d > 0: the blocks summed in plain floats."""
     s = 0.0
     for hi, ks, powers, above in spectrum.blocks():
-        s += float(powers @ char_fn(spec, 2.0 * np.pi * ks, d))
-        rem = above * char_fn(spec, 2.0 * np.pi * (hi + 1), d) if above else 0.0
+        s += float(powers @ term(spec, 2.0 * np.pi * ks, d))
+        rem = above * term(spec, 2.0 * np.pi * (hi + 1), d) if above else 0.0
         if rem <= rtol * max(s, 1e-3 * spectrum.ac_power):
             break
     return s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
@@ -164,18 +172,37 @@ class TestSummationEngine:
             got = DistanceMapModel(m, spec, flavor=flavor).value_inf
             assert type(got) is float and got.hex() == v.hex(), flavor
 
+    @pytest.mark.parametrize("term, ref_term", [(theory._phi, char_fn),
+                                                (theory._slope, slope_fn)],
+                             ids=["phi", "slope"])
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
-    def test_engine_is_the_scalar_loop_bit_for_bit(self, m, family):
+    def test_engine_is_the_scalar_loop_bit_for_bit(self, m, family, term, ref_term):
         # S_hat and err of a grid, from tiny d (the series runs to its cap)
-        # to saturation, equal a plain-float loop over the blocks at each d
+        # to saturation, equal a plain-float loop over the blocks at each d,
+        # for the curves' phi and for the slope's -d phi / dd alike
         spec = ProjectionSpec(family, 0.7)
         sp = m.power_coeffs()
         ds = np.geomspace(1e-9, 1e2, 23)
-        s, err = _phi_sum(sp, spec, ds)
+        s, err = _phi_sum(sp, spec, ds, term)
         got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), err.tolist())]
-        ref = [scalar_phi_sum(sp, spec, d) for d in ds.tolist()]
+        ref = [scalar_phi_sum(sp, spec, d, ref_term) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_slope_is_the_central_difference_of_g(self, m, family):
+        # derivative(d) against (g(d + h) - g(d - h)) / 2h, h = 1e-4 d, from
+        # scale d = 1e-4 to saturation, wherever the slope is not negligible
+        spec = ProjectionSpec(family, 0.7)
+        model = DistanceMapModel(m, spec)
+        ds = np.geomspace(1e-4, 5.0, 30) / spec.scale
+        h = 1e-4 * ds
+        diff = (model.curve(ds + h) - model.curve(ds - h)) / (2.0 * h)
+        slope = np.array([model.derivative(d) for d in ds.tolist()])
+        steep = np.abs(slope) >= 1e-6
+        assert np.count_nonzero(steep) >= 10
+        np.testing.assert_allclose(slope[steep], diff[steep], rtol=1e-5)
 
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
     def test_power_coeffs_is_the_spectrum_the_model_sums(self, m, monkeypatch):
@@ -636,6 +663,27 @@ class TestAmbiguity:
         finite = DistanceMapModel(make_multibit(3), ProjectionSpec("gaussian", 1.0))
         assert finite.derivative(0.0) == 0.0
 
+    def test_cauchy_slope_at_zero(self):
+        # a series' Cauchy slope at 0 diverges; a finite spectrum's is
+        # 2 sum_k P_k scale 2 pi k, the limit of g'(d) as d -> 0
+        spec = ProjectionSpec("cauchy", 0.5)
+        for m in (make_square_wave(), make_sawtooth()):
+            assert DistanceMapModel(m, spec).derivative(0.0) == math.inf
+        finite = DistanceMapModel(make_multibit(3), spec)
+        sp = finite.map.power_coeffs()
+        ac = sp.k >= 1
+        want = 2.0 * float(sp.power[ac] @ (spec.scale * 2.0 * np.pi * sp.k[ac]))
+        assert want == pytest.approx(4.734245633639407, rel=1e-12)
+        assert finite.derivative(0.0) == pytest.approx(want, rel=1e-12)
+        assert finite.derivative(1e-9) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="the series slope is cut at _K_CAP at tiny d "
+                                           "(ROADMAP items 1 and 9)")
+    def test_tiny_d_slope_is_the_limit(self):
+        # the square wave's g is linear near 0, so g'(2e-8) is g'(0)
+        model = _square_model()
+        assert model.derivative(2e-8) == pytest.approx(model.derivative(0.0), rel=1e-6)
+
     def test_saturated_is_infinite(self):
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
         assert ambiguity(model, 0.5, 0.01, 0.0) == math.inf
@@ -654,6 +702,8 @@ class TestAmbiguity:
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.5))
         with pytest.raises(ValueError):
             ambiguity(model, 0.1, -0.1, 0.0)
+        with pytest.raises(ValueError):  # a negative d_W would give a negative precision
+            ambiguity(model, -1.0, 0.01, 0.1)
 
 
 class TestSubadditivity:
