@@ -22,7 +22,6 @@ from .embedder import (
 from .maps import (
     PeriodicMap,
     PowerSpectrum,
-    SpectrumToleranceError,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,

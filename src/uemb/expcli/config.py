@@ -9,7 +9,8 @@ e.g. ``square``, ``multibit:B=2``, ``mixture:1:0.7071,10:0.7071``,
 Each kind's keys, types and defaults (``SCHEMAS``) and each key's value
 rule (``_RULES``) are stated here once; an ``ExperimentConfig`` is checked
 against them when it is made, however it is made, before any output; the
-map a ``map`` key names is built and certified there, once, for the run.
+map a ``map`` key names is built there, and its spectrum computed, once,
+for the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 from ..maps import (
     _MAX_QUANTIZER_BITS,
-    SpectrumToleranceError,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -220,8 +220,8 @@ def _checked_map(selector):
     # every kind with a map key draws its theory curve from the spectrum
     try:
         map_.power_coeffs()
-    except (SpectrumToleranceError, ValueError) as e:
-        raise ConfigError("map must have a certified spectrum: %s" % e) from None
+    except ValueError as e:
+        raise ConfigError("map must have a computable spectrum: %s" % e) from None
     return map_
 
 

@@ -8,8 +8,8 @@ parameters.  Each scatter cell goes through ``_embedded_pairs``, which
 builds the cell's operator and embeds its signal pairs once, as one value
 matrix; quant-sim quantizes that matrix in place.  Every CSV a runner
 writes goes through ``_emit``, which also records its path in the
-result's "files".  A map key's map is ``cfg.map``, built and certified
-once, by the config check.
+result's "files".  A map key's map is ``cfg.map``, built with its
+spectrum once, by the config check.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ distance map of an embedding built on h saturates at 2 * sum_{k>=1} P_k.
 
 Each map has one spectrum, ``power_coeffs()``, computed on first use: the
 closed-form infinite series of the square wave and the sawtooth (a
-``HarmonicSeries``), the declared terms of a mixture, and the certified
-finite ``PowerSpectrum`` of a quantized kind, whose unlisted power is at
-most ``SPECTRUM_TOL`` times the larger of its total and 1.  The engine of
-``uemb.theory`` reads every kind alike: ``dc_power``, ``ac_power``,
-``tail_bound`` and ``blocks()``, ascending (hi, k, P_k, power above hi).
+``HarmonicSeries``), the declared terms of a mixture, and the finite
+``PowerSpectrum`` of a quantized kind, whose powers sum to the map's exact
+total: the power above its listed harmonics, known by Parseval, is listed
+at the next one.  The engine of ``uemb.theory`` reads every kind alike:
+``dc_power``, ``ac_power``, ``tail_bound`` and ``blocks()``, ascending
+(hi, k, P_k, power above hi).
 A quantized kind's Fourier coefficients are summed over its jumps J_j at
 its breaks t_j, H_k = sum_j J_j e^{-2 pi i k t_j} / (2 pi i k), with each
 exponential the product of two small tables (a row per 64 harmonics and a
@@ -46,12 +47,10 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
-# Hard ceiling on the number of retained harmonics in a certified spectrum.
-KMAX_CAP = 2 ** 16
-
 # A quantized kind's spectrum lists harmonics until the power above them is
-# at most SPECTRUM_TOL * max(total power, 1).  Relative to a map's power,
-# a faint map is not certified empty, nor a strong one uncertifiable.
+# at most SPECTRUM_TOL * max(total power, 1), or up to KMAX_CAP; that power
+# is then listed at the next harmonic.
+KMAX_CAP = 2 ** 16
 SPECTRUM_TOL = 5e-4
 
 # Last harmonic a HarmonicSeries' blocks reach.
@@ -70,10 +69,6 @@ _SPECTRUM_BLOCK = 1 << 22
 # Elements per block of map evaluation (2^15 float64 is 256 KiB); the
 # temporaries of a map call are each this size at most.
 _MAP_BLOCK = 1 << 15
-
-
-class SpectrumToleranceError(RuntimeError):
-    """A piecewise-constant spectrum's tail tolerance is unreachable within KMAX_CAP."""
 
 
 def _frac(t, out=None):
@@ -96,14 +91,15 @@ def _frac(t, out=None):
 
 @dataclass(frozen=True)
 class PowerSpectrum:
-    """Certified folded power spectrum of a periodic map.
+    """Finite folded power spectrum of a periodic map.
 
-    ``k`` and ``power`` hold the nonzero coefficients (k ascending, k=0 is
-    the DC power when present).  ``tail_bound`` bounds the power of the
-    unlisted harmonics, so the map's total power is sum(power) + tail_bound
-    up to rounding.  ``dc_power``, ``ac_power`` (k >= 1,
-    without the tail) and the one block of ``blocks()`` are derived once;
-    which harmonics carry the tail is unknown, so no power lies above it.
+    ``k`` and ``power`` hold the coefficients (k ascending; k=0 is the DC
+    power when present), and sum(power) is the map's total power.  A
+    quantized kind lists its P_1 .. P_K and, at K + 1, the power T of all
+    harmonics above K; ``tail_bound`` is T, which bounds the error of that
+    placement in any sum of P_k phi_k with phi falling in k.  ``dc_power``,
+    ``ac_power`` (k >= 1) and the one block of ``blocks()`` are derived
+    once, with no power above it.
     """
 
     k: np.ndarray
@@ -276,9 +272,8 @@ class PeriodicMap:
 
         The closed-form ``HarmonicSeries`` for square/sawtooth; the declared
         terms for mixtures; piecewise-exact Fourier integrals for the
-        (piecewise-constant) quantized kinds, certified to SPECTRUM_TOL.
-        Raises SpectrumToleranceError when that tolerance would require
-        more than KMAX_CAP harmonics.
+        (piecewise-constant) quantized kinds, with the power above the last
+        listed harmonic at the next one (see ``_pieces_spectrum``).
         """
         if self._spectrum is None:
             self._spectrum = _compute_spectrum(self)
@@ -601,11 +596,13 @@ def _pieces_spectrum(pieces):
     mixture at B = 1, 3 and 8, and multibit at B = 4 and 12 out to
     k = 63488 under a tolerance of 2e-6.  The worst, 2.4e-15, is P_1 at
     B = 12.
-    The tail is certified through Parseval: total power is the exact sum of
-    v^2 (b - a).  The first block is always summed, and blocks are added
-    until the tail is at most SPECTRUM_TOL * max(total, 1).  Coefficients
-    below 1e-15 of the total are left out and their power added to the
-    tail.
+    The total power is the exact sum of v^2 (b - a), so by Parseval the
+    power T of the harmonics above the last listed K is that total less
+    P_0 .. P_K.  The first block is always summed, and blocks are added
+    until T is at most SPECTRUM_TOL * max(total, 1) or K is KMAX_CAP.  T is
+    listed as P_{K+1}, the lowest harmonic it can occupy, where it weighs
+    most in g; so the powers sum to the total, g is exact at its asymptote
+    and below the truth by at most 2 T elsewhere, and ``tail_bound`` is T.
     """
     t0 = np.array([a for a, _, _ in pieces])
     t1 = np.array([b for _, b, _ in pieces])
@@ -637,18 +634,9 @@ def _pieces_spectrum(pieces):
         kmax += n
         block = min(block * 2, 16384)
         tail = max(total - running, 0.0)
-        if tail <= tol:
+        if tail <= tol or kmax >= KMAX_CAP:
             break
-        if kmax >= KMAX_CAP:
-            raise SpectrumToleranceError(
-                "piecewise spectrum tail %g > tol %g at kmax cap" % (tail, tol)
-            )
 
-    ks = np.arange(1, kmax + 1, dtype=np.int64)
-    powers = np.concatenate(blocks)
-    floor = 1e-15 * total
-    keep = powers > floor
-    k = np.concatenate(([0], ks[keep])) if dc > floor else ks[keep]
-    p = np.concatenate(([dc], powers[keep])) if dc > floor else powers[keep]
-    dropped = float(np.sum(powers[~keep])) + (0.0 if dc > floor else dc)
-    return PowerSpectrum(k, p, tail + dropped)
+    k = np.arange(kmax + 2, dtype=np.int64)
+    p = np.concatenate(([dc], *blocks, [tail]))
+    return PowerSpectrum(k, p, tail)

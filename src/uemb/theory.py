@@ -204,9 +204,8 @@ class DistanceMapModel:
 
     @property
     def total_power(self):
-        """Certified sum of all P_k including the spectrum tail."""
-        sp = self._spectrum
-        return sp.dc_power + sp.ac_power + sp.tail_bound
+        """Sum of all P_k, the map's total power (a finite spectrum lists its tail)."""
+        return self._spectrum.dc_power + self._spectrum.ac_power
 
     @property
     def tail_bound(self):
@@ -412,11 +411,16 @@ def universal_binary_map(d, sigma, Delta):
     _positive_finite("sigma and Delta", sigma, Delta)
     _distance(d)
     s = sigma * d / Delta
+    upper_lin = math.sqrt(2.0 / math.pi) * s
+    # saturated: e1 and every series term are 0 from pi s = 38.6 on, and
+    # (pi s)^2 would overflow from 1.3e154 on
+    if math.pi * s > 40.0:
+        return 0.5, BinaryMapBounds(0.5, 0.5, upper_lin)
     e1 = math.exp(-((math.pi * s) ** 2) / 2.0)
     bounds = BinaryMapBounds(
         lower=0.5 - 0.5 * e1,
         upper_exp=0.5 - (4.0 / math.pi ** 2) * e1,
-        upper_lin=math.sqrt(2.0 / math.pi) * s,
+        upper_lin=upper_lin,
     )
     if d == 0.0:
         return 0.0, bounds
@@ -477,11 +481,16 @@ class SubadditivityReport:
     passed: bool
 
 
-def check_subadditivity(g, eps, delta, grid, slack=1e-9):
+# Largest violation check_subadditivity passes: rounding in g, not a failure.
+SUBADDITIVITY_SLACK = 1e-9
+
+
+def check_subadditivity(g, eps, delta, grid):
     """Worst violation of (1-2eps) g(a+b) - 3delta <= g(a) + g(b) on a grid.
 
-    ``grid`` is a 1-D array whose cartesian square is scanned.  A NaN
-    violation (from g) fails the check and is reported with its pair.
+    ``grid`` is a 1-D array whose cartesian square is scanned; the check
+    passes when the worst is at most SUBADDITIVITY_SLACK.  A NaN violation
+    (from g) fails the check and is reported with its pair.
     """
     _nonnegative_finite("eps and delta", eps, delta)
     grid = np.asarray(grid, dtype=np.float64)
@@ -504,7 +513,7 @@ def check_subadditivity(g, eps, delta, grid, slack=1e-9):
             worst, worst_pair = v, (a, b)
             if math.isnan(v):
                 break
-    return SubadditivityReport(worst, worst_pair, worst <= slack)
+    return SubadditivityReport(worst, worst_pair, worst <= SUBADDITIVITY_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +543,11 @@ def _clamped_prob(lead, exponent):
         return 1.0
     return min(1.0, lead * math.exp(exponent))
 
-POINTCLOUD_FLAVORS = ("sq_l2", "sqrt_loose", "sqrt_tight", "kernel", "norm")
+# (n, c, lead) of each flavor's bound: lead e^{n ln Q - c M r^2}
+_POINTCLOUD_TERMS = {"sq_l2": (2.0, 2.0, 1.0), "sqrt_loose": (2.0, 2.0, 1.0),
+                     "sqrt_tight": (2.0, 2.0, 1.0), "kernel": (2.0, 8.0 / 9.0, 1.0),
+                     "norm": (1.0, 2.0, 2.0)}
+POINTCLOUD_FLAVORS = tuple(_POINTCLOUD_TERMS)
 
 
 def pointcloud_bound(Q, M, eps, hbar, flavor):
@@ -553,18 +566,12 @@ def pointcloud_bound(Q, M, eps, hbar, flavor):
         raise ValueError("require Q >= 2 and M >= 1")
     if flavor == "sqrt_tight" and eps > 1:
         raise ValueError("sqrt_tight flavor requires eps <= 1")
-    lead = 1.0
-    if flavor == "sq_l2" or flavor == "sqrt_tight":
-        expo = 2.0 * math.log(Q) - 2.0 * M * eps ** 2 / hbar ** 4
-    elif flavor == "sqrt_loose":
-        expo = 2.0 * math.log(Q) - 2.0 * M * (eps / hbar) ** 4
-    elif flavor == "kernel":
-        expo = 2.0 * math.log(Q) - (8.0 / 9.0) * M * eps ** 2 / hbar ** 4
-    else:
-        expo = math.log(Q) - 2.0 * M * eps ** 2 / hbar ** 4
-        lead = 2.0
-    prob = _clamped_prob(lead, expo)
-    return BoundReport(probability=prob, exponent=expo)
+    # r = eps / hbar^2 (sqrt_loose: (eps / hbar)^2) from products and
+    # quotients, which overflow to inf, or r to 0, where ** would raise
+    n, c, lead = _POINTCLOUD_TERMS[flavor]
+    r = (eps / hbar) * (eps / hbar) if flavor == "sqrt_loose" else eps / hbar / hbar
+    expo = n * math.log(Q) - c * M * (r * r)
+    return BoundReport(probability=_clamped_prob(lead, expo), exponent=expo)
 
 
 def continuous_extension_bound(E_r, M, w_value, c, delta, K_f, K_g, alpha):
@@ -613,7 +620,7 @@ def discontinuous_extension_bound(E_r_half, M, w_value, c, P_T, T_max, P_F, c0):
     c1 = sum(p * (1.0 + c0) * math.log(T) for p, T in zip(P_T, range(2, T_max + 1)))
     expo = 2.0 * E_r_half + c1 * M - M * w_value
     term1 = _clamped_prob(c, expo)
-    term2 = T_max * math.exp(-2.0 * c0 ** 2 * M)
+    term2 = T_max * math.exp(-2.0 * (c0 * c0) * M)  # c0 * c0 may be inf, not raise
     prob = min(1.0, term1 + term2 + P_F)
     return BoundReport(
         probability=prob,

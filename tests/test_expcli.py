@@ -523,12 +523,8 @@ class TestCli:
               ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"),
               ("quant-sim", "kind = quantization_sim\nN = 16\nM = 32\npairs = 4\nb_list = 1\n")]
           for amp in ("1e-100", "1e154")],
-        # spectra that cannot be certified: a tail past the harmonic cap,
-        # cells finer than the crossing grid, a sawtooth of 2^17 pieces
-        ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:mixture:400:1:B=1\n",
-         "map"),
-        ("design-sim", "kind = design_sim\nN = 16\nM = 32\npairs = 4\nsigma_list = 0.3\n"
-         "map = quantized:mixture:400:1:B=1\n", "map"),
+        # spectra that cannot be computed: cells finer than the crossing
+        # grid, a sawtooth of 2^17 pieces
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:mixture:1:1:B=14\n",
          "map"),
         ("map-eval", "kind = map_eval\nd_count = 5\nmap = quantized:sawtooth:B=17\n", "map"),
@@ -546,8 +542,8 @@ class TestCli:
             "design-multibit-17", "map_eval-mixture-1e400", "map_eval-log-d_min-0",
             "design-constant", "design-power-inf", "quant-constant", "quant-power-inf",
             "map_eval-constant", "map_eval-power-inf", "design-hbar4-zero",
-            "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf", "map_eval-tail-cap",
-            "design-tail-cap", "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
+            "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf",
+            "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
             "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
             "map_eval-log_grid-7"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
@@ -577,17 +573,42 @@ class TestCli:
 
     def test_universal_quant_sim_builds_no_map(self, tmp_path, monkeypatch):
         # the universal variant runs the sawtooth: its map key's map, here
-        # one whose spectrum cannot be certified, is neither built nor refused
+        # one whose spectrum cannot be computed, is neither built nor refused
         calls = []
         spectrum = uemb.maps._pieces_spectrum
         monkeypatch.setattr(uemb.maps, "_pieces_spectrum",
                             lambda pieces: calls.append(1) or spectrum(pieces))
         text = ("kind = quantization_sim\nvariant = universal\nN = 16\nM = 32\n"
-                "pairs = 4\nmap = quantized:mixture:400:1:B=1\n")
+                "pairs = 4\nmap = quantized:mixture:1:1:B=14\n")
         cfg = self._write(tmp_path, text)
         assert main(["quant-sim", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert calls == []
         assert parse_config(cfg).map is None
+
+    def test_map_listed_to_the_harmonic_cap_runs(self, tmp_path):
+        # its power above KMAX_CAP is listed, not refused: g saturates at 2 ac = 1/2
+        cfg = self._write(tmp_path, "kind = map_eval\nmap = quantized:mixture:400:1:B=1\n"
+                                    "scale = 0.01\nd_count = 5\n")
+        out = tmp_path / "out"
+        assert main(["map-eval", "--config", cfg, "--out", str(out)]) == 0
+        last = (out / "map_curve.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("command,text,row", [
+        ("bounds", "kind = bounds_sweep\ncalculator = pointcloud\neps_list = 1e200\n",
+         "sq_l2,2,1000,1e+200,-inf,0.0,0"),
+        ("bounds", "kind = bounds_sweep\ncalculator = binary_infinite\nc0 = 1e200\n",
+         "0.1,1000,6.9314718055994525e+199,0.020000000000000004,1,6.931471805599452e+202,1.0"),
+        ("map-eval", "kind = map_eval\nmap = square\ndelta = 1e-160\nd_count = 5\n",
+         "10.0,0.5,0.7071067811865476,0.25,0.5,0.5,7.978845608028655e+160"),
+    ], ids=["bounds-pointcloud-eps", "bounds-binary_infinite-c0", "map_eval-square-delta"])
+    def test_huge_finite_inputs_exit_zero(self, tmp_path, command, text, row):
+        # squares past the float range give their limits, not OverflowError
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        (csv_file,) = out.iterdir()
+        assert csv_file.read_text().splitlines()[-1] == row
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(

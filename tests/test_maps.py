@@ -15,7 +15,6 @@ from uemb.maps import (
     _MAP_BLOCK,
     _SERIES,
     KMAX_CAP,
-    SpectrumToleranceError,
     _bounded_min,
     _cell_crossings,
     _frac,
@@ -27,6 +26,8 @@ from uemb.maps import (
     make_square_wave,
     quantize_map,
 )
+from uemb.randproj import ProjectionSpec
+from uemb.theory import DistanceMapModel
 
 from oracles import oracle_power
 
@@ -46,6 +47,12 @@ def catalog():
         ("quantized_mix1", quantize_map(mix, 1), 5e-4),
         ("quantized_mix3", quantize_map(mix, 3), 5e-4),
     ]
+
+
+def pieces_power(m):
+    """Parseval's total sum v^2 (b - a) over a piecewise-constant map's pieces."""
+    t0, t1, vals = (np.array(c) for c in zip(*m.constant_pieces()))
+    return float(np.sum(vals ** 2 * (t1 - t0)))
 
 
 BINARY_CASES = {
@@ -508,11 +515,25 @@ class TestInPlaceEvaluation:
 
 class TestSpectra:
     def test_parseval_across_catalog(self):
-        # DC, AC and the certified tail add up to int h^2
+        # DC and AC add up to int h^2: a finite spectrum lists its tail
         for name, m, tol in catalog():
             sp = m.power_coeffs()
-            err = abs(sp.dc_power + sp.ac_power + sp.tail_bound - oracle_power(m))
+            err = abs(sp.dc_power + sp.ac_power - oracle_power(m))
             assert err <= 2 * tol, (name, err)
+
+    def test_listed_powers_sum_to_the_parseval_total(self):
+        # every quantized kind's P_k, its tail at K + 1 included, sum to
+        # sum v^2 (b - a) over its pieces; so does a map listed to KMAX_CAP
+        maps_ = [m for _, m, _ in catalog() if m.kind in ("multibit", "quantized")]
+        maps_.append(quantize_map(make_fourier_mixture([(400, 1.0)]), 1))
+        spec = ProjectionSpec("gaussian", 0.3)
+        for m in maps_:
+            total = pieces_power(m)
+            sp = m.power_coeffs()
+            assert abs(float(np.sum(sp.power)) - total) <= 1e-15 * total, m.name
+            model = DistanceMapModel(m, spec)
+            assert model.total_power == sp.dc_power + sp.ac_power, m.name
+        assert sp.k[-1] == KMAX_CAP + 1 and sp.power[-1] == sp.tail_bound > 0
 
     def test_spectrum_invariants(self):
         for name, m, _ in catalog():
@@ -524,15 +545,30 @@ class TestSpectra:
                 last = hi
             assert sp.tail_bound >= 0, name
 
-    def test_tolerance_unreachable_raises(self, monkeypatch):
+    def test_tolerance_unreachable_ends_at_the_cap_with_its_exact_tail(self, monkeypatch):
+        # the listing stops at KMAX_CAP, and the power above it is listed at
+        # KMAX_CAP + 1: the total stays exact, and so does g's asymptote
         monkeypatch.setattr(maps, "SPECTRUM_TOL", 1e-12)
-        with pytest.raises(SpectrumToleranceError):
-            _pieces_spectrum(make_multibit(3).constant_pieces())
+        m = make_multibit(3)
+        sp = m.power_coeffs()
         assert KMAX_CAP == 2 ** 16
+        assert sp.k[-1] == KMAX_CAP + 1
+        assert sp.power[-1] == sp.tail_bound > 0
+        assert abs(sp.dc_power + sp.ac_power - pieces_power(m)) <= 1e-15
+        assert DistanceMapModel(m, ProjectionSpec("gaussian", 0.5)).g_inf == 21 / 64
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_multibit_asymptote_is_exact(self, bits):
+        # g_inf = 2 ac = 2 (total - dc) = (1 - 4^-B) / 3 for the quantized
+        # sawtooth: the unlisted power counts.  The levels are rounded floats,
+        # so B = 1 (levels +-sqrt2/4) reads 2 ulp high; the others are exact
+        model = DistanceMapModel(make_multibit(bits), ProjectionSpec("cauchy", 0.5))
+        assert model.g_inf == pytest.approx((1.0 - 4.0 ** -bits) / 3.0, rel=1e-15, abs=0)
 
     def test_pieces_spectrum_equals_per_piece_integrals(self):
-        # the jumps' two tables of exponentials give every P_k of two exps
-        # per piece within 1e-14 of the total (worst measured: 2.4e-15, multibit:B=12)
+        # the jumps' two tables of exponentials give P_1 .. P_K of two exps
+        # per piece within 1e-14 of the total (worst measured: 2.4e-15,
+        # multibit:B=12), and P_{K+1} is the power the reference leaves unlisted
         def ref(pieces, tol):
             t0, t1, vals = (np.array(c) for c in zip(*pieces))
             total = float(np.sum(vals ** 2 * (t1 - t0)))
@@ -547,18 +583,17 @@ class TestSpectra:
                 running += float(np.sum(pw))
                 kmax += block
                 block = min(block * 2, 16384)
-            return np.concatenate(powers), total
+            return np.concatenate(powers), total, max(total - running, 0.0)
 
         mix = make_fourier_mixture(FIG3_TERMS)
         for m in (make_square_wave(), make_multibit(3), make_multibit(8),
                   quantize_map(mix, 1), quantize_map(mix, 3)):
             sp = _pieces_spectrum(m.constant_pieces())
-            want, total = ref(m.constant_pieces(), maps.SPECTRUM_TOL)
-            got = np.zeros(len(want))  # a P_k left out under the floor is 0
-            ac = sp.k >= 1
-            got[sp.k[ac] - 1] = sp.power[ac]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * total,
+            want, total, unlisted = ref(m.constant_pieces(), maps.SPECTRUM_TOL)
+            np.testing.assert_array_equal(sp.k, np.arange(len(want) + 2))
+            np.testing.assert_allclose(sp.power[1:-1], want, rtol=0, atol=1e-14 * total,
                                        err_msg=m.name)
+            assert sp.power[-1] == pytest.approx(unlisted, rel=0, abs=1e-14 * total)
 
     def test_large_blocks_built_in_row_chunks(self, monkeypatch):
         # chunks of rows give the same powers to rounding, in a fraction of

@@ -86,16 +86,6 @@ class TestDistanceMap:
         with pytest.raises(ValueError):
             model.g(-0.5)
 
-    def test_uncertified_spectrum_raises(self, monkeypatch):
-        # quantized kinds need a certified spectrum; an unreachable tolerance
-        # propagates as the spectrum error
-        from uemb.maps import SpectrumToleranceError
-
-        monkeypatch.setattr(maps, "SPECTRUM_TOL", 1e-12)
-        q = quantize_map(make_fourier_mixture(FIG3), 3)
-        with pytest.raises(SpectrumToleranceError):
-            DistanceMapModel(q, ProjectionSpec("gaussian", 1.0))
-
 
 def slope_fn(spec, xi, d):
     """-d char_fn(spec, xi, d) / dd in plain floats."""
@@ -225,9 +215,9 @@ class TestSummationEngine:
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     def test_quantized_curve_scales_with_power(self, family):
-        # the spectrum's tolerance and floor are relative to the map's power,
-        # so Q_3(a h) lists the harmonics of Q_3(h) and its curve is a^2 times
-        # that one: not 0 for a faint map, not an error for a strong one
+        # Q_3(a h) lists the harmonics of Q_3(h), its tail included, so its
+        # curve is a^2 times that one: not 0 for a faint map, nor cut for a
+        # strong one
         spec = ProjectionSpec(family, 0.7)
         ds = np.geomspace(1e-3, 1e2, 25)
         for terms in ([(1, 1.0)], FIG3):
@@ -354,6 +344,15 @@ class TestClosedFormsAgainstEngine:
             got, _ = universal_binary_map(d, sigma, Delta)
             assert got.hex() == self._own_series_loop(d, sigma, Delta).hex(), d
 
+    def test_binary_map_saturates_at_huge_distances(self):
+        # past pi s = 40 every term is 0 and the bounds are (1/2, 1/2, upper_lin),
+        # also where (pi s)^2 would overflow (pi s > 1.3e154)
+        for d in (40.5 / math.pi, 1e150, 1e160, 1e300):
+            g, b = universal_binary_map(d, 1.0, 1.0)
+            assert (g, b.lower, b.upper_exp) == (0.5, 0.5, 0.5)
+            assert b.upper_lin == math.sqrt(2.0 / math.pi) * d
+        assert universal_binary_map(39.5 / math.pi, 1.0, 1.0)[0] == 0.5
+
     def test_l1_zero_and_saturation(self):
         assert universal_binary_map_l1(0.0, 1.0, 1.0) == 0.0
         assert universal_binary_map_l1(50.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -425,6 +424,25 @@ class TestOracleEquivalence:
         for d in np.linspace(0.15, 3.0, 5):
             assert model.g(float(d)) == pytest.approx(
                 oracle_distance_map(m, spec, float(d)), abs=1e-4
+            )
+
+    @pytest.mark.parametrize(
+        "m,spec,ds",
+        [
+            (make_multibit(3), ProjectionSpec("gaussian", 0.5), np.linspace(0.1, 3.0, 10)),
+            (make_multibit(3), ProjectionSpec("cauchy", 0.5), np.linspace(0.1, 3.0, 10)),
+            (quantize_map(make_fourier_mixture(FIG3), 3), ProjectionSpec("gaussian", 0.2),
+             [1.0]),
+        ],
+        ids=["multibit3+gauss", "multibit3+cauchy", "quantized_mix3+gauss"],
+    )
+    def test_quantized_curve_is_the_quadrature_oracle(self, m, spec, ds):
+        # the power above the listed harmonics is listed too, so a quantized
+        # curve has no bias (measured: 2.7e-14, 1.1e-16 and 1.6e-13)
+        model = DistanceMapModel(m, spec)
+        for d in ds:
+            assert model.g(float(d)) == pytest.approx(
+                oracle_distance_map(m, spec, float(d)), rel=0, abs=1e-10
             )
 
 
@@ -673,7 +691,7 @@ class TestAmbiguity:
         sp = finite.map.power_coeffs()
         ac = sp.k >= 1
         want = 2.0 * float(sp.power[ac] @ (spec.scale * 2.0 * np.pi * sp.k[ac]))
-        assert want == pytest.approx(4.734245633639407, rel=1e-12)
+        assert want == pytest.approx(5.291559750607117, rel=1e-12)
         assert finite.derivative(0.0) == pytest.approx(want, rel=1e-12)
         assert finite.derivative(1e-9) == pytest.approx(want, rel=1e-5)
 
@@ -796,6 +814,21 @@ class TestPointcloudBound:
         assert rep.exponent == pytest.approx(math.log(4) - 20)
         assert rep.probability == pytest.approx(2 * math.exp(math.log(4) - 20))
 
+    @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt_loose", "sqrt_tight", "kernel", "norm"])
+    def test_huge_inputs_give_the_limit(self, flavor):
+        # eps^2 or hbar^4 past the float range: probability 0 or 1 as the
+        # exponent dictates, never OverflowError
+        rep = pointcloud_bound(2, 1000, 0.1, 1e100, flavor)
+        assert rep.probability == 1.0 and rep.exponent > 0
+        if flavor == "sqrt_tight":  # eps <= 1 only
+            return
+        rep = pointcloud_bound(2, 1000, 1e200, 1.0, flavor)
+        assert rep.probability == 0.0 and rep.exponent == -math.inf
+        # eps^2 / hbar^4 = 1, though both overflow; (eps / hbar)^4 overflows
+        rep = pointcloud_bound(2, 1000, 1e200, 1e100, flavor)
+        assert rep.probability == 0.0 and rep.exponent < -800
+        assert math.isfinite(rep.exponent) == (flavor != "sqrt_loose")
+
 
 class TestExtensionBounds:
     def test_covering_radius(self):
@@ -832,6 +865,13 @@ class TestExtensionBounds:
     def test_all_pt_zero_reduces_to_thm1_shape(self):
         rep = discontinuous_extension_bound(3.0, 500, 0.05, 1.0, [0.0, 0.0], 3, 0.0, 0.2)
         assert rep.extras["c1"] == 0.0
+
+    def test_huge_c0_gives_the_limit(self):
+        # c0^2 past the float range: exp(-2 c0^2 M) is 0, never OverflowError
+        rep = discontinuous_extension_bound(0.0, 1000, 0.5, 1.0, [1.0], 2, 0.0, 1e200)
+        assert rep.probability == 1.0 and rep.extras["no_decay"]
+        rep = discontinuous_extension_bound(0.0, 1000, 0.5, 1.0, [0.0], 2, 0.0, 1e200)
+        assert rep.probability == math.exp(-500.0)
 
     def test_pf_one_is_vacuous(self):
         rep = discontinuous_extension_bound(0.0, 1000, 0.5, 1.0, [0.5], 2, 1.0, 0.1)
