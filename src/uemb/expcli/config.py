@@ -287,6 +287,11 @@ class ExperimentConfig:
             params[key] = list(value) if typ in _LISTS else value  # a list of its own
         if self.kind == "map_eval" and params["log_grid"] and params["d_min"] <= 0:
             raise ConfigError("d_min must be positive on a log grid, got %s" % params["d_min"])
+        if self.kind == "bounds_sweep" and params["calculator"] == "binary_infinite":
+            for eps in params["eps_list"]:  # the runner's w = 2 eps^2 is a bound input
+                if not 0.0 < 2.0 * eps * eps < math.inf:
+                    raise ConfigError("eps_list must keep w = 2 eps^2 positive and finite"
+                                      " for binary_infinite, got %s" % eps)
         for key in ("M", "m_list", "rate_list") if "N" in params else ():  # the M-list
             M = params.get(key, 0) if key == "M" else max(params.get(key, [0]))
             if M * params["N"] > MAX_ELEMENTS:  # randproj's cap on one M x N projection

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -534,6 +535,9 @@ class TestCli:
         ("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16,3000000\n",
          "rate_list"),
         ("map-eval", "kind = map_eval\nd_count = 5\nlog_grid = 7\n", "log_grid"),
+        # binary_infinite's w = 2 eps^2 overflowing to inf or underflowing to 0
+        *[("bounds", "kind = bounds_sweep\ncalculator = binary_infinite\neps_list = 0.1,%s\n"
+           % eps, "eps_list") for eps in ("1e200", "1e-200")],
     ], ids=["scatter-m_list", "scatter-pairs", "design-pairs", "design-N", "quant-b_list-0",
             "quant-b_list-41", "quant-M", "map_eval-d_count", "design-family", "quant-family",
             "quant-variant", "design-sigma_list", "scatter-delta_list", "quant-delta",
@@ -545,7 +549,8 @@ class TestCli:
             "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf",
             "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
             "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
-            "map_eval-log_grid-7"])
+            "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
+            "bounds-binary_infinite-eps-tiny"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
         # when the config is parsed: before the output directory is made
@@ -604,9 +609,12 @@ class TestCli:
     ], ids=["bounds-pointcloud-eps", "bounds-binary_infinite-c0", "map_eval-square-delta"])
     def test_huge_finite_inputs_exit_zero(self, tmp_path, command, text, row):
         # squares past the float range give their limits, not OverflowError
+        # nor a RuntimeWarning
         cfg = self._write(tmp_path, text)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
         (csv_file,) = out.iterdir()
         assert csv_file.read_text().splitlines()[-1] == row
 
@@ -626,12 +634,55 @@ class TestCli:
         assert a != b and a == c
 
 
-def _run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter that imports this uemb."""
+def _run_fresh(code, **env):
+    """stdout of ``code`` run in a fresh interpreter that imports this uemb,
+    with ``env`` over this process's environment (None unsets a variable)."""
     src = os.path.dirname(os.path.dirname(uemb.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+# this process may have set it already, by importing uemb before numpy
+_PRINT_TIMEOUT = "import os, uemb\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+
+
+def test_import_sets_openblas_thread_timeout():
+    assert _run_fresh(_PRINT_TIMEOUT, OPENBLAS_THREAD_TIMEOUT=None).strip() == "4"
+
+
+def test_import_keeps_the_users_openblas_thread_timeout():
+    assert _run_fresh(_PRINT_TIMEOUT, OPENBLAS_THREAD_TIMEOUT="28").strip() == "28"
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_idle_blas_worker_does_not_spin():
+    # at OpenBLAS's own timeout its second thread spin-waits after a GEMM:
+    # about 0.13 CPU-s of this sleep on a 2-vCPU Xeon
+    code = ("import time, uemb, numpy as np\n"
+            "a = np.ones((1000, 1000))\n"
+            "a @ a\n"
+            "t = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(time.process_time() - t)")
+    cpu = float(_run_fresh(code, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None))
+    assert cpu < 0.02
+
+
+def test_thread_timeout_keeps_the_bytes(tmp_path):
+    # the timeout changes how an idle worker waits, not how a GEMM is split:
+    # this config's bytes differ between one and two OpenBLAS threads
+    # (scipy-openblas 0.3.31 on a SkylakeX Xeon), and not between timeouts
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text("kind = design_sim\nN = 1000\nM = 256\npairs = 20\nsigma_list = 0.3\n")
+    outs = []
+    for timeout in (None, "28"):
+        out = tmp_path / ("out-%s" % timeout)
+        argv = ["design-sim", "--config", str(cfg), "--out", str(out)]
+        _run_fresh("from uemb.expcli.main import main\nassert main(%r) == 0" % (argv,),
+                   OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout)
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outs[0]) == 2 and outs[0] == outs[1]
 
 
 def test_import_leaves_heavy_scipy_modules_out():
