@@ -214,6 +214,20 @@ def post_quantize(y, bits, S):
 _HEADER = struct.Struct("<4sHHIQ")
 
 
+def _shared_shape(vectors):
+    """(M, map_id) of one file's vectors, (0, "") for none; ValueError unless
+    each is a 1-D array of at least one value and all share M and map_id."""
+    if not vectors:
+        return 0, ""
+    M, map_id = vectors[0].values.size, vectors[0].map_id
+    for v in vectors:
+        if v.values.ndim != 1 or v.values.size == 0:
+            raise ValueError("each embedding must be a 1-D array of at least one value")
+        if v.values.size != M or v.map_id != map_id:
+            raise ValueError("all embeddings in one file must share M and map_id")
+    return M, map_id
+
+
 def save_embeddings(path, vectors):
     """Write embeddings to the UEMB container; bit-exact round trip.
 
@@ -222,20 +236,13 @@ def save_embeddings(path, vectors):
     float64.
     """
     vectors = list(vectors)
+    M, map_id = _shared_shape(vectors)
+    packed, payload = False, b""
     if vectors:
-        M = vectors[0].values.size
-        map_id = vectors[0].map_id
-        for v in vectors:
-            if v.values.ndim != 1 or v.values.size == 0:
-                raise ValueError("each embedding must be a 1-D array of at least one value")
-            if v.values.size != M or v.map_id != map_id:
-                raise ValueError("all embeddings in one file must share M and map_id")
         packed = all(v.binary for v in vectors)
         Y = np.stack([v.values for v in vectors], dtype=np.uint8 if packed else "<f8",
                      casting="unsafe")
         payload = np.packbits(Y, axis=1) if packed else Y
-    else:
-        M, map_id, packed, payload = 0, "", False, b""
     flags = _FLAG_PACKED_BITS if packed else 0
     mid = map_id.encode("utf-8")
     if len(mid) > 0xFFFF:
@@ -292,9 +299,10 @@ def load_embeddings(path):
 
 
 def export_csv(path, vectors):
-    """CSV export: header id,v0..v{M-1}, one row per vector."""
+    """CSV export: header id,v0..v{M-1}, one row per vector; ValueError
+    unless the vectors pass save_embeddings' check (``_shared_shape``)."""
     vectors = list(vectors)
-    M = vectors[0].values.size if vectors else 0
+    M, _ = _shared_shape(vectors)
     with open(path, "w", newline="") as f:
         f.write("id," + ",".join("v%d" % j for j in range(M)) + "\n")
         for i, v in enumerate(vectors):

@@ -297,6 +297,11 @@ class ExperimentConfig:
             if M * params["N"] > MAX_ELEMENTS:  # randproj's cap on one M x N projection
                 raise ConfigError("%s must keep M x N within %d elements, got %d x %d"
                                   % (key, MAX_ELEMENTS, M, params["N"]))
+        if "pairs" in params:  # the 2 pairs x N signal block and its 2 pairs x M embedding
+            width = max(params["N"], params.get("M", 0), max(params.get("m_list", [0])))
+            if 2 * params["pairs"] * width > MAX_ELEMENTS:
+                raise ConfigError("pairs must keep 2 pairs x max(N, M) within %d elements,"
+                                  " got 2 x %d x %d" % (MAX_ELEMENTS, params["pairs"], width))
         self.params = params
         # quant-sim's universal variant runs the sawtooth, not its map key's map
         uses_map = "map" in params and params.get("variant") != "universal"

@@ -15,7 +15,8 @@ so the identity holds to rounding and g(0) = 0 exactly, and a finite
 spectrum as one block whose tail_bound enters the certified error.  The
 engine takes a whole grid of distances in one pass, each d stopping at
 its own block with the sum a lone d would get, bit for bit; a single d
-is a grid of one.  Inversion and the saturation radius D0 bisect by
+is a grid of one.  The saturation radius D0 is one bisection on
+(0, 1/scale], which always brackets it.  Inversion and D0 bisect by
 replaying: each engine pass evaluates the midpoints of a predicted run
 of halvings, and the steps whose bracket was predicted are taken, so the
 result is the one-midpoint-at-a-time loop's, bit for bit, in a fraction
@@ -199,10 +200,6 @@ class DistanceMapModel:
     # -- raw curves ---------------------------------------------------------
 
     @property
-    def ac_power(self):
-        return self._spectrum.ac_power
-
-    @property
     def total_power(self):
         """Sum of all P_k, the map's total power (a finite spectrum lists its tail)."""
         return self._spectrum.dc_power + self._spectrum.ac_power
@@ -331,20 +328,16 @@ class DistanceMapModel:
 
     @property
     def D0(self):
-        """Smallest d with value(d) >= 0.95 * value_inf (bisection)."""
+        """Smallest d with value(d) >= 0.95 * value_inf, by bisection on (0, 1/scale].
+
+        1/scale brackets it: phi(2 pi k | 1/scale) <= e^{-2 pi} for k >= 1, so
+        value(1/scale) >= 0.998 value_inf.  The curve needs no check on [0, D0]:
+        g = 2 sum_k P_k (1 - phi_k(d)) with every P_k >= 0 and phi_k falling in d.
+        """
         self._require_monotone_flavor()
         if self._d0 is None:
-            target = SATURATION_FRACTION * self.value_inf
-            hi = 1.0 / self.spec.scale
-            for _ in range(200):
-                if self.value(hi) >= target:
-                    break
-                hi *= 2.0
-            else:
-                raise RuntimeError("saturation radius not bracketed")
-            _, self._d0 = self._bisect(target, hi)
-            if np.any(np.diff(self.curve(np.linspace(0.0, self._d0, 65))) < -1e-12):
-                raise RuntimeError("distance map is not monotone on [0, D0]")
+            hi = _distance(1.0 / self.spec.scale)  # ValueError where 1/scale overflows
+            _, self._d0 = self._bisect(SATURATION_FRACTION * self.value_inf, hi)
         return self._d0
 
     def invert(self, gval, rel_tol=1e-10):

@@ -528,3 +528,20 @@ class TestPersistence:
         assert lines[0] == "id,v0,v1,v2,v3"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("vectors, match", [
+        ([([0.0, 1.0], "a"), ([0.0, 1.0, 2.0], "b")], "share M and map_id"),
+        ([([0.0, 1.0], "a"), ([0.0, 1.0, 2.0], "a")], "share M and map_id"),
+        ([([0.0, 1.0], "a"), ([2.0, 3.0], "b")], "share M and map_id"),
+        ([([], "a")], "1-D array of at least one value"),
+        ([([[0.0, 1.0], [2.0, 3.0]], "a")], "1-D array of at least one value"),
+    ], ids=["ragged-mixed", "ragged", "mixed", "empty", "2-D"])
+    def test_csv_export_refuses_what_save_refuses(self, tmp_path, vectors, match):
+        # one rule for both writers: a ragged or mixed list would give rows
+        # of another width than the header, or mix operators in one file
+        ys = [EmbeddingVector(values=np.array(v, dtype=np.float64), map_id=mid)
+              for v, mid in vectors]
+        for write, name in ((export_csv, "e.csv"), (save_embeddings, "e.uemb")):
+            with pytest.raises(ValueError, match=match):
+                write(tmp_path / name, ys)
+            assert not (tmp_path / name).exists()
+

@@ -49,6 +49,7 @@ from uemb.expcli.runners import (
 )
 from uemb.maps import _quantize_values, make_sawtooth, make_square_wave, quantize_map
 from uemb.randproj import _HALF_CELL, ProjectionSpec, RandomState
+from uemb.theory import universal_binary_map, universal_binary_map_l1
 
 
 class TestConfigParsing:
@@ -240,19 +241,25 @@ class TestRunners:
         res = run_quantization_sim(cfg, tmp_path)
         assert res["summary"][0][1] < 0.05  # B=4 hugs the sawtooth curve
 
-    def test_universal_scatter(self, tmp_path):
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_universal_scatter(self, tmp_path, family):
         cfg = make_config(
             "universal_scatter", N=48, pairs=80, delta_list=[0.5, 1.5],
-            m_list=[128, 1024], sigma=1.0, seed=9,
+            m_list=[128, 1024], sigma=1.0, seed=9, family=family,
         )
         res = run_universal_scatter(cfg, tmp_path)
         rows = res["summary"]
-        # all hamming values in [0, 1]
+        # all hamming values in [0, 1], beside the family's closed form
         for f in res["files"]:
             if "scatter_delta" in os.path.basename(f):
                 data = np.genfromtxt(f, delimiter=",", names=True)
                 assert np.all(data["hamming_mean"] >= 0)
                 assert np.all(data["hamming_mean"] <= 1)
+                delta = float(os.path.basename(f).split("=")[1].split("_")[0])
+                want = [universal_binary_map(d, 1.0, delta)[0] if family == "gaussian"
+                        else universal_binary_map_l1(d, 1.0, delta) for d in data["d_true"]]
+                assert [v.hex() for v in data["g_theory"]] == [v.hex() for v in want]
+        assert all(math.isfinite(r[3]) for r in rows)
         # spread shrinks as M grows at fixed Delta
         by_cell = {(r[0], r[1]): r[2] for r in rows}
         assert by_cell[(0.5, 1024)] < by_cell[(0.5, 128)]
@@ -534,6 +541,10 @@ class TestCli:
         ("scatter", "kind = universal_scatter\nN = 70000\nm_list = 2048\n", "m_list"),
         ("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16,3000000\n",
          "rate_list"),
+        # 2 pairs x max(N, M) past the cap: about 13 GB of signals and embeddings
+        ("design-sim", "kind = design_sim\npairs = 200000\n", "pairs"),
+        ("quant-sim", "kind = quantization_sim\npairs = 200000\n", "pairs"),
+        ("scatter", "kind = universal_scatter\npairs = 200000\n", "pairs"),
         ("map-eval", "kind = map_eval\nd_count = 5\nlog_grid = 7\n", "log_grid"),
         # binary_infinite's w = 2 eps^2 overflowing to inf or underflowing to 0
         *[("bounds", "kind = bounds_sweep\ncalculator = binary_infinite\neps_list = 0.1,%s\n"
@@ -549,7 +560,7 @@ class TestCli:
             "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf",
             "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
             "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
-            "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
+            "design-pairs-cap", "quant-pairs-cap", "scatter-pairs-cap", "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
             "bounds-binary_infinite-eps-tiny"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found
@@ -634,13 +645,31 @@ class TestCli:
         assert a != b and a == c
 
 
-def _run_fresh(code, **env):
-    """stdout of ``code`` run in a fresh interpreter that imports this uemb,
-    with ``env`` over this process's environment (None unsets a variable)."""
+def _fresh(args, **env):
+    """``python args`` in a fresh interpreter that imports this uemb, with
+    ``env`` over this process's environment (None unsets a variable)."""
     src = os.path.dirname(os.path.dirname(uemb.__file__))
     env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _run_fresh(code, **env):
+    """stdout of ``code`` run by ``_fresh``, which must exit 0."""
+    result = _fresh(["-c", code], **env)
+    result.check_returncode()
+    return result.stdout
+
+
+def test_module_entry_point_runs_with_warnings_as_errors(tmp_path):
+    # the package does not import its main module, so -m runs it as
+    # __main__ with no copy of it already in sys.modules
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("kind = bounds_sweep\ncalculator = pointcloud\n")
+    out = tmp_path / "out"
+    result = _fresh(["-W", "error", "-m", "uemb.expcli.main", "bounds",
+                     "--config", str(cfg), "--out", str(out)])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(list(out.iterdir())) == 1
 
 
 # this process may have set it already, by importing uemb before numpy

@@ -69,11 +69,15 @@ class TestDistanceMap:
         assert DistanceMapModel(make_sawtooth(), spec).g(3.0) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_monotone_on_grid(self):
-        ds = np.geomspace(1e-3, 6.0, 80)
-        for family, scale in (("gaussian", 0.4), ("cauchy", 0.6)):
-            model = DistanceMapModel(make_square_wave(), ProjectionSpec(family, scale))
-            vals = model.curve(ds)
-            assert np.all(np.diff(vals) >= -1e-12), family
+        # every P_k >= 0 and every phi_k falls in d, so each monotone curve
+        # rises, on [0, D0] and past it
+        for m in TestSummationEngine.CATALOG:
+            for family, scale in (("gaussian", 0.4), ("cauchy", 0.6)):
+                for flavor in ("sq_l2", "sqrt"):
+                    model = DistanceMapModel(m, ProjectionSpec(family, scale), flavor=flavor)
+                    for ds in (np.geomspace(1e-3, 6.0, 80), np.linspace(0.0, model.D0, 65)):
+                        vals = model.curve(ds)
+                        assert np.all(np.diff(vals) >= -1e-12), (m.name, family, flavor)
 
     def test_bounded_by_asymptote(self):
         model = DistanceMapModel(make_sawtooth(), ProjectionSpec("gaussian", 0.7))
@@ -179,13 +183,15 @@ class TestSummationEngine:
         ref = [scalar_phi_sum(sp, spec, d, ref_term) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
 
+    @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
-    def test_slope_is_the_central_difference_of_g(self, m, family):
-        # derivative(d) against (g(d + h) - g(d - h)) / 2h, h = 1e-4 d, from
-        # scale d = 1e-4 to saturation, wherever the slope is not negligible
+    def test_slope_is_the_central_difference_of_g(self, m, family, flavor):
+        # derivative(d) against (value(d + h) - value(d - h)) / 2h, h = 1e-4 d,
+        # of g or sqrt(g), from scale d = 1e-4 to saturation, wherever the
+        # slope is not negligible
         spec = ProjectionSpec(family, 0.7)
-        model = DistanceMapModel(m, spec)
+        model = DistanceMapModel(m, spec, flavor=flavor)
         ds = np.geomspace(1e-4, 5.0, 30) / spec.scale
         h = 1e-4 * ds
         diff = (model.curve(ds + h) - model.curve(ds - h)) / (2.0 * h)
@@ -495,6 +501,26 @@ class TestInversion:
         assert d0s[1] < d0s[0]
         assert d0s[0] / d0s[1] == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_inverse_scale_brackets_d0(self, family, flavor):
+        # phi(2 pi k | 1/scale) <= e^{-2 pi} for k >= 1 and every P_k >= 0,
+        # so g(1/scale) >= (1 - e^{-2 pi}) g_inf: D0 lies in (0, 1/scale]
+        least = (1.0 - math.exp(-2.0 * math.pi)) * (1.0 - 1e-12)
+        for m in TestSummationEngine.CATALOG:
+            for scale in (1e-3, 1.0 / 3.0, 1.0, 7.0, 1e4):
+                model = DistanceMapModel(m, ProjectionSpec(family, scale), flavor=flavor)
+                g = model.g(1.0 / scale)
+                assert g >= least * model.g_inf, (m.name, scale)
+                assert model.value(1.0 / scale) >= SATURATION_FRACTION * model.value_inf
+                assert 0.0 < model.D0 <= 1.0 / scale
+
+    def test_d0_at_a_scale_whose_inverse_overflows_raises(self):
+        # 1 / 1e-310 is inf: no finite distance brackets D0
+        model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 1e-310))
+        with pytest.raises(ValueError, match="finite"):
+            model.D0
+
     def test_d0_values_binary_universal(self):
         # documented: per-flavor saturation radii of the (sigma, Delta) map
         sigma = Delta = 1.0
@@ -680,6 +706,7 @@ class TestAmbiguity:
         assert saw.derivative(0.0) == pytest.approx(saw.derivative(1e-6), rel=1e-5)
         finite = DistanceMapModel(make_multibit(3), ProjectionSpec("gaussian", 1.0))
         assert finite.derivative(0.0) == 0.0
+        assert ambiguity(finite, 0.0, 0.01, 0.0) == math.inf  # a flat start
 
     def test_cauchy_slope_at_zero(self):
         # a series' Cauchy slope at 0 diverges; a finite spectrum's is
@@ -687,6 +714,7 @@ class TestAmbiguity:
         spec = ProjectionSpec("cauchy", 0.5)
         for m in (make_square_wave(), make_sawtooth()):
             assert DistanceMapModel(m, spec).derivative(0.0) == math.inf
+        assert ambiguity(DistanceMapModel(make_square_wave(), spec), 0.0, 0.01, 0.0) == 0.0
         finite = DistanceMapModel(make_multibit(3), spec)
         sp = finite.map.power_coeffs()
         ac = sp.k >= 1
