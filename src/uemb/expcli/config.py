@@ -302,6 +302,13 @@ class ExperimentConfig:
             if 2 * params["pairs"] * width > MAX_ELEMENTS:
                 raise ConfigError("pairs must keep 2 pairs x max(N, M) within %d elements,"
                                   " got 2 x %d x %d" % (MAX_ELEMENTS, params["pairs"], width))
+        if "clusters" in params:  # the l2 baseline's queries x database x N differences
+            shape = (params["clusters"], params["clusters"] * (params["points_per_cluster"] - 1),
+                     params["N"])
+            if math.prod(shape) > MAX_ELEMENTS:
+                raise ConfigError("clusters must keep clusters x clusters (points_per_cluster - 1)"
+                                  " x N within %d elements, got %d x %d x %d"
+                                  % ((MAX_ELEMENTS,) + shape))
         self.params = params
         # quant-sim's universal variant runs the sawtooth, not its map key's map
         uses_map = "map" in params and params.get("variant") != "universal"

@@ -15,7 +15,8 @@ closed-form infinite series of the square wave and the sawtooth (a
 total: the power above its listed harmonics, known by Parseval, is listed
 at the next one.  The engine of ``uemb.theory`` reads every kind alike:
 ``dc_power``, ``ac_power``, ``tail_bound`` and ``blocks()``, ascending
-(hi, k, P_k, power above hi).
+(hi, k, P_k, power above hi); it sums a ``PowerSpectrum`` in one pass over
+its ``xi`` = 2 pi k and ``xi_power``.
 A quantized kind's Fourier coefficients are summed over its jumps J_j at
 its breaks t_j, H_k = sum_j J_j e^{-2 pi i k t_j} / (2 pi i k), with each
 exponential the product of two small tables (a row per 64 harmonics and a
@@ -99,7 +100,9 @@ class PowerSpectrum:
     harmonics above K; ``tail_bound`` is T, which bounds the error of that
     placement in any sum of P_k phi_k with phi falling in k.  ``dc_power``,
     ``ac_power`` (k >= 1) and the one block of ``blocks()`` are derived
-    once, with no power above it.
+    once, with no power above it, and so are the block's phi arguments
+    ``xi`` = 2 pi k (ascending, k >= 1) and their powers ``xi_power``,
+    which the engine of ``uemb.theory`` sums.
     """
 
     k: np.ndarray
@@ -107,6 +110,8 @@ class PowerSpectrum:
     tail_bound: float
     dc_power: float = field(init=False)
     ac_power: float = field(init=False)
+    xi: np.ndarray = field(init=False, repr=False)
+    xi_power: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=np.int64)
@@ -122,7 +127,10 @@ class PowerSpectrum:
         object.__setattr__(self, "power", p)
         object.__setattr__(self, "dc_power", float(p[0]) if len(k) and k[0] == 0 else 0.0)
         object.__setattr__(self, "ac_power", float(np.sum(p[ac])))
-        block = (int(k[-1]) if len(k) else 0, k[ac].astype(np.float64), p[ac], 0.0)
+        ks = k[ac].astype(np.float64)
+        object.__setattr__(self, "xi", 2.0 * np.pi * ks)
+        object.__setattr__(self, "xi_power", p[ac])
+        block = (int(k[-1]) if len(k) else 0, ks, self.xi_power, 0.0)
         object.__setattr__(self, "_blocks", (block,))
 
     def blocks(self):
@@ -525,7 +533,9 @@ def _cell_crossings(inner, bits):
 
     Each change of cell between neighbouring points of a 2^-15 grid is one
     crossing; ValueError where two neighbours lie more than one cell apart,
-    as some cell between them would be lost.
+    as some cell between them would be lost.  The bisection takes up to 60
+    halvings and stops once every bracket is two adjacent floats, where a
+    further halving leaves it as it is.
     """
 
     def cell(t):
@@ -544,6 +554,8 @@ def _cell_crossings(inner, bits):
     a, b, ca = grid[i], grid[i + 1], c[i]
     for _ in range(60):
         m = 0.5 * (a + b)
+        if np.all((m == a) | (m == b)):
+            break
         same = cell(m) == ca
         a = np.where(same, m, a)
         b = np.where(same, b, m)

@@ -14,9 +14,12 @@ closed-form series with adaptive truncation against its exact AC total,
 so the identity holds to rounding and g(0) = 0 exactly, and a finite
 spectrum as one block whose tail_bound enters the certified error.  The
 engine takes a whole grid of distances in one pass, each d stopping at
-its own block with the sum a lone d would get, bit for bit; a single d
-is a grid of one.  The saturation radius D0 is one bisection on
-(0, 1/scale], which always brackets it.  Inversion and D0 bisect by
+its own block with the sum a lone d would get, bit for bit; on a finite
+spectrum a single d is one row.  The harmonics whose phi underflows to
+exactly 0 at the smallest d of a pass, and so at every d of it, are
+filled with 0 and never exponentiated, which keeps every bit.  The
+saturation radius D0 is one bisection on (0, 1/scale], which always
+brackets it.  Inversion and D0 bisect by
 replaying: each engine pass evaluates the midpoints of a predicted run
 of halvings, and the steps whose bracket was predicted are taken, so the
 result is the one-midpoint-at-a-time loop's, bit for bit, in a fraction
@@ -63,16 +66,42 @@ def _li2(x):
 # row longer than a block is evaluated alone.
 _PHI_BLOCK = 1 << 15
 
+# The largest scale d xi whose phi is not 0.  np.exp(x) is +0.0 for every x
+# at or below -745.1332191019412 and 5e-324 at the next float up, so the
+# Cauchy phi = exp(-t) lives to t = 745.1332191019411 and the Gaussian
+# exp(-t^2 / 2) to t = 38.60396920271129.  An exp that returns such a 0 took
+# 4-17 ns against about 1 ns for a normal result (arguments -746 to -1e4,
+# 2-vCPU Xeon).
+_LIVE = {"gaussian": 38.60396920271129, "cauchy": 745.1332191019411}
+
+
+def _column(ds):
+    """ds as the column of a ds x xi grid; one float d is one row."""
+    return ds if isinstance(ds, float) else ds[:, None]
+
 
 def _phi(spec, ds, xi):
-    """char_fn on the grid ds x xi, bit for bit, without its check of d."""
+    """char_fn on the grid ds x xi, bit for bit, without its check of d.
+
+    ds is a 1-D array, one row per d, or one float d, one row; xi ascends.
+    Past the last scale d xi <= _LIVE in the row of the smallest d, phi is
+    exactly 0 in every row: those columns are filled with 0, not
+    exponentiated.  Subnormal phi are computed.  Rows keep their full
+    length, so a dot product over a row sums in the same order.
+    """
+    sd = spec.scale * ds
+    out = np.multiply(_column(sd), xi)
+    smallest = out if isinstance(ds, float) else sd.min(initial=math.inf) * xi
+    n = int(smallest.searchsorted(_LIVE[spec.family], "right"))
+    live = out[..., :n]
     if spec.family == "gaussian":
-        out = np.multiply(spec.scale, ds)[:, None] * xi
-        np.square(out, out=out)
-        np.multiply(out, -0.5, out=out)
+        np.square(live, out=live)
+        live *= -0.5
     else:
-        out = np.multiply(-spec.scale, ds)[:, None] * xi
-    return np.exp(out, out=out)
+        np.negative(live, out=live)
+    np.exp(live, out=live)
+    out[..., n:] = 0.0
+    return out
 
 
 def _slope(spec, ds, xi):
@@ -82,18 +111,19 @@ def _slope(spec, ds, xi):
     out *= sxi
     if spec.family == "gaussian":
         out *= sxi
-        out *= ds[:, None]
+        out *= _column(ds)
     return out
 
 
 def _dots(spec, ds, xi, powers, term=_phi):
-    """powers . term(xi | d) for each of ds, in blocks of _PHI_BLOCK elements.
+    """powers . term(xi | d) for each of ds, in blocks of _PHI_BLOCK elements;
+    for one float d, its row's.
 
     Each row's dot product is its own (np.vecdot); a matrix-vector product
     would sum in another order.
     """
     rows = max(1, _PHI_BLOCK // max(len(xi), 1))
-    if len(ds) <= rows:
+    if isinstance(ds, float) or len(ds) <= rows:
         return np.vecdot(term(spec, ds, xi), powers)
     out = np.empty(len(ds))
     for i in range(0, len(ds), rows):
@@ -104,12 +134,16 @@ def _dots(spec, ds, xi, powers, term=_phi):
 def _phi_sum(spectrum, spec, ds, term=_phi):
     """S = sum_{k>=1} P_k term(2 pi k | d) at each of ds, with certified errors.
 
-    ds is a 1-D array of distances checked by ``_distances``; term is
-    ``_phi`` or ``_slope`` (d > 0 only).  Returns arrays (S_hat, err) with
-    |S - S_hat| <= err.  Each d sums the blocks in order, as a scalar loop
-    would, and stops at its own block once rem = above * term(2 pi (hi+1) | d)
-    is 1e-12 of max(S, ac_power / 1000) or less; half of rem goes into S_hat
-    and half into err, with the tail_bound.  At d = 0, S is ac_power exactly.
+    ds is a 1-D array of distances checked by ``_distances``, or one float
+    checked by ``_distance``; term is ``_phi`` or ``_slope`` (d > 0 only).
+    Returns (S_hat, err) with |S - S_hat| <= err: arrays for an array, and
+    scalars for a float d, whose finite-spectrum sum is one row.  At d = 0,
+    S is ac_power exactly.  A finite spectrum is one ``_dots`` pass over its
+    AC harmonics, with err its tail_bound.  A series sums its blocks in
+    order, as a scalar loop would, each d stopping at its own block once
+    rem = above * term(2 pi (hi+1) | d) is 1e-12 of max(S, ac_power / 1000)
+    or less; half of rem goes into S_hat and half into err, with the
+    tail_bound.  A float d on a series is a grid of one.
 
     rem bounds the rest where term falls in k: phi always, the slope past its
     peak at 2 pi k scale d = sqrt 2 (Gaussian) or 1 (Cauchy).  Below the peak
@@ -117,21 +151,36 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
     _K_CAP, so only S < ac_power / 1000 can stop it there: a Gaussian series
     at scale^2 d < ~1e-19, far below where _K_CAP already cuts its slope.
     """
+    if isinstance(ds, float):
+        if ds == 0.0:
+            return spectrum.ac_power, spectrum.tail_bound
+        if isinstance(spectrum, HarmonicSeries):
+            s_hat, err = _series_sum(spectrum, spec, np.array((ds,)), term)
+            return s_hat[0], err[0]
+        return _dots(spec, ds, spectrum.xi, spectrum.xi_power, term), spectrum.tail_bound
     if np.count_nonzero(ds) < len(ds):
         s_hat = np.full(len(ds), spectrum.ac_power)
         err = np.full(len(ds), spectrum.tail_bound)
         pos = ds > 0.0
         s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos], term)
         return s_hat, err
+    if isinstance(spectrum, HarmonicSeries):
+        return _series_sum(spectrum, spec, ds, term)
+    s_hat = _dots(spec, ds, spectrum.xi, spectrum.xi_power, term)
+    return s_hat, np.full(len(ds), spectrum.tail_bound)
+
+
+def _series_sum(spectrum, spec, ds, term):
+    """_phi_sum of a HarmonicSeries at a 1-D array of distances > 0."""
     s_hat, err = np.empty(len(ds)), np.empty(len(ds))
     rows, d, s = slice(None), ds, 0.0  # the rows still summing, their d and sums
     floor = 1e-3 * spectrum.ac_power
     for hi, ks, powers, above in spectrum.blocks():
         s = s + _dots(spec, d, 2.0 * np.pi * ks, powers, term)
-        if not above:  # nothing above this block, as for a finite spectrum
+        if not above:  # nothing above this block
             s_hat[rows], err[rows] = s, spectrum.tail_bound
             break
-        rem = above * term(spec, d, 2.0 * np.pi * (hi + 1))[:, 0]
+        rem = above * term(spec, d, np.array((2.0 * np.pi * (hi + 1),)))[:, 0]
         # every row's estimate so far: a row that stops here keeps it
         s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
         keep = rem > 1e-12 * np.maximum(s, floor)
@@ -223,9 +272,9 @@ class DistanceMapModel:
         return np.sqrt(g) if flavor == "sqrt" else g
 
     def _value(self, d, flavor):
-        """The flavor's value at one d: the engine on a grid of one."""
-        s, _ = _phi_sum(self._spectrum, self.spec, np.array((_distance(d),)))
-        return float(self._flavored(float(s[0]), flavor))
+        """The flavor's value at one d: the engine on that d alone."""
+        s, _ = _phi_sum(self._spectrum, self.spec, _distance(d))
+        return float(self._flavored(float(s), flavor))
 
     def g(self, d):
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""
@@ -255,10 +304,9 @@ class DistanceMapModel:
         1 + step, ... has 4 c scale / (step sqrt(2 pi)) (Gaussian) or inf (Cauchy)."""
         d, sp, spec = _distance(d), self._spectrum, self.spec
         if d > 0.0:
-            s = _phi_sum(sp, spec, np.array((d,)), _slope)[0][0]
+            s = _phi_sum(sp, spec, d, _slope)[0]
         elif not isinstance(sp, HarmonicSeries):
-            (_, ks, powers, _), = sp.blocks()
-            s = _dots(spec, np.zeros(1), 2.0 * np.pi * ks, powers, _slope)[0]
+            s = _dots(spec, d, sp.xi, sp.xi_power, _slope)
         elif spec.family == "gaussian":
             s = 2.0 * sp.c * spec.scale / (sp.step * math.sqrt(2.0 * math.pi))
         else:
@@ -419,9 +467,14 @@ def universal_binary_map(d, sigma, Delta):
         return 0.0, bounds
     acc = 0.0
     c = (math.pi * s) ** 2 / 2.0
-    # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly
+    # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly; each
+    # exp(-t) past t = _LIVE["cauchy"] is 0, and is left 0 in a full-length row
     for hi, k, powers, above in make_square_wave().power_coeffs().blocks():
-        acc += float((2.0 * powers) @ np.exp(-c * k * k))
+        t = c * k * k
+        n = int(t.searchsorted(_LIVE["cauchy"], "right"))
+        terms = np.zeros(len(k))
+        np.exp(-t[:n], out=terms[:n])
+        acc += float((2.0 * powers) @ terms)
         rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2)
         if rem <= 1e-14 * max(acc, 1e-3):
             break

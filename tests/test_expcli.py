@@ -545,6 +545,11 @@ class TestCli:
         ("design-sim", "kind = design_sim\npairs = 200000\n", "pairs"),
         ("quant-sim", "kind = quantization_sim\npairs = 200000\n", "pairs"),
         ("scatter", "kind = universal_scatter\npairs = 200000\n", "pairs"),
+        # the l2 baseline's clusters x clusters (points_per_cluster - 1) x N past the
+        # cap: about 51 GB at clusters = 5000
+        *[("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16\n%s\n" % text,
+           "clusters") for text in ("clusters = 5000", "points_per_cluster = 1000",
+                                    "N = 20000")],
         ("map-eval", "kind = map_eval\nd_count = 5\nlog_grid = 7\n", "log_grid"),
         # binary_infinite's w = 2 eps^2 overflowing to inf or underflowing to 0
         *[("bounds", "kind = bounds_sweep\ncalculator = binary_infinite\neps_list = 0.1,%s\n"
@@ -560,7 +565,9 @@ class TestCli:
             "design-hbar4-inf", "quant-hbar4-zero", "quant-hbar4-inf",
             "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
             "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
-            "design-pairs-cap", "quant-pairs-cap", "scatter-pairs-cap", "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
+            "design-pairs-cap", "quant-pairs-cap", "scatter-pairs-cap",
+            "retrieve-clusters-cap", "retrieve-points_per_cluster-cap", "retrieve-N-cap",
+            "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
             "bounds-binary_infinite-eps-tiny"])
     def test_bad_count_exit_two(self, tmp_path, capsys, command, text, key):
         # counts, choices and the sign of each scale and distance, found

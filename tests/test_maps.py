@@ -487,9 +487,12 @@ class TestInPlaceEvaluation:
             breaks.append(1.0)
             return np.array(sorted(set(breaks)))
 
-        for terms in (FIG3_TERMS, [(2, 0.5), (3, -0.8), (7, 0.3)]):
+        # _cell_crossings stops once every bracket is two adjacent floats
+        for terms, bit_list in ((FIG3_TERMS, (1, 2, 3, 4, 5, 6, 8)),
+                                ([(2, 0.5), (3, -0.8), (7, 0.3)], range(1, 7)),
+                                ([(400, 1.0)], (1,))):
             mix = make_fourier_mixture(terms)
-            for bits in range(1, 7):
+            for bits in bit_list:
                 want = ref_crossings(mix, bits)
                 got = _cell_crossings(mix, bits)
                 msg = "%s B=%d" % (terms, bits)

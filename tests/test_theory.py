@@ -183,6 +183,116 @@ class TestSummationEngine:
         ref = [scalar_phi_sum(sp, spec, d, ref_term) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_phi_is_zero_just_past_the_live_end(self, family):
+        # np.exp is +0.0 at -745.1332191019412 and below and positive at the
+        # next float up; _LIVE is the last scale d xi whose phi is not 0
+        edge = -745.1332191019412
+        below = np.array([edge, np.nextafter(edge, -np.inf), -746.0, -1e4, -np.inf])
+        assert np.exp(below).tobytes() == np.zeros(len(below)).tobytes()
+        assert np.exp(np.nextafter(edge, 0.0)) > 0.0
+        spec, t = ProjectionSpec(family, 1.0), theory._LIVE[family]
+        xi = np.array([t, np.nextafter(t, np.inf)])
+        plain = self._plain_phi(spec, np.ones(1), xi)[0]
+        assert plain[0] > 0.0 and plain[1] == 0.0
+        assert theory._phi(spec, 1.0, xi).tobytes() == plain.tobytes()
+
+    @staticmethod
+    def _plain_phi(spec, ds, xi):
+        # char_fn on the grid ds x xi with every exponential taken
+        if spec.family == "gaussian":
+            out = np.multiply(spec.scale, ds)[:, None] * xi
+            with np.errstate(over="ignore"):
+                out = -0.5 * np.square(out)
+        else:
+            out = np.multiply(-spec.scale, ds)[:, None] * xi
+        return np.exp(out)
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", FINITE, ids=lambda m: m.name)
+    def test_phi_is_the_plain_exp_bit_for_bit(self, m, family):
+        # every block ds[i:] of an ascending grid, and each d as one row:
+        # rows that are live, cut mid-spectrum, subnormal or all 0
+        sp = m.power_coeffs()
+        for scale in (1.0, 0.07):
+            spec = ProjectionSpec(family, scale)
+            # scale d xi_1 from 1e-12 of the cut to past it, dense over the
+            # last 5% before it, where phi_1 turns subnormal (from 37.6
+            # Gaussian, 708 Cauchy)
+            edge = theory._LIVE[family] / sp.xi[0]
+            ds = np.concatenate([np.geomspace(1e-12, 0.9, 20) * edge,
+                                 np.linspace(0.95, 1.0, 15) * edge,
+                                 np.geomspace(1.001, 1e4, 8) * edge]) / scale
+            phi = theory._phi(spec, ds, sp.xi)
+            assert np.any((phi > 0.0) & (phi < np.finfo(float).tiny))
+            for i in range(len(ds)):
+                got = theory._phi(spec, ds[i:], sp.xi)
+                assert got.tobytes() == self._plain_phi(spec, ds[i:], sp.xi).tobytes(), i
+                row = theory._phi(spec, float(ds[i]), sp.xi)
+                assert row.tobytes() == got[0].tobytes(), i
+            assert not np.any(phi[-1])
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", FINITE, ids=lambda m: m.name)
+    def test_slope_at_zero_and_huge_scales_are_the_plain_exp(self, m, family):
+        # a row at d = 0 (derivative(0)) exponentiates every harmonic; at a
+        # scale where (scale d xi)^2 overflows, every phi is 0 and is not
+        # exponentiated, so nothing overflows (warnings are errors here)
+        sp = m.power_coeffs()
+        spec = ProjectionSpec(family, 0.7)
+        sxi = spec.scale * sp.xi
+        slope = self._plain_phi(spec, np.zeros(1), sp.xi)[0] * sxi
+        if family == "gaussian":
+            slope = slope * sxi * 0.0
+        want = 2.0 * float(np.vecdot(slope, sp.xi_power))
+        assert DistanceMapModel(m, spec).derivative(0.0).hex() == want.hex()
+        huge = ProjectionSpec(family, 1e160)
+        ds = np.array([1e-3, 1.0, 1e100])
+        phi = theory._phi(huge, ds, sp.xi)
+        assert phi.tobytes() == self._plain_phi(huge, ds, sp.xi).tobytes()
+        assert not np.any(phi)
+        assert DistanceMapModel(m, huge).g(1.0) == DistanceMapModel(m, huge).g_inf
+
+    def test_subnormal_kernel_keeps_its_bits(self):
+        # K(6.05) of the design mixture at Gaussian scale 1 has no DC term and
+        # is subnormal: phi_1 is computed, not taken for 0
+        m = make_fourier_mixture(FIG3)
+        sp = m.power_coeffs()
+        spec = ProjectionSpec("gaussian", 1.0)
+        k = DistanceMapModel(m, spec, flavor="kernel").kernel(6.05)
+        want = float(np.vecdot(self._plain_phi(spec, np.array([6.05]), sp.xi)[0], sp.xi_power))
+        assert 0.0 < k < np.finfo(float).tiny
+        assert k.hex() == want.hex()
+
+    def test_no_exp_returns_an_exact_zero_on_the_benchmark_grid(self, monkeypatch):
+        # the theory benchmark's models, grid, D0 and inversions, and the
+        # binary universal map: no phi that is exactly 0 in every row of its
+        # block reaches np.exp
+        models = [DistanceMapModel(m, ProjectionSpec(family, 0.5))
+                  for m in self.FINITE for family in ("gaussian", "cauchy")]
+        ds = np.logspace(-9.0, 2.0, 200) / 0.5
+        exp, seen = np.exp, [0]
+
+        def spy(x, *args, **kwargs):
+            # a row: every exp is nonzero; a block: so is some exp of its
+            # last column, that of its smallest d
+            live = np.asarray(x) > -745.1332191019412
+            assert live.all() if live.ndim == 1 else live[:, -1:].any(axis=0).all()
+            seen[0] += live.size
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        for model in models:
+            g = model.curve(ds)
+            for d in ds.tolist():
+                model.kernel(d)
+            model.D0
+            for j in range(0, len(ds), 10):
+                model.invert(float(g[j]))
+        for d in np.geomspace(1e-3, 20.0, 50).tolist():
+            universal_binary_map(d, 1.0, 1.0)
+        assert seen[0] > 10 ** 6
+
     @pytest.mark.parametrize("flavor", ["sq_l2", "sqrt"])
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
@@ -343,12 +453,22 @@ class TestClosedFormsAgainstEngine:
 
     @pytest.mark.parametrize("sigma,Delta", [(1.0, 1.0), (0.3, 2.0), (2.5, 0.4)])
     def test_binary_map_reads_the_square_wave_series_bit_for_bit(self, sigma, Delta):
-        # the square wave's blocks give the sums of the function's former own loop
+        # the square wave's blocks give the sums of the function's former own
+        # loop, which exponentiates every term, also where the terms from
+        # some k on are 0 (pi s k past 38.6: s from 0.012 to 12.3) and are
+        # not exponentiated; the bounds are their closed forms
         ds = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e-3, 6),
+                             np.geomspace(1e-3, 12.7, 60),
                              np.linspace(0.0, 40.0, 41)[1:]]) * Delta / sigma
         for d in ds.tolist():
-            got, _ = universal_binary_map(d, sigma, Delta)
+            got, b = universal_binary_map(d, sigma, Delta)
             assert got.hex() == self._own_series_loop(d, sigma, Delta).hex(), d
+            s = sigma * d / Delta
+            e1 = math.exp(-((math.pi * s) ** 2) / 2.0) if math.pi * s <= 40.0 else 0.0
+            want = (0.5 - 0.5 * e1, 0.5 - (4.0 / math.pi ** 2) * e1,
+                    math.sqrt(2.0 / math.pi) * s)
+            assert [v.hex() for v in (b.lower, b.upper_exp, b.upper_lin)] == \
+                [v.hex() for v in want], d
 
     def test_binary_map_saturates_at_huge_distances(self):
         # past pi s = 40 every term is 0 and the bounds are (1/2, 1/2, upper_lin),
