@@ -32,7 +32,16 @@ t - floor(t) into its slice of that array, and every kind maps the slice
 in place (a quantized kind's inner map included, and
 ``_quantize_values``' chain of steps).  The floor, the finite check and
 a mixture's running sum and term are each one block in size.  An
-argument other than ``out`` is never written to.
+argument other than ``out`` is never written to.  Points already in
+[0, 1] (the grids and bisection midpoints of a codomain or of a
+quantizer's cells) skip the floor and the finite check (``_map_unit``),
+and the codomain minimiser's scalar points skip the array set-up
+(``_map_at``); both keep ``__call__``'s bits.
+
+A map's codomain ``value_range`` (and its width ``hbar``) is given at
+construction, except a smooth map's, which is computed on first use, as
+its spectrum is: the curves of ``uemb.theory`` read only the spectrum, and
+only the concentration bounds and the quantizer cells read the codomain.
 
 Discontinuity convention: maps are right-continuous at bin edges (a bin's
 value holds from its left endpoint).  Dither makes the convention measure-
@@ -186,10 +195,12 @@ class PeriodicMap:
     ``quantize_map`` factories below.
     """
 
-    def __init__(self, kind, params, value_range):
+    def __init__(self, kind, params, value_range=None):
         self.kind = kind
         self.params = dict(params)
-        self.value_range = (float(value_range[0]), float(value_range[1]))
+        self._range = None
+        if value_range is not None:
+            self._range = (float(value_range[0]), float(value_range[1]))
         self._pieces = None
         self._spectrum = None
 
@@ -197,6 +208,18 @@ class PeriodicMap:
     def is_binary(self):
         """True for the {0, 1} square wave, whose codes compare by Hamming distance."""
         return self.kind == "square"
+
+    @property
+    def value_range(self):
+        """(inf h, sup h) as two floats.
+
+        Given at construction, except a smooth map's (a mixture's), which
+        ``_smooth_range`` computes on first use, as ``power_coeffs()`` does
+        the spectrum: the curves of ``uemb.theory`` never read it.
+        """
+        if self._range is None:
+            self._range = _smooth_range(self)
+        return self._range
 
     @property
     def hbar(self):
@@ -240,16 +263,13 @@ class PeriodicMap:
             raise ValueError("out must be a C-contiguous float64 array of t's shape")
         src, dst = t.reshape(-1), res.reshape(-1)
         for lo in range(0, dst.size, _MAP_BLOCK):
-            tau = _frac(src[lo:lo + _MAP_BLOCK], out=dst[lo:lo + _MAP_BLOCK])
-            h = self._map_frac(tau)
-            if h is not tau:
-                tau[...] = h
+            self._map_frac(_frac(src[lo:lo + _MAP_BLOCK], out=dst[lo:lo + _MAP_BLOCK]))
         if out is None and t.ndim == 0:
             return float(res)
         return res
 
     def _map_frac(self, tau):
-        """h on tau in [0, 1), overwriting tau; returns the result array."""
+        """h on tau in [0, 1), in place: tau is overwritten and returned."""
         if self.kind == "square":
             return np.less(tau, 0.5, out=tau)
         if self.kind == "sawtooth":
@@ -257,15 +277,17 @@ class PeriodicMap:
             tau *= SQRT2
             return tau
         if self.kind == "mixture":
-            # the sum starts from +0.0, so a zero sum is +0.0 as well
-            out = np.zeros_like(tau)
+            # the sum starts from +0.0, so a zero sum is +0.0 as well; its
+            # last term is added into tau, which no later term reads
+            terms = self.params["terms"]
+            acc = np.zeros_like(tau)
             term = np.empty_like(tau)
-            for k, a in self.params["terms"]:
+            for i, (k, a) in enumerate(terms):
                 np.multiply(tau, 2.0 * np.pi * k, out=term)
                 np.sin(term, out=term)
                 term *= a
-                out += term
-            return out
+                np.add(acc, term, out=tau if i == len(terms) - 1 else acc)
+            return tau
         if self.kind in ("multibit", "quantized"):
             inner = self.params["inner"]
             return _quantize_values(
@@ -348,7 +370,8 @@ def make_fourier_mixture(terms):
     """h(t) = sum_i a_i sin(2 pi k_i t) for terms = [(k_i, a_i), ...].
 
     Folded power is a_i^2/2 at each declared frequency (Parseval:
-    sum a_i^2/2 = int h^2).
+    sum a_i^2/2 = int h^2).  Building the map computes neither its
+    spectrum nor its codomain: ``value_range`` is found on first use.
     """
     terms = list(terms)
     if not terms:
@@ -367,9 +390,7 @@ def make_fourier_mixture(terms):
     if not math.isfinite(sum(a * a / 2.0 for _, a in clean)):
         raise ValueError("mixture power sum a^2/2 must be finite")
     clean.sort()
-    m = PeriodicMap("mixture", {"terms": tuple(clean)}, (0.0, 0.0))
-    m.value_range = _smooth_range(m)
-    return m
+    return PeriodicMap("mixture", {"terms": tuple(clean)})
 
 
 def quantize_map(inner, bits):
@@ -403,18 +424,50 @@ def make_multibit(bits):
 # Codomain range of smooth maps
 
 
+def _map_unit(map_, t):
+    """map_(t) as a new float64 array, for a 1-D t whose points lie in [0, 1].
+
+    ``_frac`` returns such points as they are, except 1.0, which it folds
+    to 0.0.  So this copies t, folds 1.0 to 0.0 and calls ``_map_frac``,
+    a block of _MAP_BLOCK at a time, as ``__call__`` does: the same bits,
+    without its finite check, floor and subtraction.
+    """
+    res = np.array(t, dtype=np.float64)
+    for lo in range(0, res.size, _MAP_BLOCK):
+        tau = res[lo:lo + _MAP_BLOCK]
+        tau[tau == 1.0] = 0.0
+        map_._map_frac(tau)
+    return res
+
+
+def _map_at(map_, t):
+    """map_(t) for one finite float t, as a float.
+
+    t - floor(t) in Python floats is ``_frac``'s subtraction, and lies in
+    [0, 1] (1.0 for a t in [-2^-54, 0)), so ``_map_unit`` maps it, without
+    ``__call__``'s array set-up.  (For t = -0.0 it is -0.0 where numpy gives
+    +0.0; every kind maps the two alike.)
+    """
+    return float(_map_unit(map_, (t - math.floor(t),))[0])
+
+
 def _smooth_range(map_):
     """(min, max) of a smooth map as two floats: the extremes of a 2^16-point
-    grid, each refined by ``_bounded_min`` within two grid steps of it."""
+    grid, each refined by ``_bounded_min`` within two grid steps of it.
+
+    The grid (i + 1/2) / 2^16 lies in [0, 1) and goes through ``_map_unit``;
+    the minimiser's points go through ``_map_at``.  Both give ``map_``'s
+    own bits.
+    """
     n = 1 << 16
     ts = (np.arange(n) + 0.5) / n
-    v = map_(ts)
+    v = _map_unit(map_, ts)
     i_lo = int(np.argmin(v))
     i_hi = int(np.argmax(v))
     w = 2.0 / n
 
     def refine(i, sign):
-        return sign * _bounded_min(lambda t: sign * map_(t), ts[i] - w, ts[i] + w)
+        return sign * _bounded_min(lambda t: sign * _map_at(map_, t), ts[i] - w, ts[i] + w)
 
     lo = min(float(v[i_lo]), refine(i_lo, 1.0))
     hi = max(float(v[i_hi]), refine(i_hi, -1.0))
@@ -523,7 +576,7 @@ def _constant_pieces(map_):
     else:
         breaks = np.array([t0 for t0, _, _ in inner.constant_pieces()] + [1.0])
     levels = _quantize_values(
-        inner(0.5 * (breaks[:-1] + breaks[1:])), inner.value_range, bits
+        _map_unit(inner, 0.5 * (breaks[:-1] + breaks[1:])), inner.value_range, bits
     )
     return list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), levels.tolist()))
 
@@ -535,11 +588,13 @@ def _cell_crossings(inner, bits):
     crossing; ValueError where two neighbours lie more than one cell apart,
     as some cell between them would be lost.  The bisection takes up to 60
     halvings and stops once every bracket is two adjacent floats, where a
-    further halving leaves it as it is.
+    further halving leaves it as it is.  The grid and every midpoint lie in
+    [0, 1] and go through ``_map_unit``, which folds 1.0 (the grid's end,
+    or a rounded midpoint of its last cell) to 0.0 as ``inner(t)`` would.
     """
 
     def cell(t):
-        return _quantize_values(inner(t), inner.value_range, bits)
+        return _quantize_values(_map_unit(inner, t), inner.value_range, bits)
 
     n = 1 << 15
     grid = np.arange(n + 1) / n

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -236,6 +236,72 @@ class TestSmoothRange:
             monkeypatch.setattr(maps, "_MAXFUN", cap)
             assert _bounded_min(f, 0.1, 0.6).hex() == \
                 scipy_min(f, 0.1, 0.6, maxiter=cap).hex(), cap
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(terms=mixture_terms)
+    def test_range_is_the_call_reference_bit_for_bit(self, terms):
+        # the grid and both refinements evaluated through __call__
+        m = make_fourier_mixture(terms)
+        n = 1 << 16
+        v = m((np.arange(n) + 0.5) / n)
+        (f_lo, a_lo, b_lo), (f_hi, a_hi, b_hi) = range_brackets(m)
+        lo = min(float(v.min()), _bounded_min(f_lo, a_lo, b_lo))
+        hi = max(float(v.max()), -_bounded_min(f_hi, a_hi, b_hi))
+        got = make_fourier_mixture(terms).value_range
+        assert [x.hex() for x in got] == [lo.hex(), hi.hex()], terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(-4.0, 4.0).filter(lambda t: not 0.0 <= t < 1.0))
+    @example(t=-2.0 ** -54)
+    @example(t=-2.0 ** -60)
+    @example(t=-0.0)
+    @example(t=1.0)
+    @example(t=-1.0)
+    @example(t=1e6 + 0.1)
+    def test_scalar_evaluator_is_the_call(self, t):
+        for name, m in BINARY_CASES.items():
+            assert maps._map_at(m, t).hex() == float(m(t)).hex(), (name, t)
+
+    def test_scalar_evaluator_folds_one(self):
+        # t - floor(t) rounds to 1.0 on [-2^-54, 0); _frac folds it to 0.0
+        for t in (-2.0 ** -54, -2.0 ** -60, -5e-324):
+            assert t - math.floor(t) == 1.0
+            for name, m in BINARY_CASES.items():
+                assert maps._map_at(m, t).hex() == float(m(0.0)).hex(), (name, t)
+
+    def test_unit_points_are_the_call(self):
+        # points in [0, 1] over several blocks: 1.0 folds to 0.0 as in _frac
+        n = 1 << 16
+        t = np.concatenate((np.arange(n + 1) / n, [1.0, 0.0, 1.0 - 2.0 ** -53],
+                            np.random.default_rng(26).random(1000)))
+        for name, m in BINARY_CASES.items():
+            got = maps._map_unit(m, t)
+            np.testing.assert_array_equal(bit_pattern(got), bit_pattern(m(t)), name)
+            assert bit_pattern(got[[n, n + 1]]).tolist() == bit_pattern(m(np.zeros(2))).tolist()
+
+    def test_codomain_is_computed_on_first_use(self, monkeypatch):
+        calls = []
+        search = maps._smooth_range
+        monkeypatch.setattr(maps, "_smooth_range", lambda m: calls.append(m) or search(m))
+        mix = make_fourier_mixture(FIG3_TERMS)
+        for family in ("gaussian", "cauchy"):
+            model = DistanceMapModel(mix, ProjectionSpec(family, 0.7))
+            g = model.curve([0.0, 0.1, 1.0])
+            model.kernel(0.3)
+            model.derivative(0.2)
+            assert model.D0 > 0.0
+            model.invert(float(g[1]))
+        assert calls == []  # the curves read the spectrum only
+        hbar = mix.hbar
+        assert calls == [mix]
+        assert mix.hbar == hbar and mix.value_range[1] - mix.value_range[0] == hbar
+        assert calls == [mix]
+        inner = make_fourier_mixture(FIG3_TERMS)
+        q = quantize_map(inner, 3)
+        assert calls == [mix, inner]  # the quantizer's cells need the inner range
+        q.hbar, q.power_coeffs()
+        assert calls == [mix, inner]
 
     def test_ranges_are_plain_floats(self):
         for name, m, _ in catalog():

@@ -156,6 +156,15 @@ class TestSummationEngine:
             assert curve.shape == ds.shape
             assert [v.hex() for v in curve.tolist()] == [model.value(d).hex() for d in ds]
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", (make_square_wave(), make_multibit(4), make_fourier_mixture(FIG3)),
+                             ids=lambda m: m.name)
+    def test_empty_grid_is_an_empty_curve(self, m, family):
+        # a series, a finite piecewise spectrum and a mixture: no row, no phi cut
+        for flavor in ("sq_l2", "sqrt", "kernel"):
+            curve = DistanceMapModel(m, ProjectionSpec(family, 0.7), flavor=flavor).curve([])
+            assert curve.dtype == np.float64 and curve.shape == (0,)
+
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
     def test_value_inf_is_each_flavor_asymptote(self, m):
         spec = ProjectionSpec("gaussian", 0.7)
