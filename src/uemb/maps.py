@@ -32,11 +32,7 @@ t - floor(t) into its slice of that array, and every kind maps the slice
 in place (a quantized kind's inner map included, and
 ``_quantize_values``' chain of steps).  The floor, the finite check and
 a mixture's running sum and term are each one block in size.  An
-argument other than ``out`` is never written to.  Points already in
-[0, 1] (the grids and bisection midpoints of a codomain or of a
-quantizer's cells) skip the floor and the finite check (``_map_unit``),
-and the codomain minimiser's scalar points skip the array set-up
-(``_map_at``); both keep ``__call__``'s bits.
+argument other than ``out`` is never written to.
 
 A map's codomain ``value_range`` (and its width ``hbar``) is given at
 construction, except a smooth map's, which is computed on first use, as
@@ -263,13 +259,16 @@ class PeriodicMap:
             raise ValueError("out must be a C-contiguous float64 array of t's shape")
         src, dst = t.reshape(-1), res.reshape(-1)
         for lo in range(0, dst.size, _MAP_BLOCK):
-            self._map_frac(_frac(src[lo:lo + _MAP_BLOCK], out=dst[lo:lo + _MAP_BLOCK]))
+            tau = _frac(src[lo:lo + _MAP_BLOCK], out=dst[lo:lo + _MAP_BLOCK])
+            h = self._map_frac(tau)
+            if h is not tau:
+                tau[...] = h
         if out is None and t.ndim == 0:
             return float(res)
         return res
 
     def _map_frac(self, tau):
-        """h on tau in [0, 1), in place: tau is overwritten and returned."""
+        """h on tau in [0, 1), overwriting tau; returns the result array."""
         if self.kind == "square":
             return np.less(tau, 0.5, out=tau)
         if self.kind == "sawtooth":
@@ -277,17 +276,15 @@ class PeriodicMap:
             tau *= SQRT2
             return tau
         if self.kind == "mixture":
-            # the sum starts from +0.0, so a zero sum is +0.0 as well; its
-            # last term is added into tau, which no later term reads
-            terms = self.params["terms"]
-            acc = np.zeros_like(tau)
+            # the sum starts from +0.0, so a zero sum is +0.0 as well
+            out = np.zeros_like(tau)
             term = np.empty_like(tau)
-            for i, (k, a) in enumerate(terms):
+            for k, a in self.params["terms"]:
                 np.multiply(tau, 2.0 * np.pi * k, out=term)
                 np.sin(term, out=term)
                 term *= a
-                np.add(acc, term, out=tau if i == len(terms) - 1 else acc)
-            return tau
+                out += term
+            return out
         if self.kind in ("multibit", "quantized"):
             inner = self.params["inner"]
             return _quantize_values(
@@ -424,50 +421,22 @@ def make_multibit(bits):
 # Codomain range of smooth maps
 
 
-def _map_unit(map_, t):
-    """map_(t) as a new float64 array, for a 1-D t whose points lie in [0, 1].
-
-    ``_frac`` returns such points as they are, except 1.0, which it folds
-    to 0.0.  So this copies t, folds 1.0 to 0.0 and calls ``_map_frac``,
-    a block of _MAP_BLOCK at a time, as ``__call__`` does: the same bits,
-    without its finite check, floor and subtraction.
-    """
-    res = np.array(t, dtype=np.float64)
-    for lo in range(0, res.size, _MAP_BLOCK):
-        tau = res[lo:lo + _MAP_BLOCK]
-        tau[tau == 1.0] = 0.0
-        map_._map_frac(tau)
-    return res
-
-
-def _map_at(map_, t):
-    """map_(t) for one finite float t, as a float.
-
-    t - floor(t) in Python floats is ``_frac``'s subtraction, and lies in
-    [0, 1] (1.0 for a t in [-2^-54, 0)), so ``_map_unit`` maps it, without
-    ``__call__``'s array set-up.  (For t = -0.0 it is -0.0 where numpy gives
-    +0.0; every kind maps the two alike.)
-    """
-    return float(_map_unit(map_, (t - math.floor(t),))[0])
-
-
 def _smooth_range(map_):
     """(min, max) of a smooth map as two floats: the extremes of a 2^16-point
     grid, each refined by ``_bounded_min`` within two grid steps of it.
 
-    The grid (i + 1/2) / 2^16 lies in [0, 1) and goes through ``_map_unit``;
-    the minimiser's points go through ``_map_at``.  Both give ``map_``'s
-    own bits.
+    ``PeriodicMap.value_range`` calls it on a smooth map's first read of
+    its codomain; building the map does not.
     """
     n = 1 << 16
     ts = (np.arange(n) + 0.5) / n
-    v = _map_unit(map_, ts)
+    v = map_(ts)
     i_lo = int(np.argmin(v))
     i_hi = int(np.argmax(v))
     w = 2.0 / n
 
     def refine(i, sign):
-        return sign * _bounded_min(lambda t: sign * _map_at(map_, t), ts[i] - w, ts[i] + w)
+        return sign * _bounded_min(lambda t: sign * map_(t), ts[i] - w, ts[i] + w)
 
     lo = min(float(v[i_lo]), refine(i_lo, 1.0))
     hi = max(float(v[i_hi]), refine(i_hi, -1.0))
@@ -576,7 +545,7 @@ def _constant_pieces(map_):
     else:
         breaks = np.array([t0 for t0, _, _ in inner.constant_pieces()] + [1.0])
     levels = _quantize_values(
-        _map_unit(inner, 0.5 * (breaks[:-1] + breaks[1:])), inner.value_range, bits
+        inner(0.5 * (breaks[:-1] + breaks[1:])), inner.value_range, bits
     )
     return list(zip(breaks[:-1].tolist(), breaks[1:].tolist(), levels.tolist()))
 
@@ -588,13 +557,12 @@ def _cell_crossings(inner, bits):
     crossing; ValueError where two neighbours lie more than one cell apart,
     as some cell between them would be lost.  The bisection takes up to 60
     halvings and stops once every bracket is two adjacent floats, where a
-    further halving leaves it as it is.  The grid and every midpoint lie in
-    [0, 1] and go through ``_map_unit``, which folds 1.0 (the grid's end,
-    or a rounded midpoint of its last cell) to 0.0 as ``inner(t)`` would.
+    further halving leaves it as it is.  It reads ``inner.value_range``,
+    so quantizing a smooth map computes the inner map's codomain.
     """
 
     def cell(t):
-        return _quantize_values(_map_unit(inner, t), inner.value_range, bits)
+        return _quantize_values(inner(t), inner.value_range, bits)
 
     n = 1 << 15
     grid = np.arange(n + 1) / n

@@ -86,18 +86,12 @@ def _phi(spec, ds, xi):
     ds is a 1-D array, one row per d, or one float d, one row; xi ascends.
     Past the last scale d xi <= _LIVE in the row of the smallest d, phi is
     exactly 0 in every row: those columns are filled with 0, not
-    exponentiated.  That cut is read from the smallest d's row of scale d
-    xi, already computed.  Subnormal phi are computed.  Rows keep their
-    full length, so a dot product over a row sums in the same order.
+    exponentiated.  Subnormal phi are computed.  Rows keep their full
+    length, so a dot product over a row sums in the same order.
     """
     sd = spec.scale * ds
     out = np.multiply(_column(sd), xi)
-    if isinstance(ds, float):
-        smallest = out
-    elif len(ds):
-        smallest = out[sd.argmin()]
-    else:
-        return out
+    smallest = out if isinstance(ds, float) else sd.min(initial=math.inf) * xi
     n = int(smallest.searchsorted(_LIVE[spec.family], "right"))
     live = out[..., :n]
     if spec.family == "gaussian":
