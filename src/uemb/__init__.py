@@ -22,8 +22,8 @@ import os
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .embedder import (  # noqa: E402
+    EmbeddingBatch,
     EmbeddingOperator,
-    EmbeddingVector,
     build_operator,
     build_universal_operator,
     embed,

@@ -1,7 +1,9 @@
 """Embedding operators y = h(Ax + w) and embedding-space geometry.
 
-Operators are immutable (A, w, map) bundles.  All distances are normalized
-by M (means, not sums) so tolerance guarantees are rate-independent.
+Operators are immutable (A, w, map) bundles.  Embeddings are one type from
+embed_batch to the UEMB file: an EmbeddingBatch, n codes in one n x M
+matrix.  Distances are per row pair of two batches, normalized by M (means,
+not sums) so tolerance guarantees are rate-independent.
 
 Batching: every projection goes through the same >=2-row GEMM path, and
 embed is a batch of one.  The same batch gives the same bits, but at small
@@ -72,14 +74,46 @@ class EmbeddingOperator:
 
 
 @dataclass(eq=False)
-class EmbeddingVector:
-    """One embedded signal with provenance."""
+class EmbeddingBatch:
+    """n embedded signals of one operator, as one n x M float64 matrix (n >= 0).
+
+    A single embedding is a batch of one.  ``len`` is n; an int index gives
+    row i as a batch of one and a slice a sub-batch, both views of
+    ``values``, so iteration yields batches of one; ``+`` joins the rows of
+    two batches of one operator.  ``saturation_count`` holds
+    post_quantize's clamped values per row.
+    """
 
     values: np.ndarray
     map_id: str
     binary: bool = False
     quantized_bits: int | None = None
-    saturation_count: int | None = None
+    saturation_count: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2 or (len(self.values) and not self.values.shape[1]):
+            raise ValueError("values must be an n x M array, with M >= 1 unless n = 0")
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # IndexError past the end, as a sequence
+            i = slice(i, i + 1)
+        sat = None if self.saturation_count is None else self.saturation_count[i]
+        return EmbeddingBatch(self.values[i], self.map_id, self.binary, self.quantized_bits, sat)
+
+    def __add__(self, other):
+        """Self's rows, then other's; ValueError unless one operator and code made both."""
+        code = (self.map_id, self.binary, self.quantized_bits)
+        if (other.map_id, other.binary, other.quantized_bits) != code:
+            raise ValueError("batches of different operators or codes: %r vs %r"
+                             % (code, (other.map_id, other.binary, other.quantized_bits)))
+        sats = (self.saturation_count, other.saturation_count)
+        sat = None if any(c is None for c in sats) else np.concatenate(sats)
+        return EmbeddingBatch(np.concatenate([self.values, other.values]), *code, sat)
 
 
 def build_operator(spec, map_, M, N, rs):
@@ -129,41 +163,35 @@ def _project_rows(op, X):
 
 
 def embed(op, x):
-    """y_i = h(<a_i, x> + w_i); a batch of one."""
+    """y_i = h(<a_i, x> + w_i), as a batch of one."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.N,):
         raise ValueError("signal must have length N=%d" % op.N)
-    return embed_batch(op, x[None, :])[0]
+    return embed_batch(op, x[None, :])
 
 
 def embed_batch(op, X):
-    """Embed a batch of signals: the map of each row's projection."""
-    Y = _embed_matrix(op, X)
-    map_id = op.operator_id
-    is_bin = op.map.is_binary
-    return [EmbeddingVector(values=y, map_id=map_id, binary=is_bin) for y in Y]
-
-
-def _embed_matrix(op, X):
-    """The n x M values of embed_batch(op, X), as one array (n >= 0)."""
+    """Embed the rows of the n x N X (n >= 0): the map of each row's projection."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != op.N:
         raise ValueError("batch must be n x N with N=%d" % op.N)
     if not np.all(np.isfinite(X)):
         raise ValueError("signals must be finite")
     Y = _project_rows(op, X)
-    return op.map(Y, out=Y)
+    return EmbeddingBatch(op.map(Y, out=Y), op.operator_id, op.map.is_binary)
 
 
 METRICS = ("sq_l2_mean", "l2_mean", "hamming_mean", "inner_mean")
 
 
 def embedding_distance(y, y2, metric):
-    """Normalized embedding-space distance or inner product.
+    """Normalized embedding-space distance or inner product of each row pair.
 
-    sq_l2_mean = (1/M) ||y - y'||_2^2, l2_mean its square root,
-    hamming_mean the fraction of differing coordinates ({0,1} embeddings
-    only, where it equals sq_l2_mean exactly), inner_mean = (1/M) <y, y'>.
+    y and y2 are batches of one operator and one shape; the result holds one
+    float64 per row pair (y[i], y2[i]).  sq_l2_mean = (1/M) ||y - y'||_2^2,
+    l2_mean its square root, hamming_mean the fraction of differing
+    coordinates ({0,1} embeddings only, where it equals sq_l2_mean exactly),
+    inner_mean = (1/M) <y, y'>.
     """
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % (metric,))
@@ -173,24 +201,25 @@ def embedding_distance(y, y2, metric):
         )
     a, b = y.values, y2.values
     if a.shape != b.shape:
-        raise ValueError("embedding length mismatch")
+        raise ValueError("batch shape mismatch: %r vs %r" % (a.shape, b.shape))
+    if metric == "hamming_mean" and not (y.binary and y2.binary):
+        raise ValueError("hamming_mean requires binary {0,1} embeddings")
     if metric == "inner_mean":
-        return float(a @ b) / a.size
-    if metric == "hamming_mean":
-        if not (y.binary and y2.binary):
-            raise ValueError("hamming_mean requires binary {0,1} embeddings")
-        return float(np.count_nonzero(a != b)) / a.size
-    sq = float(np.sum((a - b) ** 2)) / a.size
-    return math.sqrt(sq) if metric == "l2_mean" else sq
+        return np.vecdot(a, b) / a.shape[1]
+    diff = a - b
+    np.square(diff, out=diff)
+    sq = np.sum(diff, axis=1) / a.shape[1]
+    return np.sqrt(sq) if metric == "l2_mean" else sq
 
 
 def post_quantize(y, bits, S):
-    """Uniform scalar quantization of an embedding over [-S, S].
+    """Uniform scalar quantization of a batch over [-S, S].
 
     Step 2^{-B+1} S with midpoint reconstruction, for B up to 40 as in
     quantize_map; inputs outside [-S, S] clamp to the edge cells and are
-    counted in saturation_count.  Non-finite values raise ValueError: NaN
-    has no cell, and an infinity would pass as an ordinary saturated value.
+    counted, per row, in saturation_count.  Non-finite values raise
+    ValueError: NaN has no cell, and an infinity would pass as an ordinary
+    saturated value.
     """
     bits = _check_bits(bits, _MAX_QUANTIZER_BITS)
     if not (S > 0 and math.isfinite(2.0 * S)):
@@ -198,13 +227,11 @@ def post_quantize(y, bits, S):
     v = y.values
     if not np.all(np.isfinite(v)):
         raise ValueError("embedding values must be finite")
-    saturated = int(np.count_nonzero((v < -S) | (v >= S)))
-    return EmbeddingVector(
-        values=_quantize_values(np.array(v, dtype=np.float64), (-S, S), bits),
+    return EmbeddingBatch(
+        values=_quantize_values(v.copy(), (-S, S), bits),
         map_id=y.map_id,
-        binary=False,
         quantized_bits=bits,
-        saturation_count=saturated,
+        saturation_count=np.count_nonzero((v < -S) | (v >= S), axis=1),
     )
 
 
@@ -214,41 +241,27 @@ def post_quantize(y, bits, S):
 _HEADER = struct.Struct("<4sHHIQ")
 
 
-def _shared_shape(vectors):
-    """(M, map_id) of one file's vectors, (0, "") for none; ValueError unless
-    each is a 1-D array of at least one value and all share M and map_id."""
-    if not vectors:
-        return 0, ""
-    M, map_id = vectors[0].values.size, vectors[0].map_id
-    for v in vectors:
-        if v.values.ndim != 1 or v.values.size == 0:
-            raise ValueError("each embedding must be a 1-D array of at least one value")
-        if v.values.size != M or v.map_id != map_id:
-            raise ValueError("all embeddings in one file must share M and map_id")
-    return M, map_id
+def save_embeddings(path, batch):
+    """Write a batch to the UEMB container; bit-exact round trip.
 
-
-def save_embeddings(path, vectors):
-    """Write embeddings to the UEMB container; bit-exact round trip.
-
-    The payload is one count x M array, M >= 1: binary {0,1} embeddings are
-    packed 8 per byte along each row (flag bit 0), everything else is raw
-    float64.
+    The payload is the n x M values, M >= 1 unless n = 0: a binary batch's
+    rows are packed 8 values per byte (flag bit 0), any other batch is raw
+    float64.  ValueError, before the file is opened, if a binary batch holds
+    a value other than 0 or 1, which its bits cannot keep.
     """
-    vectors = list(vectors)
-    M, map_id = _shared_shape(vectors)
-    packed, payload = False, b""
-    if vectors:
-        packed = all(v.binary for v in vectors)
-        Y = np.stack([v.values for v in vectors], dtype=np.uint8 if packed else "<f8",
-                     casting="unsafe")
-        payload = np.packbits(Y, axis=1) if packed else Y
-    flags = _FLAG_PACKED_BITS if packed else 0
-    mid = map_id.encode("utf-8")
+    Y = batch.values
+    mid = batch.map_id.encode("utf-8")
     if len(mid) > 0xFFFF:
         raise ValueError("map_id too long")
+    if batch.binary:
+        bits = Y == 1.0
+        if np.count_nonzero(bits) + np.count_nonzero(Y == 0.0) != Y.size:
+            raise ValueError("a binary batch may hold only the values 0 and 1")
+        flags, payload = _FLAG_PACKED_BITS, np.packbits(bits, axis=1)
+    else:
+        flags, payload = 0, np.ascontiguousarray(Y, dtype="<f8")
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, M, len(vectors)))
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, Y.shape[1], len(Y)))
         f.write(struct.pack("<H", len(mid)))
         f.write(mid)
         f.write(payload)
@@ -258,8 +271,8 @@ def load_embeddings(path):
     """Read a UEMB container written by save_embeddings.
 
     The header, the map id and the payload size are validated before the
-    payload is read, as one array whose rows are the vectors, so a
-    malformed file raises FormatError in bounded time.
+    payload is read, as the batch's one n x M array, so a malformed file
+    raises FormatError in bounded time.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -295,15 +308,12 @@ def load_embeddings(path):
             Y = np.unpackbits(raw, axis=1, count=M).astype(np.float64)
         else:
             Y = np.fromfile(f, "<f8", count * M).reshape(count, M).astype(np.float64, copy=False)
-    return [EmbeddingVector(values=y, map_id=map_id, binary=packed) for y in Y]
+    return EmbeddingBatch(Y, map_id, packed)
 
 
-def export_csv(path, vectors):
-    """CSV export: header id,v0..v{M-1}, one row per vector; ValueError
-    unless the vectors pass save_embeddings' check (``_shared_shape``)."""
-    vectors = list(vectors)
-    M, _ = _shared_shape(vectors)
+def export_csv(path, batch):
+    """CSV export: header id,v0..v{M-1}, one row per embedding."""
     with open(path, "w", newline="") as f:
-        f.write("id," + ",".join("v%d" % j for j in range(M)) + "\n")
-        for i, v in enumerate(vectors):
-            f.write(str(i) + "," + ",".join(repr(float(x)) for x in v.values) + "\n")
+        f.write("id," + ",".join("v%d" % j for j in range(batch.values.shape[1])) + "\n")
+        for i, row in enumerate(batch.values):
+            f.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")

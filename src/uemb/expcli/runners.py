@@ -5,8 +5,9 @@ through per-cell derived RandomStates and CSV cells are written with
 shortest round-trip float formatting, so a rerun yields identical bytes.
 Scatter outputs always carry the theory column computed at the same
 parameters.  Each scatter cell goes through ``_embedded_pairs``, which
-builds the cell's operator and embeds its signal pairs once, as one value
-matrix; quant-sim quantizes that matrix in place.  Every CSV a runner
+builds the cell's operator and embeds its signal pairs once, as one
+EmbeddingBatch whose row pairs ``embedding_distance`` measures; quant-sim
+quantizes the batch's values in place.  Every CSV a runner
 writes goes through ``_emit``, which also records its path in the
 result's "files".  A map key's map is ``cfg.map``, built with its
 spectrum once, by the config check.
@@ -19,7 +20,8 @@ import os
 
 import numpy as np
 
-from ..embedder import _embed_matrix, build_operator, build_universal_operator, universal_scale
+from ..embedder import (build_operator, build_universal_operator, embed_batch,
+                        embedding_distance, universal_scale)
 from ..maps import _quantize_values, make_sawtooth, make_square_wave
 from ..randproj import ProjectionSpec, RandomState
 from ..theory import (
@@ -33,17 +35,11 @@ from ..theory import (
     universal_binary_map,
     universal_binary_map_l1,
 )
-from .config import ConfigError, emit_csv
+from .config import emit_csv
 
 
 class DatasetError(RuntimeError):
     """Synthetic dataset failed its separation-margin validation."""
-
-
-def _check_config(cfg, kind):
-    """A kind mismatch; the config's values were checked when it was made."""
-    if cfg.kind != kind:
-        raise ConfigError("config kind %r does not match runner %r" % (cfg.kind, kind))
 
 
 def _pair_block(rs, stream, N, dvals, metric):
@@ -74,21 +70,19 @@ def _pair_block(rs, stream, N, dvals, metric):
 
 
 def _pair_distances(Y):
-    """sq_l2_mean of each row pair (2i, 2i+1); hamming_mean on 0/1 codes, bit for bit."""
-    diff = Y[0::2] - Y[1::2]
-    np.square(diff, out=diff)
-    return np.sum(diff, axis=1) / Y.shape[1]
+    """sq_l2_mean of the batch's row pairs (2i, 2i+1); hamming_mean on 0/1 codes."""
+    return embedding_distance(Y[0::2], Y[1::2], "sq_l2_mean")
 
 
 def _embedded_pairs(cell, spec, map_, M, N, dvals):
-    """The 2n x M embedding of the cell's signal pairs at distances dvals.
+    """The 2n-row embedding batch of the cell's signal pairs at distances dvals.
 
     The operator draws from the cell's "matrix" and "dither" streams and the
     pairs from its "signals" stream.
     """
     op = build_operator(spec, map_, M, N, cell)
     X = _pair_block(cell, "signals", N, dvals, spec.signal_metric)
-    return _embed_matrix(op, X)
+    return embed_batch(op, X)
 
 
 def _emit(files, out_dir, name, header, rows):
@@ -104,7 +98,6 @@ def _fmt(v):
 
 def run_design_sim(cfg, out_dir):
     """Unquantized designed-map scatter vs theory (two projection scales)."""
-    _check_config(cfg, "design_sim")
     map_ = cfg.map
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
@@ -139,7 +132,6 @@ def run_quantization_sim(cfg, out_dir):
     embedding, so both share (A, w); the quantized deviations are checked
     against the eps + 2 E_Q inflation on the metric (sqrt) scale.
     """
-    _check_config(cfg, "quantization_sim")
     variant = cfg["variant"]
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
@@ -155,7 +147,8 @@ def run_quantization_sim(cfg, out_dir):
         spec = ProjectionSpec(cfg["family"], scale)
         Y = _embedded_pairs(cell, spec, base_map, cfg["M"], cfg["N"], dvals)
         emb_u = _pair_distances(Y)
-        emb_q = _pair_distances(_quantize_values(Y, base_map.value_range, bits))
+        _quantize_values(Y.values, base_map.value_range, bits)  # in place
+        emb_q = _pair_distances(Y)
         del Y  # the next cell's matrices are drawn without this one alive
         theory = DistanceMapModel(base_map, spec).curve(dvals)
         _emit(files, out_dir, "quant_scatter_B=%d.csv" % bits,
@@ -176,7 +169,6 @@ def run_quantization_sim(cfg, out_dir):
 
 def run_universal_scatter(cfg, out_dir):
     """Binary universal Hamming-vs-distance scatter over a Delta x M grid."""
-    _check_config(cfg, "universal_scatter")
     rs = RandomState(cfg.seed)
     dvals = np.linspace(cfg["d_min"], cfg["d_max"], cfg["pairs"])
     family = cfg["family"]
@@ -245,7 +237,6 @@ def _majority_vote(dist, db_labels, n_labels, J):
 
 def run_retrieval(cfg, out_dir):
     """Nearest-neighbor retrieval accuracy over a Delta x rate sweep."""
-    _check_config(cfg, "retrieval")
     rs = RandomState(cfg.seed)
     L = cfg["clusters"]
     reps = cfg["reps"]
@@ -266,10 +257,10 @@ def run_retrieval(cfg, out_dir):
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Ydb = _embed_matrix(op, db)
-            Yq = _embed_matrix(op, queries)
-            # 0/1 codes: mismatch counts are exact integers in float64
-            ham = (Yq @ (1.0 - Ydb).T + (1.0 - Yq) @ Ydb.T) / rate
+            Ydb = embed_batch(op, db).values
+            Yq = embed_batch(op, queries).values
+            # 0/1 codes: |q| + |y| - 2 q.y counts the mismatches, exact integers in float64
+            ham = (Yq.sum(1)[:, None] + Ydb.sum(1) - 2.0 * (Yq @ Ydb.T)) / rate
             votes = _majority_vote(ham, db_labels, L, J)
             acc[j] += float(np.mean(votes == query_labels))
     acc /= reps
@@ -287,7 +278,6 @@ def run_retrieval(cfg, out_dir):
 
 def run_bounds_sweep(cfg, out_dir):
     """Tabulate bound calculators over parameter grids, flagging vacuity."""
-    _check_config(cfg, "bounds_sweep")
     calc = cfg["calculator"]
     rows, files = [], []
     summary = {"rows": rows, "files": files}
@@ -322,7 +312,6 @@ def run_bounds_sweep(cfg, out_dir):
 
 def run_map_eval(cfg, out_dir):
     """Distance/kernel curves of one map, with bounds for binary universal."""
-    _check_config(cfg, "map_eval")
     map_ = cfg.map
     is_binary_universal = map_.kind == "square" and cfg["scale"] == 0.0
     if cfg["scale"] > 0:

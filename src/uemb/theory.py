@@ -177,9 +177,6 @@ def _series_sum(spectrum, spec, ds, term):
     floor = 1e-3 * spectrum.ac_power
     for hi, ks, powers, above in spectrum.blocks():
         s = s + _dots(spec, d, 2.0 * np.pi * ks, powers, term)
-        if not above:  # nothing above this block
-            s_hat[rows], err[rows] = s, spectrum.tail_bound
-            break
         rem = above * term(spec, d, np.array((2.0 * np.pi * (hi + 1),)))[:, 0]
         # every row's estimate so far: a row that stops here keeps it
         s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound

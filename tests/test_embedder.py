@@ -10,9 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uemb.embedder import (
-    EmbeddingVector,
+    EmbeddingBatch,
     FormatError,
-    _embed_matrix,
     build_operator,
     build_universal_operator,
     embed,
@@ -163,7 +162,7 @@ class TestEmbed:
         for n in (2, 5, _MAP_BLOCK // 257 + 1):
             X = rng.standard_normal((n, op.N))
             want = op.map(X @ op.A.T + op.w)
-            got = np.stack([v.values for v in embed_batch(op, X)])
+            got = embed_batch(op, X).values
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("map_", [
@@ -185,24 +184,55 @@ class TestEmbed:
         n, M = 1000, 2000
         op = small_op(M=M, N=200, map_=make_fourier_mixture([(1, 0.5), (10, 0.5)]))
         X = np.random.default_rng(5).standard_normal((n, op.N))
+        # the peak of this path is test_batch_allocates_one_embedding_matrix's
         batch = embed_batch(op, X)
-        assert batch[0].values.base is batch[-1].values.base
-        tracemalloc.start()
-        try:
-            Y = _embed_matrix(op, X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert Y.tobytes() == np.stack([v.values for v in batch]).tobytes()
-        assert peak < 1.25 * n * M * 8
-        assert _embed_matrix(op, X[:0]).shape == (0, M)
+        assert batch.values.shape == (n, M)
+        assert np.shares_memory(batch[0].values, batch.values)
+        assert np.shares_memory(batch[-1].values, batch.values)
+        assert embed_batch(op, X[:0]).values.shape == (0, M)
 
     def test_batch_of_one_and_empty(self):
         op = small_op()
         x = np.ones(op.N)
-        np.testing.assert_array_equal(embed_batch(op, x[None, :])[0].values,
-                                      embed(op, x).values)
-        assert embed_batch(op, np.zeros((0, op.N))) == []
+        one = embed(op, x)
+        assert len(one) == 1 and one.values.shape == (1, op.M)
+        np.testing.assert_array_equal(embed_batch(op, x[None, :]).values, one.values)
+        empty = embed_batch(op, np.zeros((0, op.N)))
+        assert len(empty) == 0 and empty.values.shape == (0, op.M)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("map_", [make_square_wave(), make_multibit(4)],
+                             ids=["square", "multibit4"])
+    def test_benchmark_protocol(self, tmp_path, map_):
+        # what bench/workloads.py and bench/checks.py use, at the embed
+        # workload's shape and split: len, iteration into batches of one,
+        # a split batch joined by + equal to the whole bit for bit, the
+        # file round trip, and + refusing two operators
+        N, M, rows, split = 1000, 2000, 1000, 389
+        op = build_operator(ProjectionSpec("gaussian", 0.2), map_, M, N, RandomState(3))
+        X = np.random.default_rng(3).standard_normal((rows, N))
+        Y = embed_batch(op, X)
+        assert len(Y) == rows
+        ones = list(Y)
+        assert len(ones) == rows and all(v.map_id == op.operator_id for v in ones)
+        assert np.stack([v.values for v in ones]).tobytes() == Y.values.tobytes()
+        joined = embed_batch(op, X[:split]) + embed_batch(op, X[split:])
+        assert joined.values.tobytes() == Y.values.tobytes()
+        assert (joined.map_id, joined.binary) == (op.operator_id, map_.is_binary)
+        save_embeddings(tmp_path / "y.uemb", Y)
+        back = load_embeddings(tmp_path / "y.uemb")
+        assert back.map_id == op.operator_id and back.values.tobytes() == Y.values.tobytes()
+        other = build_operator(op.spec, map_, M, N, RandomState(4))
+        with pytest.raises(ValueError, match="different operators"):
+            Y[:1] + embed_batch(other, X[:1])
+
+    def test_rows_are_views_and_indices_are_checked(self):
+        ys = embed_batch(small_op(), np.random.default_rng(9).standard_normal((5, 16)))
+        assert ys[-1].values.tobytes() == ys.values[4:].tobytes()
+        assert np.shares_memory(ys[1:3].values, ys.values)
+        with pytest.raises(IndexError):
+            ys[5]
 
 
 class TestDistances:
@@ -230,9 +260,25 @@ class TestDistances:
     def test_l2_mean_is_sqrt(self):
         op = small_op(M=64, N=8)
         rng = np.random.default_rng(7)
-        ys = embed_batch(op, rng.standard_normal((2, op.N)))
-        sq = embedding_distance(ys[0], ys[1], "sq_l2_mean")
-        assert embedding_distance(ys[0], ys[1], "l2_mean") == pytest.approx(math.sqrt(sq))
+        ys = embed_batch(op, rng.standard_normal((6, op.N)))
+        sq = embedding_distance(ys[0::2], ys[1::2], "sq_l2_mean")
+        l2 = embedding_distance(ys[0::2], ys[1::2], "l2_mean")
+        assert l2.tolist() == [math.sqrt(v) for v in sq.tolist()]
+
+    @pytest.mark.parametrize("metric", ["sq_l2_mean", "l2_mean", "hamming_mean", "inner_mean"])
+    def test_one_value_per_row_pair(self, metric):
+        # a batch call gives each row pair the bits of that pair alone
+        op = small_op(M=300, N=16)
+        ys = embed_batch(op, np.random.default_rng(8).standard_normal((8, op.N)))
+        got = embedding_distance(ys[:4], ys[4:], metric)
+        assert got.dtype == np.float64 and got.shape == (4,)
+        assert got.tolist() == [embedding_distance(ys[i], ys[4 + i], metric)[0]
+                                for i in range(4)]
+
+    def test_shape_mismatch_rejected(self):
+        ys = embed_batch(small_op(), np.zeros((3, 16)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            embedding_distance(ys[:1], ys[1:], "sq_l2_mean")
 
     def test_hamming_rejected_for_non_binary(self):
         op = small_op(map_=make_multibit(2))
@@ -302,33 +348,31 @@ class TestPostQuantize:
 
     def test_l2_error_bound(self):
         rng = np.random.default_rng(11)
-        vals = rng.uniform(-1, 1, size=500)
-        from uemb.embedder import EmbeddingVector
-
-        y = EmbeddingVector(values=vals, map_id="t")
+        vals = rng.uniform(-1, 1, size=(1, 500))
+        y = EmbeddingBatch(values=vals, map_id="t")
         q = post_quantize(y, 4, 1.0)
         assert np.linalg.norm(q.values - vals) <= math.sqrt(500) * 2.0 ** -4
 
     def test_fine_quantization_recovers(self):
-        from uemb.embedder import EmbeddingVector
-
-        vals = np.linspace(-0.9, 0.9, 64)
-        y = EmbeddingVector(values=vals, map_id="t")
+        vals = np.linspace(-0.9, 0.9, 64)[None, :]
+        y = EmbeddingBatch(values=vals, map_id="t")
         q = post_quantize(y, 30, 1.0)
         assert np.max(np.abs(q.values - vals)) < 1e-6
 
     def test_saturation_counted(self):
-        from uemb.embedder import EmbeddingVector
-
-        y = EmbeddingVector(values=np.array([-5.0, 0.0, 5.0]), map_id="t")
+        # per row, so a row, a slice and a join keep their own counts
+        y = EmbeddingBatch(values=[[-5.0, 0.0, 5.0], [0.0, 0.5, 1.0], [2.0, 0.0, 0.0]],
+                           map_id="t")
         q = post_quantize(y, 2, 1.0)
-        assert q.saturation_count == 2
+        assert q.saturation_count.tolist() == [2, 1, 1]
         assert np.all(np.abs(q.values) <= 1.0)
+        assert q[0].saturation_count.tolist() == [2]
+        assert q[1:].saturation_count.tolist() == [1, 1]
+        assert (q[2] + q[:2]).saturation_count.tolist() == [1, 2, 1]
+        assert q[0].quantized_bits == 2
 
     def test_validation(self):
-        from uemb.embedder import EmbeddingVector
-
-        y = EmbeddingVector(values=np.zeros(3), map_id="t")
+        y = EmbeddingBatch(values=np.zeros((1, 3)), map_id="t")
         with pytest.raises(ValueError):
             post_quantize(y, 0, 1.0)
         with pytest.raises(ValueError):
@@ -338,9 +382,7 @@ class TestPostQuantize:
 
     def test_bits_capped_as_in_quantize_map(self):
         # past 40 bits the cells are finer than float64 resolves; 2**1100 overflows
-        from uemb.embedder import EmbeddingVector
-
-        y = EmbeddingVector(values=np.array([0.1, -0.3]), map_id="t")
+        y = EmbeddingBatch(values=[[0.1, -0.3]], map_id="t")
         assert post_quantize(y, 40, 1.0).quantized_bits == 40
         for bits in (41, 1000, 1100):
             with pytest.raises(ValueError):
@@ -354,9 +396,7 @@ class TestPostQuantize:
     ])
     def test_bad_bit_width_is_a_value_error(self, entry, most):
         # one check serves all four: inf and huge widths once leaked OverflowError
-        from uemb.embedder import EmbeddingVector
-
-        y = EmbeddingVector(values=np.array([0.1, -0.3]), map_id="t")
+        y = EmbeddingBatch(values=[[0.1, -0.3]], map_id="t")
         call = {
             "quantize_map": lambda b: quantize_map(make_sawtooth(), b),
             "make_multibit": make_multibit,
@@ -371,10 +411,8 @@ class TestPostQuantize:
 
     def test_nonfinite_rejected(self):
         # NaN has no cell; an infinity would count as an ordinary saturation
-        from uemb.embedder import EmbeddingVector
-
         for bad in (math.nan, math.inf, -math.inf):
-            y = EmbeddingVector(values=np.array([0.1, bad]), map_id="t")
+            y = EmbeddingBatch(values=[[0.1, bad]], map_id="t")
             with pytest.raises(ValueError):
                 post_quantize(y, 2, 1.0)
 
@@ -402,19 +440,30 @@ class TestPersistence:
         for a, b in zip(ys, back):
             np.testing.assert_array_equal(a.values, b.values)
 
-    def test_empty_list(self, tmp_path):
+    def test_empty_batch(self, tmp_path):
+        op = small_op(M=16, N=8)
         p = tmp_path / "empty.uemb"
-        save_embeddings(p, [])
-        assert load_embeddings(p) == []
+        save_embeddings(p, embed_batch(op, np.zeros((0, 8))))
+        back = load_embeddings(p)
+        assert back.values.shape == (0, 16) and back.map_id == op.operator_id and back.binary
 
-    # load_embeddings refuses vectors of length 0, and a 2 x 3 array would
-    # reload as one vector of length 6: neither is written
-    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))], ids=["empty", "2-D"])
-    def test_unloadable_values_not_saved(self, tmp_path, values):
-        p = tmp_path / "bad.uemb"
-        with pytest.raises(ValueError, match="1-D array of at least one value"):
-            save_embeddings(p, [EmbeddingVector(values, "m") for _ in range(3)])
-        assert not p.exists()
+    # load_embeddings refuses embeddings of length 0, and a batch's values
+    # are one n x M matrix: no batch holds either
+    @pytest.mark.parametrize("values", [np.zeros((3, 0)), np.zeros(3), np.zeros((3, 2, 1))],
+                             ids=["empty", "1-D", "3-D"])
+    def test_unloadable_values_not_saved(self, values):
+        with pytest.raises(ValueError, match="n x M array"):
+            EmbeddingBatch(values, "m")
+
+    def test_binary_batch_of_other_values_refused(self, tmp_path):
+        # bits cannot keep them: [0, 0.5, 1, 2] once loaded back as [0, 0, 1, 1]
+        p = tmp_path / "b.uemb"
+        for bad in ([0.0, 0.5, 1.0, 2.0], [0.0, math.nan, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="only the values 0 and 1"):
+                save_embeddings(p, EmbeddingBatch([bad], "t", binary=True))
+            assert not p.exists()
+        save_embeddings(p, EmbeddingBatch([[0.0, 1.0, 1.0, 0.0]], "t", binary=True))
+        assert load_embeddings(p).values.tolist() == [[0.0, 1.0, 1.0, 0.0]]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.uemb"
@@ -510,14 +559,16 @@ class TestPersistence:
         except FormatError:
             return
         M, count = struct.unpack_from("<IQ", raw, 8)
-        assert len(out) == count
-        assert all(v.values.shape == (M,) and v.values.dtype == np.float64 for v in out)
+        assert out.values.shape == (count, M) and out.values.dtype == np.float64
 
-    def test_mixed_operators_rejected(self, tmp_path):
+    def test_mixed_operators_rejected(self):
+        # one file holds one batch, and a batch one operator
         y1 = embed(small_op(seed=1), np.zeros(16))
         y2 = embed(small_op(seed=2), np.zeros(16))
-        with pytest.raises(ValueError):
-            save_embeddings(tmp_path / "x.uemb", [y1, y2])
+        with pytest.raises(ValueError, match="different operators"):
+            y1 + y2
+        with pytest.raises(ValueError, match="or codes"):  # one operator, two codes
+            post_quantize(y1, 2, 1.0) + y1
 
     def test_csv_export(self, tmp_path):
         op = small_op(M=4, N=16)
@@ -527,21 +578,4 @@ class TestPersistence:
         lines = p.read_text().splitlines()
         assert lines[0] == "id,v0,v1,v2,v3"
         assert len(lines) == 3
-
-    @pytest.mark.parametrize("vectors, match", [
-        ([([0.0, 1.0], "a"), ([0.0, 1.0, 2.0], "b")], "share M and map_id"),
-        ([([0.0, 1.0], "a"), ([0.0, 1.0, 2.0], "a")], "share M and map_id"),
-        ([([0.0, 1.0], "a"), ([2.0, 3.0], "b")], "share M and map_id"),
-        ([([], "a")], "1-D array of at least one value"),
-        ([([[0.0, 1.0], [2.0, 3.0]], "a")], "1-D array of at least one value"),
-    ], ids=["ragged-mixed", "ragged", "mixed", "empty", "2-D"])
-    def test_csv_export_refuses_what_save_refuses(self, tmp_path, vectors, match):
-        # one rule for both writers: a ragged or mixed list would give rows
-        # of another width than the header, or mix operators in one file
-        ys = [EmbeddingVector(values=np.array(v, dtype=np.float64), map_id=mid)
-              for v, mid in vectors]
-        for write, name in ((export_csv, "e.csv"), (save_embeddings, "e.uemb")):
-            with pytest.raises(ValueError, match=match):
-                write(tmp_path / name, ys)
-            assert not (tmp_path / name).exists()
 

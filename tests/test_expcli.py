@@ -36,7 +36,6 @@ from uemb.expcli.main import main
 from uemb.expcli.runners import (
     RUNNERS,
     DatasetError,
-    _embed_matrix,
     _embedded_pairs,
     _pair_block,
     _pair_distances,
@@ -354,9 +353,9 @@ class TestOneEmbeddingPerCell:
         )
         X = pair_signals(op.N)
         vecs = embed_batch(op, X)
-        expected = [embedding_distance(vecs[2 * i], vecs[2 * i + 1], metric)
+        expected = [embedding_distance(vecs[2 * i], vecs[2 * i + 1], metric)[0]
                     for i in range(len(vecs) // 2)]
-        assert _pair_distances(_embed_matrix(op, X)).tolist() == expected
+        assert _pair_distances(vecs).tolist() == expected
 
     @pytest.mark.parametrize("bits", [1, 2, 4])
     @pytest.mark.parametrize("base", ["mixture", "sawtooth"])
@@ -367,10 +366,10 @@ class TestOneEmbeddingPerCell:
         spec, cell = ProjectionSpec("gaussian", 0.2), RandomState(bits)
         dvals = np.linspace(0.0, 2.0, 15)
         Y = _embedded_pairs(cell, spec, base_map, 1000, 24, dvals)
-        _quantize_values(Y, base_map.value_range, bits)
+        _quantize_values(Y.values, base_map.value_range, bits)
         twin = build_operator(spec, quantize_map(base_map, bits), 1000, 24, cell)
-        Yq = _embed_matrix(twin, _pair_block(cell, "signals", 24, dvals, "l2"))
-        assert Y.tobytes() == Yq.tobytes()
+        Yq = embed_batch(twin, _pair_block(cell, "signals", 24, dvals, "l2"))
+        assert Y.values.tobytes() == Yq.values.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     def test_scatter_cell_equals_universal_operator(self, family):
@@ -381,7 +380,8 @@ class TestOneEmbeddingPerCell:
         Y = _embedded_pairs(cell, spec, make_square_wave(), 256, 24, dvals)
         op = build_universal_operator(family, 1.0, 0.5, 1, 256, 24, cell)
         X = _pair_block(cell, "signals", 24, dvals, spec.signal_metric)
-        assert Y.tobytes() == _embed_matrix(op, X).tobytes()
+        assert Y.values.tobytes() == embed_batch(op, X).values.tobytes()
+        assert Y.map_id == op.operator_id
 
 
 # one small config per runner kind; bounds_sweep once per calculator
