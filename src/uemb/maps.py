@@ -13,10 +13,10 @@ closed-form infinite series of the square wave and the sawtooth (a
 ``HarmonicSeries``), the declared terms of a mixture, and the finite
 ``PowerSpectrum`` of a quantized kind, whose powers sum to the map's exact
 total: the power above its listed harmonics, known by Parseval, is listed
-at the next one.  The engine of ``uemb.theory`` reads every kind alike:
-``dc_power``, ``ac_power``, ``tail_bound`` and ``blocks()``, ascending
-(hi, k, P_k, power above hi); it sums a ``PowerSpectrum`` in one pass over
-its ``xi`` = 2 pi k and ``xi_power``.
+at the next one.  Every kind states its ``dc_power``, ``ac_power`` and
+``tail_bound``.  The engine of ``uemb.theory`` sums a ``HarmonicSeries``
+through its ``blocks()``, ascending (hi, k, P_k, power above hi), and a
+``PowerSpectrum`` in one pass over its ``xi`` = 2 pi k and ``xi_power``.
 A quantized kind's Fourier coefficients are summed over its jumps J_j at
 its breaks t_j, H_k = sum_j J_j e^{-2 pi i k t_j} / (2 pi i k), with each
 exponential the product of two small tables (a row per 64 harmonics and a
@@ -72,6 +72,11 @@ _MAX_SAWTOOTH_BITS = 16
 _SPECTRUM_BLOCK = 1 << 22
 
 
+# Grid points per window of a bounded grid scan (``_scan_windows``): every
+# _STRIDE-th point is evaluated first, then only the windows between them
+# that a slope bound cannot rule out.
+_STRIDE = 64
+
 # Elements per block of map evaluation (2^15 float64 is 256 KiB); the
 # temporaries of a map call are each this size at most.
 _MAP_BLOCK = 1 << 15
@@ -104,10 +109,9 @@ class PowerSpectrum:
     quantized kind lists its P_1 .. P_K and, at K + 1, the power T of all
     harmonics above K; ``tail_bound`` is T, which bounds the error of that
     placement in any sum of P_k phi_k with phi falling in k.  ``dc_power``,
-    ``ac_power`` (k >= 1) and the one block of ``blocks()`` are derived
-    once, with no power above it, and so are the block's phi arguments
-    ``xi`` = 2 pi k (ascending, k >= 1) and their powers ``xi_power``,
-    which the engine of ``uemb.theory`` sums.
+    ``ac_power`` (k >= 1), the phi arguments ``xi`` = 2 pi k (ascending,
+    k >= 1) and their powers ``xi_power`` are derived once; the engine of
+    ``uemb.theory`` sums ``xi_power`` against phi at ``xi``.
     """
 
     k: np.ndarray
@@ -132,14 +136,8 @@ class PowerSpectrum:
         object.__setattr__(self, "power", p)
         object.__setattr__(self, "dc_power", float(p[0]) if len(k) and k[0] == 0 else 0.0)
         object.__setattr__(self, "ac_power", float(np.sum(p[ac])))
-        ks = k[ac].astype(np.float64)
-        object.__setattr__(self, "xi", 2.0 * np.pi * ks)
+        object.__setattr__(self, "xi", 2.0 * np.pi * k[ac].astype(np.float64))
         object.__setattr__(self, "xi_power", p[ac])
-        block = (int(k[-1]) if len(k) else 0, ks, self.xi_power, 0.0)
-        object.__setattr__(self, "_blocks", (block,))
-
-    def blocks(self):
-        return self._blocks
 
 
 @dataclass(frozen=True)
@@ -425,22 +423,69 @@ def _smooth_range(map_):
     """(min, max) of a smooth map as two floats: the extremes of a 2^16-point
     grid, each refined by ``_bounded_min`` within two grid steps of it.
 
+    The grid is scanned in windows of ``_STRIDE`` points (``_scan_windows``):
+    each window's first point, and then every point of the windows whose
+    values ``_window_slack`` cannot keep above the least of those first
+    values and below the largest.  (The last window ends at the grid's first
+    point, a period on.)  Every point left out is above the grid's minimum
+    and below its maximum, and each point evaluated has the bits it has on
+    the whole grid, so the first index of each extreme, and the range, are
+    the whole grid's, bit for bit.  A map whose slack rules no window out,
+    such as ``mixture:400:1``, costs the whole grid.
+
     ``PeriodicMap.value_range`` calls it on a smooth map's first read of
     its codomain; building the map does not.
     """
     n = 1 << 16
-    ts = (np.arange(n) + 0.5) / n
-    v = map_(ts)
-    i_lo = int(np.argmin(v))
-    i_hi = int(np.argmax(v))
+    firsts = map_((np.arange(0, n, _STRIDE) + 0.5) / n)
+    mean = 0.5 * (firsts + np.roll(firsts, -1))
+    slack = _window_slack(map_.params["terms"], _STRIDE / n)
+    windows = (mean - slack <= firsts.min()) | (mean + slack >= firsts.max())
+    starts, v = _scan_windows(map_, lambda i: (i + 0.5) / n, firsts, windows)
+    v = v.ravel()
     w = 2.0 / n
 
     def refine(i, sign):
-        return sign * _bounded_min(lambda t: sign * map_(t), ts[i] - w, ts[i] + w)
+        row, q = divmod(i, _STRIDE)
+        mid = (int(starts[row]) + q + 0.5) / n
+        return sign * _bounded_min(lambda t: sign * map_(t), mid - w, mid + w)
 
+    i_lo, i_hi = int(np.argmin(v)), int(np.argmax(v))
     lo = min(float(v[i_lo]), refine(i_lo, 1.0))
     hi = max(float(v[i_hi]), refine(i_hi, -1.0))
     return lo, hi
+
+
+def _window_slack(terms, width):
+    """How far a mixture's computed values on a grid window of that width can
+    lie from the mean of its computed values at the window's two ends.
+
+    The true h moves at most L |t - t'|, with L = 2 pi sum k |a_k|, and each
+    computed value is within eps of the true one, so computed values obey
+    |h(t) - h(t')| <= L |t - t'| + 2 eps: on a window [a, b] each lies
+    within L (b - a) / 2 + 2 eps of (h(a) + h(b)) / 2.  L is raised by 1e-9
+    against its own rounding, and eps = 1e-12 sum (n + 2 pi k) |a_k| over
+    the n terms is about a thousand times the rounding of 2 pi k t, of sin
+    and of the n-term sum.
+    """
+    lip = 2.0 * math.pi * sum(k * abs(a) for k, a in terms) * (1.0 + 1e-9)
+    eps = 1e-12 * sum((len(terms) + 2.0 * math.pi * k) * abs(a) for k, a in terms)
+    return 0.5 * lip * width + 2.0 * eps
+
+
+def _scan_windows(f, t_of, firsts, windows):
+    """The selected windows' first grid indices, and f at all their points.
+
+    Window j holds the grid points _STRIDE j + q, q = 0 .. _STRIDE - 1, at
+    t_of(index).  Returns the first index of each window where the boolean
+    array ``windows`` is true, ascending, and one row per such window of f
+    at its points: the first from ``firsts``, the rest from one call of f.
+    """
+    starts = np.flatnonzero(windows) * _STRIDE
+    v = np.empty((len(starts), _STRIDE))
+    v[:, 0] = firsts[:len(windows)][windows]
+    v[:, 1:] = f(t_of(starts[:, None] + np.arange(1.0, _STRIDE)))
+    return starts, v
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -555,31 +600,44 @@ def _cell_crossings(inner, bits):
 
     Each change of cell between neighbouring points of a 2^-15 grid is one
     crossing; ValueError where two neighbours lie more than one cell apart,
-    as some cell between them would be lost.  The bisection takes up to 60
-    halvings and stops once every bracket is two adjacent floats, where a
-    further halving leaves it as it is.  It reads ``inner.value_range``,
-    so quantizing a smooth map computes the inner map's codomain.
+    as some cell between them would be lost.  The grid is scanned in
+    windows of ``_STRIDE`` steps (``_scan_windows``): the windows' ends
+    first, and then every point of the windows where the cells of the two
+    ends' mean, less and plus ``_window_slack``, differ.  The cell is
+    monotone in the value, so each window left out lies in one cell, and
+    each point evaluated has the bits it has on the whole grid: the
+    crossings, the check and the brackets are the whole grid's, bit for
+    bit.  The bisection takes up to 60 halvings and stops once every
+    bracket is two adjacent floats, where a further halving leaves it as it
+    is.  It reads ``inner.value_range``, so quantizing a smooth map
+    computes the inner map's codomain.
     """
 
-    def cell(t):
-        return _quantize_values(inner(t), inner.value_range, bits)
+    def cell(v):
+        return _quantize_values(v, inner.value_range, bits)
 
     n = 1 << 15
-    grid = np.arange(n + 1) / n
-    c = cell(grid)
-    jump = np.abs(np.diff(c))
+    ends = inner(np.arange(0, n + 1, _STRIDE) / n)
+    mean = 0.5 * (ends[:-1] + ends[1:])
+    slack = _window_slack(inner.params["terms"], _STRIDE / n)
+    windows = cell(mean - slack) != cell(mean + slack)
+    cells = cell(ends)  # in place: the ends are read no more
+    starts, c = _scan_windows(lambda t: cell(inner(t)), lambda i: i / n, cells, windows)
+    c = np.column_stack((c, cells[1:][windows]))  # and each window's right end
+    jump = np.abs(np.diff(c, axis=1))
     lo, hi = inner.value_range
     if np.any(jump > 1.5 * (hi - lo) / 2 ** bits):
         raise ValueError("%s has quantizer cells narrower than the 2^-15 crossing grid "
                          "at B=%d" % (inner.name, bits))
-    i = np.nonzero(jump)[0]
+    r, q = np.nonzero(jump)
+    i = starts[r] + q
     # all crossings at once: each keeps a in the cell of its left grid point
-    a, b, ca = grid[i], grid[i + 1], c[i]
+    a, b, ca = i / n, (i + 1) / n, c[r, q]
     for _ in range(60):
         m = 0.5 * (a + b)
         if np.all((m == a) | (m == b)):
             break
-        same = cell(m) == ca
+        same = cell(inner(m)) == ca
         a = np.where(same, m, a)
         b = np.where(same, b, m)
     return np.unique(np.concatenate(([0.0], b, [1.0])))

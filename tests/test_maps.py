@@ -15,11 +15,14 @@ from uemb.maps import (
     _MAP_BLOCK,
     _SERIES,
     KMAX_CAP,
+    HarmonicSeries,
+    PeriodicMap,
     _bounded_min,
     _cell_crossings,
     _frac,
     _pieces_spectrum,
     _quantize_values,
+    _smooth_range,
     make_fourier_mixture,
     make_multibit,
     make_sawtooth,
@@ -278,6 +281,115 @@ class TestSmoothRange:
         for name, m, _ in catalog():
             assert all(type(v) is float for v in m.value_range), name
             assert type(m.hbar) is float, name
+
+
+def full_grid_range(m):
+    """_smooth_range's answer from the whole 2^16-point grid, through __call__."""
+    n = 1 << 16
+    v = m((np.arange(n) + 0.5) / n)
+    (f_lo, a_lo, b_lo), (f_hi, a_hi, b_hi) = range_brackets(m)
+    return (min(float(v.min()), _bounded_min(f_lo, a_lo, b_lo)),
+            max(float(v.max()), -_bounded_min(f_hi, a_hi, b_hi)))
+
+
+def full_grid_crossings(inner, bits):
+    """_cell_crossings from the whole 2^-15 grid: every grid point's cell,
+    then every change of cell bisected at once, in up to 60 rounds."""
+    def cell(t):
+        return _quantize_values(inner(t), inner.value_range, bits)
+
+    n = 1 << 15
+    grid = np.arange(n + 1) / n
+    c = cell(grid)
+    jump = np.abs(np.diff(c))
+    lo, hi = inner.value_range
+    if np.any(jump > 1.5 * (hi - lo) / 2 ** bits):
+        raise ValueError("%s has quantizer cells narrower than the 2^-15 crossing grid "
+                         "at B=%d" % (inner.name, bits))
+    i = np.nonzero(jump)[0]
+    a, b, ca = grid[i], grid[i + 1], c[i]
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        if np.all((m == a) | (m == b)):
+            break
+        same = cell(m) == ca
+        a = np.where(same, m, a)
+        b = np.where(same, b, m)
+    return np.unique(np.concatenate(([0.0], b, [1.0])))
+
+
+def assert_crossings_are_the_full_grid(inner, bits):
+    """_cell_crossings equals full_grid_crossings bit for bit, or both raise
+    the same ValueError."""
+    try:
+        want = full_grid_crossings(inner, bits)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            _cell_crossings(inner, bits)
+        assert str(got.value) == str(e)
+        return
+    got = _cell_crossings(inner, bits)
+    np.testing.assert_array_equal(bit_pattern(got), bit_pattern(want),
+                                  "%s B=%d" % (inner.name, bits))
+
+
+def map_call_sizes(monkeypatch):
+    """A list that collects the size of every argument of PeriodicMap.__call__."""
+    sizes, call = [], PeriodicMap.__call__
+
+    def spy(self, t, out=None):
+        sizes.append(np.size(t))
+        return call(self, t, out)
+
+    monkeypatch.setattr(PeriodicMap, "__call__", spy)
+    return sizes
+
+
+class TestBoundedScans:
+    """The range and crossing scans skip the grid windows a slope bound rules
+    out, and still give the whole grid's answer bit for bit."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(terms=mixture_terms)
+    def test_crossings_are_the_full_grid_bit_for_bit(self, terms):
+        for bits in range(1, 7):
+            assert_crossings_are_the_full_grid(make_fourier_mixture(terms), bits)
+
+    ADVERSARIAL = {
+        # 400 minima, equal but for rounding; no window of either grid is ruled out
+        "400_equal_extremes": [(400, 1.0)],
+        # sin(4 pi t)'s two minima, 1.4e-13 apart, within the bound's slack
+        "extremes_within_the_slack": [(1, 1e-13), (2, 1.0)],
+        # 2 pi k t's rounding alone spans the codomain: every window is kept
+        "every_window_a_candidate": [(2 ** 40, 1.0)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    def test_adversarial_mixtures(self, name):
+        terms = self.ADVERSARIAL[name]
+        m = make_fourier_mixture(terms)
+        if name == "extremes_within_the_slack":
+            assert 0.0 < abs(m(0.375) - m(0.875)) < maps._window_slack(terms, 0.0)
+        if name == "every_window_a_candidate":
+            assert maps._window_slack(terms, maps._STRIDE / 2 ** 16) > 2.0
+        assert [x.hex() for x in _smooth_range(m)] == [x.hex() for x in full_grid_range(m)]
+        for bits in (1, 2, 3):
+            assert_crossings_are_the_full_grid(m, bits)
+
+    def test_quantized_design_build_evaluates_a_fifth_of_the_points(self, monkeypatch):
+        # the two whole grids made it 101,997 map points: 2^16 for the
+        # range, 2^15 + 1 for the crossings, and their refinements
+        sizes = map_call_sizes(monkeypatch)
+        quantize_map(make_fourier_mixture(FIG3_TERMS), 3).power_coeffs()
+        assert sum(sizes) <= 25_000
+
+    def test_range_that_rules_nothing_out_is_one_grid(self, monkeypatch):
+        # each window's first point is evaluated once, with the other points
+        # of its window, and Brent's refinements add a few dozen
+        sizes = map_call_sizes(monkeypatch)
+        make_fourier_mixture([(400, 1.0)]).value_range
+        assert sum(sizes) <= 2 ** 16 + 2 ** 10
 
 
 class TestQuantize:
@@ -576,13 +688,24 @@ class TestSpectra:
         assert sp.k[-1] == KMAX_CAP + 1 and sp.power[-1] == sp.tail_bound > 0
 
     def test_spectrum_invariants(self):
+        # a series lists ascending blocks; a finite spectrum lists ascending
+        # k with nonnegative powers, and its xi, xi_power are its AC part
         for name, m, _ in catalog():
             sp = m.power_coeffs()
-            last = 0
-            for hi, k, p, above in itertools.islice(sp.blocks(), 3):
-                assert np.all(p >= 0) and above >= 0, name
-                assert k[0] > last and np.all(np.diff(k) > 0) and k[-1] <= hi, name
-                last = hi
+            if isinstance(sp, HarmonicSeries):
+                last = 0
+                for hi, k, p, above in itertools.islice(sp.blocks(), 3):
+                    assert np.all(p >= 0) and above >= 0, name
+                    assert k[0] > last and np.all(np.diff(k) > 0) and k[-1] <= hi, name
+                    last = hi
+            else:
+                assert not hasattr(sp, "blocks"), name
+                assert sp.k[0] >= 0 and np.all(np.diff(sp.k) > 0), name
+                assert np.all(sp.power >= 0), name
+                ac = sp.k >= 1
+                np.testing.assert_array_equal(sp.xi, 2.0 * np.pi * sp.k[ac].astype(np.float64))
+                np.testing.assert_array_equal(sp.xi_power, sp.power[ac])
+                assert sp.ac_power == float(np.sum(sp.power[ac])), name
             assert sp.tail_bound >= 0, name
 
     def test_tolerance_unreachable_ends_at_the_cap_with_its_exact_tail(self, monkeypatch):
