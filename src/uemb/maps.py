@@ -423,34 +423,38 @@ def _smooth_range(map_):
     """(min, max) of a smooth map as two floats: the extremes of a 2^16-point
     grid, each refined by ``_bounded_min`` within two grid steps of it.
 
-    The grid is scanned in windows of ``_STRIDE`` points (``_scan_windows``):
-    each window's first point, and then every point of the windows whose
-    values ``_window_slack`` cannot keep above the least of those first
-    values and below the largest.  (The last window ends at the grid's first
-    point, a period on.)  Every point left out is above the grid's minimum
-    and below its maximum, and each point evaluated has the bits it has on
-    the whole grid, so the first index of each extreme, and the range, are
-    the whole grid's, bit for bit.  A map whose slack rules no window out,
-    such as ``mixture:400:1``, costs the whole grid.
+    The grid is scanned in windows of ``_STRIDE`` points: each window's
+    first point, and then every point of the windows whose values
+    ``_window_slack`` cannot keep above the least of those first values and
+    below the largest.  (The last window ends at the grid's first point, a
+    period on.)  Every point left out is above the grid's minimum and below
+    its maximum, and each point evaluated has the bits it has on the whole
+    grid, so the first index of each extreme, and the range, are the whole
+    grid's, bit for bit.  Where the slack is at least sum |a_k|, half the
+    widest codomain the terms allow, no window could be ruled out, and the
+    whole grid is evaluated at once, as for ``mixture:400:1``.
 
     ``PeriodicMap.value_range`` calls it on a smooth map's first read of
     its codomain; building the map does not.
     """
     n = 1 << 16
-    firsts = map_((np.arange(0, n, _STRIDE) + 0.5) / n)
-    mean = 0.5 * (firsts + np.roll(firsts, -1))
-    slack = _window_slack(map_.params["terms"], _STRIDE / n)
-    windows = (mean - slack <= firsts.min()) | (mean + slack >= firsts.max())
-    starts, v = _scan_windows(map_, lambda i: (i + 0.5) / n, firsts, windows)
-    v = v.ravel()
+    terms = map_.params["terms"]
+    slack = _window_slack(terms, _STRIDE / n)
+    if slack >= sum(abs(a) for _, a in terms):
+        ts = (np.arange(n) + 0.5) / n
+    else:
+        firsts = map_((np.arange(0, n, _STRIDE) + 0.5) / n)
+        mean = 0.5 * (firsts + np.roll(firsts, -1))
+        windows = (mean - slack <= firsts.min()) | (mean + slack >= firsts.max())
+        ts = (np.flatnonzero(np.repeat(windows, _STRIDE)) + 0.5) / n
+    v = map_(ts)
+    i_lo = int(np.argmin(v))
+    i_hi = int(np.argmax(v))
     w = 2.0 / n
 
     def refine(i, sign):
-        row, q = divmod(i, _STRIDE)
-        mid = (int(starts[row]) + q + 0.5) / n
-        return sign * _bounded_min(lambda t: sign * map_(t), mid - w, mid + w)
+        return sign * _bounded_min(lambda t: sign * map_(t), ts[i] - w, ts[i] + w)
 
-    i_lo, i_hi = int(np.argmin(v)), int(np.argmax(v))
     lo = min(float(v[i_lo]), refine(i_lo, 1.0))
     hi = max(float(v[i_hi]), refine(i_hi, -1.0))
     return lo, hi
@@ -471,21 +475,6 @@ def _window_slack(terms, width):
     lip = 2.0 * math.pi * sum(k * abs(a) for k, a in terms) * (1.0 + 1e-9)
     eps = 1e-12 * sum((len(terms) + 2.0 * math.pi * k) * abs(a) for k, a in terms)
     return 0.5 * lip * width + 2.0 * eps
-
-
-def _scan_windows(f, t_of, firsts, windows):
-    """The selected windows' first grid indices, and f at all their points.
-
-    Window j holds the grid points _STRIDE j + q, q = 0 .. _STRIDE - 1, at
-    t_of(index).  Returns the first index of each window where the boolean
-    array ``windows`` is true, ascending, and one row per such window of f
-    at its points: the first from ``firsts``, the rest from one call of f.
-    """
-    starts = np.flatnonzero(windows) * _STRIDE
-    v = np.empty((len(starts), _STRIDE))
-    v[:, 0] = firsts[:len(windows)][windows]
-    v[:, 1:] = f(t_of(starts[:, None] + np.arange(1.0, _STRIDE)))
-    return starts, v
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -601,38 +590,44 @@ def _cell_crossings(inner, bits):
     Each change of cell between neighbouring points of a 2^-15 grid is one
     crossing; ValueError where two neighbours lie more than one cell apart,
     as some cell between them would be lost.  The grid is scanned in
-    windows of ``_STRIDE`` steps (``_scan_windows``): the windows' ends
-    first, and then every point of the windows where the cells of the two
-    ends' mean, less and plus ``_window_slack``, differ.  The cell is
-    monotone in the value, so each window left out lies in one cell, and
-    each point evaluated has the bits it has on the whole grid: the
-    crossings, the check and the brackets are the whole grid's, bit for
-    bit.  The bisection takes up to 60 halvings and stops once every
-    bracket is two adjacent floats, where a further halving leaves it as it
-    is.  It reads ``inner.value_range``, so quantizing a smooth map
-    computes the inner map's codomain.
+    windows of ``_STRIDE`` steps: the windows' ends first, and then every
+    point of the windows where the cells of the two ends' mean, less and
+    plus ``_window_slack``, differ.  The cell is monotone in the value, so
+    each window left out lies in one cell, and each point evaluated has the
+    bits it has on the whole grid: the crossings, the check and the
+    brackets are the whole grid's, bit for bit.  Where the slack is at
+    least a cell's width, the mean less and plus the slack are in two cells
+    for every window, and the whole grid is evaluated at once.  The
+    bisection takes up to 60 halvings and stops once every bracket is two
+    adjacent floats, where a further halving leaves it as it is.  It reads
+    ``inner.value_range``, so quantizing a smooth map computes the inner
+    map's codomain.
     """
 
     def cell(v):
         return _quantize_values(v, inner.value_range, bits)
 
     n = 1 << 15
-    ends = inner(np.arange(0, n + 1, _STRIDE) / n)
-    mean = 0.5 * (ends[:-1] + ends[1:])
-    slack = _window_slack(inner.params["terms"], _STRIDE / n)
-    windows = cell(mean - slack) != cell(mean + slack)
-    cells = cell(ends)  # in place: the ends are read no more
-    starts, c = _scan_windows(lambda t: cell(inner(t)), lambda i: i / n, cells, windows)
-    c = np.column_stack((c, cells[1:][windows]))  # and each window's right end
-    jump = np.abs(np.diff(c, axis=1))
+    grid = np.arange(n + 1) / n
     lo, hi = inner.value_range
+    slack = _window_slack(inner.params["terms"], _STRIDE / n)
+    if slack < (hi - lo) / 2 ** bits:
+        ends = inner(grid[::_STRIDE])
+        mean = 0.5 * (ends[:-1] + ends[1:])
+        windows = cell(mean - slack) != cell(mean + slack)
+        keep = np.append(np.repeat(windows, _STRIDE), False)
+        keep[_STRIDE::_STRIDE] |= windows  # and each window's right end
+        grid = grid[keep]
+    c = cell(inner(grid))
+    # two points kept next to each other are grid neighbours, or the ends
+    # of a run of windows left out, which lie in those windows' one cell
+    jump = np.abs(np.diff(c))
     if np.any(jump > 1.5 * (hi - lo) / 2 ** bits):
         raise ValueError("%s has quantizer cells narrower than the 2^-15 crossing grid "
                          "at B=%d" % (inner.name, bits))
-    r, q = np.nonzero(jump)
-    i = starts[r] + q
+    j = np.nonzero(jump)[0]
     # all crossings at once: each keeps a in the cell of its left grid point
-    a, b, ca = i / n, (i + 1) / n, c[r, q]
+    a, b, ca = grid[j], grid[j + 1], c[j]
     for _ in range(60):
         m = 0.5 * (a + b)
         if np.all((m == a) | (m == b)):

@@ -23,11 +23,9 @@ brackets it.  Inversion and D0 bisect by
 replaying: each engine pass evaluates the midpoints of a predicted run
 of halvings, and the steps whose bracket was predicted are taken, so the
 result is the one-midpoint-at-a-time loop's, bit for bit, in a fraction
-of its engine passes.  A run that is taken in full is twice as long in the
-next pass, up to 32 halvings.  Every inversion's first pass is the same
-ladder D0/2, ..., D0/2^40, the whole descent to any root above about
-1e-12 D0, so a model evaluates it once, on its first inversion, and keeps
-it beside D0; D0's own first pass is a ladder of 16 halvings of 1/scale.
+of its engine passes.  Every inversion's first pass is the same ladder
+D0/2, ..., D0/2^16, so a model evaluates it once, on its first
+inversion, and keeps it beside D0.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -192,16 +190,12 @@ def _series_sum(spectrum, spec, ds, term):
 # ---------------------------------------------------------------------------
 # Distance-map models
 
-# Midpoints per engine pass of a bisection replay (DistanceMapModel._bisect).
-# invert's first pass is the model's kept ladder D0/2, ..., D0/2^_LADDER,
-# the descent to any root above about 1e-12 D0; D0's own first pass is a
-# ladder of _FIRST (one of 40 took D0 from 3.6 to 4.1 ms per theory pass).
-# Later passes follow secant paths: _PATH midpoints at first, twice as many
-# after a path taken in full, up to _PATH_CAP, and _PATH again after one
-# that breaks off.  On the theory benchmark's 120 inversions this cut the
-# engine passes from 786 (a ladder of 16, then paths of 6) to 535, for
-# 4323 midpoints against 4387 (2-vCPU Xeon).
-_LADDER, _FIRST, _PATH, _PATH_CAP = 40, 16, 6, 32
+# Midpoints per engine pass of a bisection replay (DistanceMapModel._bisect):
+# a first ladder for targets far below hi, then short secant paths.  On the
+# theory benchmark's 120 inversions they cut the engine passes from 4641 to
+# 891 and the time from 0.079 to 0.049 s (2-vCPU Xeon); paths of 4 to 8
+# after a first 8 to 24 came within the runs' spread of that.
+_LADDER, _PATH = 16, 6
 
 
 def _halvings(lo, hi, rel_tol, root, n):
@@ -336,7 +330,7 @@ class DistanceMapModel:
         s, _ = _phi_sum(self._spectrum, self.spec, np.array(mids))
         return mids, self._flavored(s, self.flavor).tolist()
 
-    def _bisect(self, target, hi, rel_tol=0.0, first=_FIRST):
+    def _bisect(self, target, hi, rel_tol=0.0):
         """(lo, hi) from [0, hi] with value(lo) < target <= value(hi).
 
         Halves until within rel_tol of hi or until the midpoint equals an
@@ -346,19 +340,16 @@ class DistanceMapModel:
         the next brackets (``_halvings`` toward a guessed root), evaluates
         their midpoints as one grid, and takes the steps in order while the
         true bracket is the predicted one: up to and including the first
-        step that goes the other way.  The first pass predicts ``first``
-        brackets; a pass whose every bracket was the true one predicts twice
-        as many next time, up to ``_PATH_CAP``, and one that broke off
-        ``_PATH``.  The guess is the secant through the bracket's ends, with
-        value(0) = 0; while value(hi) is unknown it is lo, so the path is
-        the ladder hi/2, hi/4, ...  A pass whose path is that of the
-        model's kept ladder (see ``invert``) reads its values from there.
-        Each midpoint gets the bits a lone value(mid) gets and each step is
-        decided on the true bracket, so (lo, hi) is that of halving one
-        midpoint at a time, bit for bit, also where the curve is not
-        monotone.
+        step that goes the other way.  The guess is the secant through the
+        bracket's ends, with value(0) = 0; while value(hi) is unknown it is
+        lo, so the path is the ladder hi/2, hi/4, ...  A pass whose path is
+        that of the model's kept ladder (see ``invert``) reads its values
+        from there.  Each midpoint gets the bits a lone value(mid) gets and
+        each step is decided on the true bracket, so (lo, hi) is that of
+        halving one midpoint at a time, bit for bit, also where the curve is
+        not monotone.
         """
-        lo, n = 0.0, first
+        lo, n = 0.0, _LADDER
         v_lo, v_hi = 0.0, None  # value(0) is 0 for the monotone flavors
         while True:
             root = lo
@@ -371,15 +362,14 @@ class DistanceMapModel:
                 mids, vals = self._ladder[1]
             else:
                 mids, vals = self._midpoint_values(path)
-            n = min(2 * len(path), _PATH_CAP)
             for bracket, mid, v in zip(path, mids, vals):
                 if bracket != (lo, hi):
-                    n = _PATH
                     break
                 if v >= target:
                     hi, v_hi = mid, v
                 else:
                     lo, v_lo = mid, v
+            n = _PATH
 
     @property
     def D0(self):
@@ -402,7 +392,7 @@ class DistanceMapModel:
         asymptote; d is D0) or "below_range" (gval < 0; d is 0).
 
         The bisection starts from (0, D0) and its first engine pass is the
-        ladder D0/2, ..., D0/2^40 whatever gval and rel_tol are (lo = 0 and
+        ladder D0/2, ..., D0/2^16 whatever gval and rel_tol are (lo = 0 and
         rel_tol < 1 never stop it).  The model evaluates that pass on its
         first inversion and replays every later one from it, bit for bit.
         """
@@ -421,7 +411,7 @@ class DistanceMapModel:
         if self._ladder is None:
             path = _halvings(0.0, d0, 0.0, 0.0, _LADDER)
             self._ladder = (path, self._midpoint_values(path))
-        lo, hi = self._bisect(gval, d0, rel_tol, _LADDER)
+        lo, hi = self._bisect(gval, d0, rel_tol)
         return 0.5 * (lo + hi), "unique"
 
 

@@ -363,6 +363,9 @@ class TestBoundedScans:
         "extremes_within_the_slack": [(1, 1e-13), (2, 1.0)],
         # 2 pi k t's rounding alone spans the codomain: every window is kept
         "every_window_a_candidate": [(2 ** 40, 1.0)],
+        # the crossings at B = 1 keep every window, but only after the pass
+        # over the windows' ends
+        "every_window_kept_after_the_first_pass": [(200, 1.0), (3, 0.5)],
     }
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
@@ -373,6 +376,8 @@ class TestBoundedScans:
             assert 0.0 < abs(m(0.375) - m(0.875)) < maps._window_slack(terms, 0.0)
         if name == "every_window_a_candidate":
             assert maps._window_slack(terms, maps._STRIDE / 2 ** 16) > 2.0
+        if name == "every_window_kept_after_the_first_pass":
+            assert maps._window_slack(terms, maps._STRIDE / 2 ** 15) < m.hbar / 2
         assert [x.hex() for x in _smooth_range(m)] == [x.hex() for x in full_grid_range(m)]
         for bits in (1, 2, 3):
             assert_crossings_are_the_full_grid(m, bits)
@@ -385,8 +390,8 @@ class TestBoundedScans:
         assert sum(sizes) <= 25_000
 
     def test_range_that_rules_nothing_out_is_one_grid(self, monkeypatch):
-        # each window's first point is evaluated once, with the other points
-        # of its window, and Brent's refinements add a few dozen
+        # its slack is above sum |a_k|, so it skips the pass over the windows'
+        # first points: the grid, and a dozen points of Brent's refinements
         sizes = map_call_sizes(monkeypatch)
         make_fourier_mixture([(400, 1.0)]).value_range
         assert sum(sizes) <= 2 ** 16 + 2 ** 10
