@@ -61,9 +61,10 @@ def _li2(x):
 
 
 # Elements in one phi block (2^15 float64 is 256 KiB, well inside L2).  A
-# 1000-point curve of a 2048-harmonic spectrum took 7.5 ms in such blocks,
-# 8.3 ms in 2^18 and 10.0 ms in 2^20 (2-vCPU Xeon, 2 MiB L2 per core).  A
-# row longer than a block is evaluated alone.
+# 1000-point curve of a 2049-harmonic spectrum took 4.8-5.0 ms in such
+# blocks, 5.4-5.5 ms in 2^14, 5.3 ms in 2^16 and 6.0-6.5 ms in 2^18
+# (medians of 15, both families; 2-vCPU Xeon, 2 MiB L2 per core).  A row
+# longer than a block is evaluated alone.
 _PHI_BLOCK = 1 << 15
 
 # The largest scale d xi whose phi is not 0.  np.exp(x) is +0.0 for every x
@@ -84,14 +85,26 @@ def _phi(spec, ds, xi):
     """char_fn on the grid ds x xi, bit for bit, without its check of d.
 
     ds is a 1-D array, one row per d, or one float d, one row; xi ascends.
-    Past the last scale d xi <= _LIVE in the row of the smallest d, phi is
-    exactly 0 in every row: those columns are filled with 0, not
-    exponentiated.  Subnormal phi are computed.  Rows keep their full
-    length, so a dot product over a row sums in the same order.
+    Each entry of the grid is the one product fl(scale d * xi_k).  Past the
+    last scale d xi <= _LIVE in the row of the smallest d, read from the
+    grid itself, phi is exactly 0 in every row: those columns are filled
+    with 0, not exponentiated.  Subnormal phi are computed.  Rows keep
+    their full length, so a dot product over a row sums in the same order.
     """
     sd = spec.scale * ds
-    out = np.multiply(_column(sd), xi)
-    smallest = out if isinstance(ds, float) else sd.min(initial=math.inf) * xi
+    if isinstance(ds, float):
+        out = smallest = np.multiply(sd, xi)
+    else:
+        # Not the broadcast sd[:, None] * xi: numpy buffers that one when its
+        # rows are shorter than about a third of its 8192-element buffer,
+        # and it took 1.2-1.3 ns/elem on 6-16 x 2049 grids against 0.3 from
+        # about 2800 columns up (0.27-0.40 at 2049 under np.setbufsize(2048),
+        # which is process-wide state).  einsum adds each product to a
+        # zeroed output, unbuffered, which keeps its bits (0 + x is x for
+        # every x >= +0): 20 against 37 us at 16 x 2049, 5.0 against 5.8 at
+        # 500 x 2, but 21 against 10 at 4 x 8192 (2-vCPU Xeon, numpy 2.4).
+        out = np.einsum("i,j->ij", sd, xi)
+        smallest = out[sd.argmin()] if len(sd) else xi[:0]
     n = int(smallest.searchsorted(_LIVE[spec.family], "right"))
     live = out[..., :n]
     if spec.family == "gaussian":
@@ -287,9 +300,10 @@ class DistanceMapModel:
         return self._value(d, self.flavor)
 
     def curve(self, ds):
-        """value at each of ds, from one engine pass over the whole grid."""
+        """value at each of ds, in the shape of ds, from one engine pass over
+        the whole grid."""
         s, _ = _phi_sum(self._spectrum, self.spec, _distances(ds))
-        return self._flavored(s, self.flavor)
+        return self._flavored(s, self.flavor).reshape(np.shape(ds))
 
     @property
     def value_inf(self):

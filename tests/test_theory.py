@@ -1,6 +1,7 @@
 """Distance/kernel map calculus and the probability-bound calculators."""
 
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -160,6 +161,10 @@ class TestSummationEngine:
             curve = model.curve(ds)
             assert curve.shape == ds.shape
             assert [v.hex() for v in curve.tolist()] == [model.value(d).hex() for d in ds]
+            # a 2-D grid keeps its shape, as char_fn's does
+            grid = model.curve(ds.reshape(3, 19))
+            assert grid.shape == (3, 19)
+            assert grid.tobytes() == curve.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", (make_square_wave(), make_multibit(4), make_fourier_mixture(FIG3)),
@@ -245,6 +250,88 @@ class TestSummationEngine:
                 row = theory._phi(spec, float(ds[i]), sp.xi)
                 assert row.tobytes() == got[0].tobytes(), i
             assert not np.any(phi[-1])
+
+    # (map, rows) of a 2049-harmonic finite spectrum, the design mixture's
+    # 2 columns and the sawtooth's third series block of 8192 columns: the
+    # shapes of the theory workload's blocks, its mixture curves and repro's
+    # series blocks
+    SHAPES = {"finite_2049": (make_multibit(4), 15),
+              "mixture_2x500": (make_fourier_mixture(FIG3), 500),
+              "series_8192x4": (make_sawtooth(), 4)}
+
+    @staticmethod
+    def _xi(m, block=2):
+        # a finite spectrum's xi, or that of a series' block (0 is the first)
+        sp = m.power_coeffs()
+        if isinstance(sp, HarmonicSeries):
+            return 2.0 * np.pi * next(itertools.islice(sp.blocks(), block, None))[1]
+        return sp.xi
+
+    @staticmethod
+    def _scattered(family, scale, xi, rows, seed):
+        # (ds, i): rows distances whose smallest, cut mid-spectrum (between
+        # two columns), is ds[i] and ds[i + 1], in the middle of the block
+        # for seed 0, near its ends for seeds 1 and 2; the first row is cut
+        # earlier and the last is all 0
+        mid = len(xi) // 2
+        d_min = theory._LIVE[family] / (scale * math.sqrt(xi[mid - 1] * xi[mid]))
+        ds = np.random.default_rng(seed).permutation(d_min * np.geomspace(1.2, 1e3, rows))
+        i = ((rows - 1) // 2, 1, rows - 3)[seed % 3]
+        ds[i] = ds[i + 1] = d_min
+        ds[0], ds[-1] = 10.0 * d_min, 1e6 * d_min
+        if rows > 4:
+            j = 2 if i > 3 else rows - 4
+            ds[j - 1] = ds[j]  # a repeated d that is not the smallest
+        return ds, i
+
+    @pytest.mark.parametrize("term", [theory._phi, theory._slope], ids=["phi", "slope"])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cut_comes_from_the_smallest_row(self, shape, family, term):
+        # each row of a block equals that d computed alone, wherever the
+        # smallest d sits: a cut read from any other row zeroes live phi
+        m, rows = self.SHAPES[shape]
+        xi, spec = self._xi(m), ProjectionSpec(family, 0.7)
+        for seed in range(3):
+            ds, i = self._scattered(family, spec.scale, xi, rows, seed)
+            got = term(spec, ds, xi)
+            phi = theory._phi(spec, ds, xi)
+            assert 0 < np.count_nonzero(phi[i]) < len(xi)
+            assert np.count_nonzero(phi[0]) < np.count_nonzero(phi[i])
+            assert not np.any(phi[-1])
+            assert phi.tobytes() == self._plain_phi(spec, ds, xi).tobytes()
+            for j, d in enumerate(ds.tolist()):
+                assert got[j].tobytes() == term(spec, d, xi).tobytes(), (seed, j)
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_curve_of_a_scattered_grid_is_value_bit_for_bit(self, shape, family):
+        # three engine blocks (the mixture's 1500 rows are one), each its
+        # own permutation, whose smallest d is cut mid-way through the
+        # spectrum's first block
+        m = self.SHAPES[shape][0]
+        xi = self._xi(m, block=0)
+        rows = min(500, theory._PHI_BLOCK // len(xi))
+        model = DistanceMapModel(m, ProjectionSpec(family, 0.7))
+        ds = np.concatenate([self._scattered(family, 0.7, xi, rows, seed)[0]
+                             for seed in range(3)])
+        want = [model.value(d).hex() for d in ds.tolist()]
+        assert [v.hex() for v in model.curve(ds).tolist()] == want
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_multi_row_phi_allocates_only_its_output(self, family):
+        # a 4 x 8192 block allocates its grid and nothing of its size beside
+        xi, spec = self._xi(make_sawtooth()), ProjectionSpec(family, 0.7)
+        ds = self._scattered(family, spec.scale, xi, 4, 0)[0]
+        theory._phi(spec, ds, xi)
+        tracemalloc.start()
+        try:
+            out = theory._phi(spec, ds, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 8192)
+        assert peak <= out.nbytes + 4096
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", FINITE, ids=lambda m: m.name)
