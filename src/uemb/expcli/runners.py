@@ -323,11 +323,8 @@ def run_map_eval(cfg, out_dir):
     spec = ProjectionSpec(cfg["family"], scale)
     grid = np.geomspace if cfg["log_grid"] else np.linspace
     ds = grid(cfg["d_min"], cfg["d_max"], cfg["d_count"])
-    # at a huge scale (scale d xi)^2 overflows to inf, and phi = exp(-inf) = 0
-    # is right; silenced once per curve here, not per scalar call in the engine
-    with np.errstate(over="ignore"):
-        g = DistanceMapModel(map_, spec).curve(ds)
-        K = DistanceMapModel(map_, spec, flavor="kernel").curve(ds)
+    g = DistanceMapModel(map_, spec).curve(ds)
+    K = DistanceMapModel(map_, spec, flavor="kernel").curve(ds)
     header = ["d", "g", "g_sqrt", "K"]
     with_bounds = is_binary_universal and cfg["family"] == "gaussian"
     if with_bounds:

@@ -17,15 +17,19 @@ engine takes a whole grid of distances in one pass, each d stopping at
 its own block with the sum a lone d would get, bit for bit; on a finite
 spectrum a single d is one row.  The harmonics whose phi underflows to
 exactly 0 at the smallest d of a pass, and so at every d of it, are
-filled with 0 and never exponentiated, which keeps every bit.  The
-saturation radius D0 is one bisection on (0, 1/scale], which always
-brackets it.  Inversion and D0 bisect by
-replaying: each engine pass evaluates the midpoints of a predicted run
-of halvings, and the steps whose bracket was predicted are taken, so the
-result is the one-midpoint-at-a-time loop's, bit for bit, in a fraction
-of its engine passes.  Every inversion's first pass is the same ladder
-D0/2, ..., D0/2^16, so a model evaluates it once, on its first
-inversion, and keeps it beside D0.
+filled with 0 and never exponentiated, which keeps every bit; where the
+smallest d's row is live to its last harmonic, the whole grid is
+exponentiated with no cut to look for.  A dead row, one whose phi is
+already 0 at its first harmonic, sums to +0.0 without being formed, so
+such a scale d, up to the float range, gives the curves' limits and a
+slope of 0 without overflowing.  The saturation radius D0 is one
+bisection on (0, 1/scale], which always brackets it.  Inversion and D0
+bisect by replaying: each engine pass evaluates the midpoints of a
+predicted run of halvings, and the steps whose bracket was predicted are
+taken, so the result is the one-midpoint-at-a-time loop's, bit for bit,
+in a fraction of its engine passes.  Every inversion's first pass is the
+same ladder D0/2, ..., D0/2^16, so a model evaluates it once, on its
+first inversion, and keeps it beside D0.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -71,8 +75,10 @@ _PHI_BLOCK = 1 << 15
 # at or below -745.1332191019412 and 5e-324 at the next float up, so the
 # Cauchy phi = exp(-t) lives to t = 745.1332191019411 and the Gaussian
 # exp(-t^2 / 2) to t = 38.60396920271129.  An exp that returns such a 0 took
-# 4-17 ns against about 1 ns for a normal result (arguments -746 to -1e4,
-# 2-vCPU Xeon).
+# 4-17 ns against about 1 ns for a normal result (arguments -746 to -1e4),
+# and one that returns a subnormal (arguments -708.4 to -745.1) about 112 ns
+# (2-vCPU Xeon).  Subnormal phi are computed all the same: they are the
+# bits of char_fn.
 _LIVE = {"gaussian": 38.60396920271129, "cauchy": 745.1332191019411}
 
 
@@ -88,12 +94,21 @@ def _phi(spec, ds, xi):
     Each entry of the grid is the one product fl(scale d * xi_k).  Past the
     last scale d xi <= _LIVE in the row of the smallest d, read from the
     grid itself, phi is exactly 0 in every row: those columns are filled
-    with 0, not exponentiated.  Subnormal phi are computed.  Rows keep
-    their full length, so a dot product over a row sums in the same order.
+    with 0, not exponentiated.  Where that row is live to its last column,
+    the whole grid is exponentiated, with no cut to look for.  Subnormal
+    phi are computed.  Rows keep their full length, so a dot product over
+    a row sums in the same order.
     """
     sd = spec.scale * ds
     if isinstance(ds, float):
-        out = smallest = np.multiply(sd, xi)
+        # the operator, not np.multiply(sd, xi): the same product, but the
+        # ufunc call took 1.1 against 0.6 us with a Python float first
+        out = smallest = sd * xi
+    elif len(sd) == 1:
+        # einsum's set-up is most of a one-row grid: 3.1 against 1.3 us at
+        # 1 x 2049, and 1.9 against 0.7 at 1 x 2 (2-vCPU Xeon, numpy 2.4)
+        smallest = sd[0] * xi
+        out = smallest[None]
     else:
         # Not the broadcast sd[:, None] * xi: numpy buffers that one when its
         # rows are shorter than about a third of its 8192-element buffer,
@@ -104,16 +119,20 @@ def _phi(spec, ds, xi):
         # every x >= +0): 20 against 37 us at 16 x 2049, 5.0 against 5.8 at
         # 500 x 2, but 21 against 10 at 4 x 8192 (2-vCPU Xeon, numpy 2.4).
         out = np.einsum("i,j->ij", sd, xi)
-        smallest = out[sd.argmin()] if len(sd) else xi[:0]
-    n = int(smallest.searchsorted(_LIVE[spec.family], "right"))
-    live = out[..., :n]
+        if not len(sd):
+            return out
+        smallest = out[sd.argmin()]
+    cut, live = _LIVE[spec.family], out
+    if smallest[-1] > cut:
+        n = int(smallest.searchsorted(cut, "right"))
+        out[..., n:] = 0.0
+        live = out[..., :n]
     if spec.family == "gaussian":
         np.square(live, out=live)
         live *= -0.5
     else:
         np.negative(live, out=live)
     np.exp(live, out=live)
-    out[..., n:] = 0.0
     return out
 
 
@@ -128,15 +147,38 @@ def _slope(spec, ds, xi):
     return out
 
 
+def _dead(spec, ds, x0):
+    """Which of ds are dead: past the cut at their first product fl(scale d x0).
+
+    A dead row's phi is exactly 0 at every harmonic (xi ascends from x0),
+    so its term is 0 and its sum is +0.0.  The engine takes that without
+    forming the row, whose products and squares overflow at huge scale d,
+    and whose slope would be 0 * inf = NaN where scale xi overflows.
+    """
+    with np.errstate(over="ignore"):  # an inf product is past the cut too
+        return spec.scale * ds * x0 > _LIVE[spec.family]
+
+
 def _dots(spec, ds, xi, powers, term=_phi):
     """powers . term(xi | d) for each of ds, in blocks of _PHI_BLOCK elements;
-    for one float d, its row's.
+    for one float d, its row's.  A dead row (``_dead``) is +0.0, unformed.
 
-    Each row's dot product is its own (np.vecdot); a matrix-vector product
-    would sum in another order.
+    Each row's dot product is its own: np.vecdot over a grid, and for one
+    row ndarray.dot, the same BLAS ddot (0.4 against 0.8 us); a
+    matrix-vector product would sum in another order.
     """
-    rows = max(1, _PHI_BLOCK // max(len(xi), 1))
-    if isinstance(ds, float) or len(ds) <= rows:
+    if isinstance(ds, float):
+        # in Python floats, which do not warn where scale d overflows
+        if spec.scale * ds * xi.item(0) > _LIVE[spec.family]:
+            return 0.0
+        return term(spec, ds, xi).dot(powers)
+    if len(ds) and spec.scale * ds.item(ds.argmax()) * xi.item(0) > _LIVE[spec.family]:
+        out = np.zeros(len(ds))
+        live = ~_dead(spec, ds, xi[0])
+        out[live] = _dots(spec, ds[live], xi, powers, term)
+        return out
+    rows = max(1, _PHI_BLOCK // len(xi))
+    if len(ds) <= rows:
         return np.vecdot(term(spec, ds, xi), powers)
     out = np.empty(len(ds))
     for i in range(0, len(ds), rows):
@@ -149,10 +191,12 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
 
     ds is a 1-D array of distances checked by ``_distances``, or one float
     checked by ``_distance``; term is ``_phi`` or ``_slope`` (d > 0 only).
-    Returns (S_hat, err) with |S - S_hat| <= err: arrays for an array, and
-    scalars for a float d, whose finite-spectrum sum is one row.  At d = 0,
-    S is ac_power exactly.  A finite spectrum is one ``_dots`` pass over its
-    AC harmonics, with err its tail_bound.  A series sums its blocks in
+    Returns (S_hat, err) with |S - S_hat| <= err: S_hat is an array for an
+    array and a scalar for a float d; err is one scalar for every d of a
+    finite spectrum, its tail_bound, and one per d, like S_hat, for a
+    series.  A finite
+    spectrum is one ``_dots`` pass over its AC harmonics, a single d one
+    row; at d = 0, S is ac_power exactly.  A series sums its blocks in
     order, as a scalar loop would, each d stopping at its own block once
     rem = above * term(2 pi (hi+1) | d) is 1e-12 of max(S, ac_power / 1000)
     or less; half of rem goes into S_hat and half into err, with the
@@ -165,38 +209,44 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
     at scale^2 d < ~1e-19, far below where _K_CAP already cuts its slope.
     """
     if isinstance(ds, float):
+        if ds > 0.0 and not isinstance(spectrum, HarmonicSeries):
+            return _dots(spec, ds, spectrum.xi, spectrum.xi_power, term), spectrum.tail_bound
         if ds == 0.0:
             return spectrum.ac_power, spectrum.tail_bound
-        if isinstance(spectrum, HarmonicSeries):
-            s_hat, err = _series_sum(spectrum, spec, np.array((ds,)), term)
-            return s_hat[0], err[0]
-        return _dots(spec, ds, spectrum.xi, spectrum.xi_power, term), spectrum.tail_bound
-    if np.count_nonzero(ds) < len(ds):
-        s_hat = np.full(len(ds), spectrum.ac_power)
-        err = np.full(len(ds), spectrum.tail_bound)
-        pos = ds > 0.0
-        s_hat[pos], err[pos] = _phi_sum(spectrum, spec, ds[pos], term)
-        return s_hat, err
+        s_hat, err = _series_sum(spectrum, spec, np.array((ds,)), term)
+        return s_hat[0], err[0]
     if isinstance(spectrum, HarmonicSeries):
         return _series_sum(spectrum, spec, ds, term)
-    s_hat = _dots(spec, ds, spectrum.xi, spectrum.xi_power, term)
-    return s_hat, np.full(len(ds), spectrum.tail_bound)
+    if np.count_nonzero(ds) == len(ds):
+        return _dots(spec, ds, spectrum.xi, spectrum.xi_power, term), spectrum.tail_bound
+    s_hat = np.full(len(ds), spectrum.ac_power)
+    pos = ds > 0.0
+    s_hat[pos] = _dots(spec, ds[pos], spectrum.xi, spectrum.xi_power, term)
+    return s_hat, spectrum.tail_bound
 
 
 def _series_sum(spectrum, spec, ds, term):
-    """_phi_sum of a HarmonicSeries at a 1-D array of distances > 0."""
-    s_hat, err = np.empty(len(ds)), np.empty(len(ds))
-    rows, d, s = slice(None), ds, 0.0  # the rows still summing, their d and sums
+    """_phi_sum of a HarmonicSeries at a 1-D array of distances.
+
+    At d = 0, S is ac_power.  A dead row (``_dead`` at the first harmonic,
+    2 pi) stops before the first block with S_hat +0.0, which that block
+    would give it too, as its phi and rem are all 0.  Both keep err the
+    tail_bound.
+    """
+    s_hat, err = np.zeros(len(ds)), np.full(len(ds), spectrum.tail_bound)
+    s_hat[ds == 0.0] = spectrum.ac_power
+    rows = np.flatnonzero((ds > 0.0) & ~_dead(spec, ds, 2.0 * np.pi))  # still summing
+    d, s = ds[rows], 0.0  # their d and sums
     floor = 1e-3 * spectrum.ac_power
     for hi, ks, powers, above in spectrum.blocks():
+        if not len(d):
+            break
         s = s + _dots(spec, d, 2.0 * np.pi * ks, powers, term)
         rem = above * term(spec, d, np.array((2.0 * np.pi * (hi + 1),)))[:, 0]
         # every row's estimate so far: a row that stops here keeps it
         s_hat[rows], err[rows] = s + rem / 2.0, rem / 2.0 + spectrum.tail_bound
         keep = rem > 1e-12 * np.maximum(s, floor)
-        rows, d, s = np.arange(len(ds))[rows][keep], d[keep], s[keep]
-        if not len(d):
-            break
+        rows, d, s = rows[keep], d[keep], s[keep]
     return s_hat, err
 
 
@@ -284,7 +334,7 @@ class DistanceMapModel:
     def _value(self, d, flavor):
         """The flavor's value at one d: the engine on that d alone."""
         s, _ = _phi_sum(self._spectrum, self.spec, _distance(d))
-        return float(self._flavored(float(s), flavor))
+        return float(self._flavored(s, flavor))
 
     def g(self, d):
         """g(d) = 2 sum_{k>=1} P_k (1 - phi(2 pi k | d)); g(0) = 0 exactly."""

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,12 +194,13 @@ class TestSummationEngine:
     def test_engine_is_the_scalar_loop_bit_for_bit(self, m, family, term, ref_term):
         # S_hat and err of a grid, from tiny d (the series runs to its cap)
         # to saturation, equal a plain-float loop over the blocks at each d,
-        # for the curves' phi and for the slope's -d phi / dd alike
+        # for the curves' phi and for the slope's -d phi / dd alike; a
+        # finite spectrum's err is its one tail_bound, for every d
         spec = ProjectionSpec(family, 0.7)
         sp = m.power_coeffs()
         ds = np.geomspace(1e-9, 1e2, 23)
         s, err = _phi_sum(sp, spec, ds, term)
-        got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), err.tolist())]
+        got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), np.broadcast_to(err, s.shape).tolist())]
         ref = [scalar_phi_sum(sp, spec, d, ref_term) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
 
@@ -215,6 +217,67 @@ class TestSummationEngine:
         plain = self._plain_phi(spec, np.ones(1), xi)[0]
         assert plain[0] > 0.0 and plain[1] == 0.0
         assert theory._phi(spec, 1.0, xi).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_whole_row_live_at_the_edge(self, family, monkeypatch):
+        # a smallest row whose last product is exactly _LIVE is live to its
+        # end, and exp takes every column; one float up, exp takes one
+        # column less; one float d, and grids whose smallest row sits first,
+        # mid-way or last, equal the plain exp bit for bit
+        spec, t = ProjectionSpec(family, 1.0), theory._LIVE[family]
+        exp, widths = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs:
+                            widths.append(np.shape(x)[-1]) or exp(x, *args, **kwargs))
+        for last, width in ((t, 5), (np.nextafter(t, np.inf), 4)):
+            xi = last * 2.0 ** np.arange(-4.0, 1.0)  # exact products at d = 1
+            grids = ([1.0], [1.0, 3.0, 2.0, 1.5, 8.0], [3.0, 2.0, 1.0, 1.5, 8.0],
+                     [3.0, 2.0, 8.0, 1.5, 1.0])
+            for ds in (1.0, *map(np.array, grids)):
+                widths.clear()
+                got = theory._phi(spec, ds, xi)
+                assert widths == [width], ds
+                assert got.tobytes() == self._plain_phi(spec, np.atleast_1d(ds), xi).reshape(
+                    got.shape).tobytes(), ds
+            assert got[-1, -1] == 0.0 if width == 4 else 0.0 < got[-1, -1] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_dead_row_at_the_edge(self, family):
+        # a first product exactly at _LIVE is live, its phi subnormal; one
+        # float up the row is dead and sums to +0.0 unformed; one float d,
+        # and a grid with a live row and a dead one beside it, equal the
+        # plain exp's dot
+        spec, t = ProjectionSpec(family, 1.0), theory._LIVE[family]
+        powers = np.ones(3)
+        for first, live in ((t, True), (np.nextafter(t, np.inf), False)):
+            xi = first * np.array([1.0, 2.0, 4.0])
+            ds = np.array([1.0, 0.5, 2.0, 1.0])
+            want = np.vecdot(self._plain_phi(spec, ds, xi), powers)
+            assert (want[0] > 0.0) == live and want[1] > 0.0 and want[2] == 0.0
+            assert theory._dots(spec, 1.0, xi, powers).hex() == want[0].hex()
+            assert theory._dots(spec, ds, xi, powers).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
+    def test_dead_rows_give_the_limits_without_a_warning(self, m, family):
+        # a d past the cut at its first harmonic sums to +0.0, its products
+        # never formed: up to the float range, and at a scale whose
+        # scale xi overflows, g is g_inf, K the DC power and the slope 0,
+        # with no overflow warning nor 0 * inf = NaN; a live d beside them
+        # keeps its value
+        for flavor in theory.FLAVORS:
+            for scale, ds in ((0.5, [1e-3, 1e300, 1.7e308]),
+                              (1e305, [1e-308, 1e-300, 1.0, 1.7e308])):
+                model = DistanceMapModel(m, ProjectionSpec(family, scale), flavor=flavor)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    curve = model.curve(ds).tolist()
+                    assert curve[0] == model.value(ds[0])
+                    for d, v in zip(ds[1:], curve[1:]):
+                        assert v.hex() == model.value(d).hex() == model.value_inf.hex()
+                        assert model.g(d) == model.g_inf
+                        assert model.kernel(d) == model._spectrum.dc_power
+                        if flavor != "kernel":
+                            assert model.derivative(d) == 0.0
 
     @staticmethod
     def _plain_phi(spec, ds, xi):
