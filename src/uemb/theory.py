@@ -164,8 +164,8 @@ def _dots(spec, ds, xi, powers, term=_phi):
     for one float d, its row's.  A dead row (``_dead``) is +0.0, unformed.
 
     Each row's dot product is its own: np.vecdot over a grid, and for one
-    row ndarray.dot, the same BLAS ddot (0.4 against 0.8 us); a
-    matrix-vector product would sum in another order.
+    float d ndarray.dot, the same BLAS ddot (0.4 against 0.8 us for a row
+    of 2); a matrix-vector product would sum in another order.
     """
     if isinstance(ds, float):
         # in Python floats, which do not warn where scale d overflows
@@ -194,13 +194,12 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
     Returns (S_hat, err) with |S - S_hat| <= err: S_hat is an array for an
     array and a scalar for a float d; err is one scalar for every d of a
     finite spectrum, its tail_bound, and one per d, like S_hat, for a
-    series.  A finite
-    spectrum is one ``_dots`` pass over its AC harmonics, a single d one
-    row; at d = 0, S is ac_power exactly.  A series sums its blocks in
-    order, as a scalar loop would, each d stopping at its own block once
-    rem = above * term(2 pi (hi+1) | d) is 1e-12 of max(S, ac_power / 1000)
-    or less; half of rem goes into S_hat and half into err, with the
-    tail_bound.  A float d on a series is a grid of one.
+    series.  A finite spectrum is one ``_dots`` pass over its AC harmonics,
+    a single d one row; at d = 0, S is ac_power exactly.  A series sums its
+    blocks in order, as a scalar loop would, each d stopping at its own
+    block once rem = above * term(2 pi (hi+1) | d) is 1e-12 of
+    max(S, ac_power / 1000) or less; half of rem goes into S_hat and half
+    into err, with the tail_bound.  A float d on a series is a grid of one.
 
     rem bounds the rest where term falls in k: phi always, the slope past its
     peak at 2 pi k scale d = sqrt 2 (Gaussian) or 1 (Cauchy).  Below the peak

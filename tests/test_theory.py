@@ -200,7 +200,8 @@ class TestSummationEngine:
         sp = m.power_coeffs()
         ds = np.geomspace(1e-9, 1e2, 23)
         s, err = _phi_sum(sp, spec, ds, term)
-        got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), np.broadcast_to(err, s.shape).tolist())]
+        err = np.broadcast_to(err, s.shape)
+        got = [(a.hex(), b.hex()) for a, b in zip(s.tolist(), err.tolist())]
         ref = [scalar_phi_sum(sp, spec, d, ref_term) for d in ds.tolist()]
         assert got == [(a.hex(), b.hex()) for a, b in ref]
 
