@@ -23,13 +23,8 @@ exponentiated with no cut to look for.  A dead row, one whose phi is
 already 0 at its first harmonic, sums to +0.0 without being formed, so
 such a scale d, up to the float range, gives the curves' limits and a
 slope of 0 without overflowing.  The saturation radius D0 is one
-bisection on (0, 1/scale], which always brackets it.  Inversion and D0
-bisect by replaying: each engine pass evaluates the midpoints of a
-predicted run of halvings, and the steps whose bracket was predicted are
-taken, so the result is the one-midpoint-at-a-time loop's, bit for bit,
-in a fraction of its engine passes.  Every inversion's first pass is the
-same ladder D0/2, ..., D0/2^16, so a model evaluates it once, on its
-first inversion, and keeps it beside D0.
+bisection on (0, 1/scale], which always brackets it, and inversion one on
+(0, D0); each halving evaluates its one midpoint alone.
 
 The phi argument is unified at 2 pi k for both maps; a quadrature oracle of
 E[(y - y')^2] arbitrates that convention in the test suite.
@@ -137,13 +132,17 @@ def _phi(spec, ds, xi):
 
 
 def _slope(spec, ds, xi):
-    """-d phi(xi | d) / dd on the grid ds x xi: phi (scale xi)^2 d for the
-    Gaussian family, phi scale xi for the Cauchy."""
-    sxi, out = np.multiply(spec.scale, xi), _phi(spec, ds, xi)
-    out *= sxi
+    """-d phi(xi | d) / dd / scale on the grid ds x xi: phi xi^2 scale d for
+    the Gaussian family, phi xi for the Cauchy.
+
+    The caller multiplies the sum by scale once, so scale xi, which
+    overflows at huge scales while g' is finite, is never formed.
+    """
+    out = _phi(spec, ds, xi)
+    out *= xi
     if spec.family == "gaussian":
-        out *= sxi
-        out *= _column(ds)
+        out *= xi
+        out *= spec.scale * _column(ds)
     return out
 
 
@@ -153,7 +152,7 @@ def _dead(spec, ds, x0):
     A dead row's phi is exactly 0 at every harmonic (xi ascends from x0),
     so its term is 0 and its sum is +0.0.  The engine takes that without
     forming the row, whose products and squares overflow at huge scale d,
-    and whose slope would be 0 * inf = NaN where scale xi overflows.
+    and whose slope would be 0 * inf = NaN where scale d overflows.
     """
     with np.errstate(over="ignore"):  # an inf product is past the cut too
         return spec.scale * ds * x0 > _LIVE[spec.family]
@@ -198,8 +197,10 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
     a single d one row; at d = 0, S is ac_power exactly.  A series sums its
     blocks in order, as a scalar loop would, each d stopping at its own
     block once rem = above * term(2 pi (hi+1) | d) is 1e-12 of
-    max(S, ac_power / 1000) or less; half of rem goes into S_hat and half
-    into err, with the tail_bound.  A float d on a series is a grid of one.
+    max(S, ac_power / 1000) or less (for the slope, whose terms are per
+    unit scale, ac_power / (1000 scale)); half of rem goes into S_hat and
+    half into err, with the tail_bound.  A float d on a series is a grid of
+    one.
 
     rem bounds the rest where term falls in k: phi always, the slope past its
     peak at 2 pi k scale d = sqrt 2 (Gaussian) or 1 (Cauchy).  Below the peak
@@ -237,6 +238,8 @@ def _series_sum(spectrum, spec, ds, term):
     rows = np.flatnonzero((ds > 0.0) & ~_dead(spec, ds, 2.0 * np.pi))  # still summing
     d, s = ds[rows], 0.0  # their d and sums
     floor = 1e-3 * spectrum.ac_power
+    if term is _slope:  # the stop test in units of g': its terms are g' / scale
+        floor /= spec.scale
     for hi, ks, powers, above in spectrum.blocks():
         if not len(d):
             break
@@ -251,34 +254,6 @@ def _series_sum(spectrum, spec, ds, term):
 
 # ---------------------------------------------------------------------------
 # Distance-map models
-
-# Midpoints per engine pass of a bisection replay (DistanceMapModel._bisect):
-# a first ladder for targets far below hi, then short secant paths.  On the
-# theory benchmark's 120 inversions they cut the engine passes from 4641 to
-# 891 and the time from 0.079 to 0.049 s (2-vCPU Xeon); paths of 4 to 8
-# after a first 8 to 24 came within the runs' spread of that.
-_LADDER, _PATH = 16, 6
-
-
-def _halvings(lo, hi, rel_tol, root, n):
-    """Brackets of up to n bisection steps from (lo, hi) toward ``root``.
-
-    The path DistanceMapModel._bisect takes if its root is at ``root``:
-    each step keeps the half that holds it, and the path ends where that
-    bisection stops.  The first bracket is (lo, hi) unless it stops there.
-    """
-    path = []
-    while len(path) < n and hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        path.append((lo, hi))
-        if mid >= root:
-            hi = mid
-        else:
-            lo = mid
-    return path
-
 
 FLAVORS = ("sq_l2", "sqrt", "kernel")
 
@@ -303,7 +278,6 @@ class DistanceMapModel:
         self.flavor = flavor
         self._spectrum = map_.power_coeffs()
         self._d0 = None
-        self._ladder = None  # (path, (mids, values)) of invert's first pass
 
     # -- raw curves ---------------------------------------------------------
 
@@ -368,10 +342,10 @@ class DistanceMapModel:
         elif not isinstance(sp, HarmonicSeries):
             s = _dots(spec, d, sp.xi, sp.xi_power, _slope)
         elif spec.family == "gaussian":
-            s = 2.0 * sp.c * spec.scale / (sp.step * math.sqrt(2.0 * math.pi))
+            s = 2.0 * sp.c / (sp.step * math.sqrt(2.0 * math.pi))
         else:
             s = math.inf
-        gp = 2.0 * float(s)
+        gp = 2.0 * spec.scale * float(s)
         if self.flavor == "sq_l2":
             return gp
         if self.flavor == "sqrt":
@@ -387,52 +361,22 @@ class DistanceMapModel:
         if self.flavor == "kernel":
             raise ValueError("kernel flavor is decreasing; use sq_l2 or sqrt")
 
-    def _midpoint_values(self, path):
-        """(mids, values) at the midpoints of the brackets, from one engine pass."""
-        mids = [0.5 * (a + b) for a, b in path]
-        s, _ = _phi_sum(self._spectrum, self.spec, np.array(mids))
-        return mids, self._flavored(s, self.flavor).tolist()
-
     def _bisect(self, target, hi, rel_tol=0.0):
         """(lo, hi) from [0, hi] with value(lo) < target <= value(hi).
 
         Halves until within rel_tol of hi or until the midpoint equals an
         end: at rel_tol = 0, lo and hi end as adjacent floats.
-
-        The halvings are replayed from engine passes.  Each pass predicts
-        the next brackets (``_halvings`` toward a guessed root), evaluates
-        their midpoints as one grid, and takes the steps in order while the
-        true bracket is the predicted one: up to and including the first
-        step that goes the other way.  The guess is the secant through the
-        bracket's ends, with value(0) = 0; while value(hi) is unknown it is
-        lo, so the path is the ladder hi/2, hi/4, ...  A pass whose path is
-        that of the model's kept ladder (see ``invert``) reads its values
-        from there.  Each midpoint gets the bits a lone value(mid) gets and
-        each step is decided on the true bracket, so (lo, hi) is that of
-        halving one midpoint at a time, bit for bit, also where the curve is
-        not monotone.
         """
-        lo, n = 0.0, _LADDER
-        v_lo, v_hi = 0.0, None  # value(0) is 0 for the monotone flavors
-        while True:
-            root = lo
-            if v_hi is not None and v_hi > v_lo:
-                root = lo + (target - v_lo) * (hi - lo) / (v_hi - v_lo)
-            path = _halvings(lo, hi, rel_tol, root, n)
-            if not path:
-                return lo, hi
-            if self._ladder is not None and path == self._ladder[0]:
-                mids, vals = self._ladder[1]
+        lo = 0.0
+        while hi - lo > rel_tol * max(hi, 1e-300):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if self._value(mid, self.flavor) >= target:
+                hi = mid
             else:
-                mids, vals = self._midpoint_values(path)
-            for bracket, mid, v in zip(path, mids, vals):
-                if bracket != (lo, hi):
-                    break
-                if v >= target:
-                    hi, v_hi = mid, v
-                else:
-                    lo, v_lo = mid, v
-            n = _PATH
+                lo = mid
+        return lo, hi
 
     @property
     def D0(self):
@@ -453,11 +397,6 @@ class DistanceMapModel:
 
         status is "unique", "saturated" (gval at or past 95% of the
         asymptote; d is D0) or "below_range" (gval < 0; d is 0).
-
-        The bisection starts from (0, D0) and its first engine pass is the
-        ladder D0/2, ..., D0/2^16 whatever gval and rel_tol are (lo = 0 and
-        rel_tol < 1 never stop it).  The model evaluates that pass on its
-        first inversion and replays every later one from it, bit for bit.
         """
         self._require_monotone_flavor()
         if not math.isfinite(gval):
@@ -471,9 +410,6 @@ class DistanceMapModel:
             return d0, "saturated"
         if gval == 0.0:
             return 0.0, "unique"
-        if self._ladder is None:
-            path = _halvings(0.0, d0, 0.0, 0.0, _LADDER)
-            self._ladder = (path, self._midpoint_values(path))
         lo, hi = self._bisect(gval, d0, rel_tol)
         return 0.5 * (lo + hi), "unique"
 
