@@ -72,9 +72,9 @@ _MAX_SAWTOOTH_BITS = 16
 _SPECTRUM_BLOCK = 1 << 22
 
 
-# Grid points per window of a bounded grid scan (``_scan_windows``): every
-# _STRIDE-th point is evaluated first, then only the windows between them
-# that a slope bound cannot rule out.
+# Grid points per window of a bounded grid scan (``_smooth_range`` and
+# ``_cell_crossings``): every _STRIDE-th point is evaluated first, then only
+# the windows between them that a slope bound cannot rule out.
 _STRIDE = 64
 
 # Elements per block of map evaluation (2^15 float64 is 256 KiB); the
@@ -430,23 +430,17 @@ def _smooth_range(map_):
     period on.)  Every point left out is above the grid's minimum and below
     its maximum, and each point evaluated has the bits it has on the whole
     grid, so the first index of each extreme, and the range, are the whole
-    grid's, bit for bit.  Where the slack is at least sum |a_k|, half the
-    widest codomain the terms allow, no window could be ruled out, and the
-    whole grid is evaluated at once, as for ``mixture:400:1``.
+    grid's, bit for bit.
 
     ``PeriodicMap.value_range`` calls it on a smooth map's first read of
     its codomain; building the map does not.
     """
     n = 1 << 16
-    terms = map_.params["terms"]
-    slack = _window_slack(terms, _STRIDE / n)
-    if slack >= sum(abs(a) for _, a in terms):
-        ts = (np.arange(n) + 0.5) / n
-    else:
-        firsts = map_((np.arange(0, n, _STRIDE) + 0.5) / n)
-        mean = 0.5 * (firsts + np.roll(firsts, -1))
-        windows = (mean - slack <= firsts.min()) | (mean + slack >= firsts.max())
-        ts = (np.flatnonzero(np.repeat(windows, _STRIDE)) + 0.5) / n
+    slack = _window_slack(map_.params["terms"], _STRIDE / n)
+    firsts = map_((np.arange(0, n, _STRIDE) + 0.5) / n)
+    mean = 0.5 * (firsts + np.roll(firsts, -1))
+    windows = (mean - slack <= firsts.min()) | (mean + slack >= firsts.max())
+    ts = (np.flatnonzero(np.repeat(windows, _STRIDE)) + 0.5) / n
     v = map_(ts)
     i_lo = int(np.argmin(v))
     i_hi = int(np.argmax(v))
@@ -595,13 +589,10 @@ def _cell_crossings(inner, bits):
     plus ``_window_slack``, differ.  The cell is monotone in the value, so
     each window left out lies in one cell, and each point evaluated has the
     bits it has on the whole grid: the crossings, the check and the
-    brackets are the whole grid's, bit for bit.  Where the slack is at
-    least a cell's width, the mean less and plus the slack are in two cells
-    for every window, and the whole grid is evaluated at once.  The
-    bisection takes up to 60 halvings and stops once every bracket is two
-    adjacent floats, where a further halving leaves it as it is.  It reads
-    ``inner.value_range``, so quantizing a smooth map computes the inner
-    map's codomain.
+    brackets are the whole grid's, bit for bit.  The bisection takes up to
+    60 halvings and stops once every bracket is two adjacent floats, where a
+    further halving leaves it as it is.  It reads ``inner.value_range``, so
+    quantizing a smooth map computes the inner map's codomain.
     """
 
     def cell(v):
@@ -611,13 +602,12 @@ def _cell_crossings(inner, bits):
     grid = np.arange(n + 1) / n
     lo, hi = inner.value_range
     slack = _window_slack(inner.params["terms"], _STRIDE / n)
-    if slack < (hi - lo) / 2 ** bits:
-        ends = inner(grid[::_STRIDE])
-        mean = 0.5 * (ends[:-1] + ends[1:])
-        windows = cell(mean - slack) != cell(mean + slack)
-        keep = np.append(np.repeat(windows, _STRIDE), False)
-        keep[_STRIDE::_STRIDE] |= windows  # and each window's right end
-        grid = grid[keep]
+    ends = inner(grid[::_STRIDE])
+    mean = 0.5 * (ends[:-1] + ends[1:])
+    windows = cell(mean - slack) != cell(mean + slack)
+    keep = np.append(np.repeat(windows, _STRIDE), False)
+    keep[_STRIDE::_STRIDE] |= windows  # and each window's right end
+    grid = grid[keep]
     c = cell(inner(grid))
     # two points kept next to each other are grid neighbours, or the ends
     # of a run of windows left out, which lie in those windows' one cell

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,25 +84,20 @@ def _column(ds):
 def _phi(spec, ds, xi):
     """char_fn on the grid ds x xi, bit for bit, without its check of d.
 
-    ds is a 1-D array, one row per d, or one float d, one row; xi ascends.
-    Each entry of the grid is the one product fl(scale d * xi_k).  Past the
-    last scale d xi <= _LIVE in the row of the smallest d, read from the
-    grid itself, phi is exactly 0 in every row: those columns are filled
-    with 0, not exponentiated.  Where that row is live to its last column,
-    the whole grid is exponentiated, with no cut to look for.  Subnormal
-    phi are computed.  Rows keep their full length, so a dot product over
-    a row sums in the same order.
+    ds is a nonempty 1-D array, one row per d, or one float d, one row; xi
+    ascends.  Each entry of the grid is the one product fl(scale d * xi_k).
+    Past the last scale d xi <= _LIVE in the row of the smallest d, read
+    from the grid itself, phi is exactly 0 in every row: those columns are
+    filled with 0, not exponentiated.  Where that row is live to its last
+    column, the whole grid is exponentiated, with no cut to look for.
+    Subnormal phi are computed.  Rows keep their full length, so a dot
+    product over a row sums in the same order.
     """
     sd = spec.scale * ds
     if isinstance(ds, float):
         # the operator, not np.multiply(sd, xi): the same product, but the
         # ufunc call took 1.1 against 0.6 us with a Python float first
         out = smallest = sd * xi
-    elif len(sd) == 1:
-        # einsum's set-up is most of a one-row grid: 3.1 against 1.3 us at
-        # 1 x 2049, and 1.9 against 0.7 at 1 x 2 (2-vCPU Xeon, numpy 2.4)
-        smallest = sd[0] * xi
-        out = smallest[None]
     else:
         # Not the broadcast sd[:, None] * xi: numpy buffers that one when its
         # rows are shorter than about a third of its 8192-element buffer,
@@ -114,8 +108,6 @@ def _phi(spec, ds, xi):
         # every x >= +0): 20 against 37 us at 16 x 2049, 5.0 against 5.8 at
         # 500 x 2, but 21 against 10 at 4 x 8192 (2-vCPU Xeon, numpy 2.4).
         out = np.einsum("i,j->ij", sd, xi)
-        if not len(sd):
-            return out
         smallest = out[sd.argmin()]
     cut, live = _LIVE[spec.family], out
     if smallest[-1] > cut:
@@ -177,8 +169,6 @@ def _dots(spec, ds, xi, powers, term=_phi):
         out[live] = _dots(spec, ds[live], xi, powers, term)
         return out
     rows = max(1, _PHI_BLOCK // len(xi))
-    if len(ds) <= rows:
-        return np.vecdot(term(spec, ds, xi), powers)
     out = np.empty(len(ds))
     for i in range(0, len(ds), rows):
         np.vecdot(term(spec, ds[i:i + rows], xi), powers, out=out[i:i + rows])
@@ -197,16 +187,15 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
     a single d one row; at d = 0, S is ac_power exactly.  A series sums its
     blocks in order, as a scalar loop would, each d stopping at its own
     block once rem = above * term(2 pi (hi+1) | d) is 1e-12 of
-    max(S, ac_power / 1000) or less (for the slope, whose terms are per
-    unit scale, ac_power / (1000 scale)); half of rem goes into S_hat and
-    half into err, with the tail_bound.  A float d on a series is a grid of
-    one.
+    max(S, ac_power / 1000) or less, a test of scale d alone (the slope's
+    terms are per unit scale); half of rem goes into S_hat and half into
+    err, with the tail_bound.  A float d on a series is a grid of one.
 
     rem bounds the rest where term falls in k: phi always, the slope past its
     peak at 2 pi k scale d = sqrt 2 (Gaussian) or 1 (Cauchy).  Below the peak
     rem >= S above / (ac_power - above), over 1e-12 S for a series before
     _K_CAP, so only S < ac_power / 1000 can stop it there: a Gaussian series
-    at scale^2 d < ~1e-19, far below where _K_CAP already cuts its slope.
+    at scale d < ~1e-19, far below where _K_CAP already cuts its slope.
     """
     if isinstance(ds, float):
         if ds > 0.0 and not isinstance(spectrum, HarmonicSeries):
@@ -217,8 +206,6 @@ def _phi_sum(spectrum, spec, ds, term=_phi):
         return s_hat[0], err[0]
     if isinstance(spectrum, HarmonicSeries):
         return _series_sum(spectrum, spec, ds, term)
-    if np.count_nonzero(ds) == len(ds):
-        return _dots(spec, ds, spectrum.xi, spectrum.xi_power, term), spectrum.tail_bound
     s_hat = np.full(len(ds), spectrum.ac_power)
     pos = ds > 0.0
     s_hat[pos] = _dots(spec, ds[pos], spectrum.xi, spectrum.xi_power, term)
@@ -238,8 +225,6 @@ def _series_sum(spectrum, spec, ds, term):
     rows = np.flatnonzero((ds > 0.0) & ~_dead(spec, ds, 2.0 * np.pi))  # still summing
     d, s = ds[rows], 0.0  # their d and sums
     floor = 1e-3 * spectrum.ac_power
-    if term is _slope:  # the stop test in units of g': its terms are g' / scale
-        floor /= spec.scale
     for hi, ks, powers, above in spectrum.blocks():
         if not len(d):
             break
@@ -463,14 +448,9 @@ def universal_binary_map(d, sigma, Delta):
         return 0.0, bounds
     acc = 0.0
     c = (math.pi * s) ** 2 / 2.0
-    # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly; each
-    # exp(-t) past t = _LIVE["cauchy"] is 0, and is left 0 in a full-length row
+    # 4 / (pi k)^2 over odd k is twice the square wave's P_k, exactly
     for hi, k, powers, above in make_square_wave().power_coeffs().blocks():
-        t = c * k * k
-        n = int(t.searchsorted(_LIVE["cauchy"], "right"))
-        terms = np.zeros(len(k))
-        np.exp(-t[:n], out=terms[:n])
-        acc += float((2.0 * powers) @ terms)
+        acc += float((2.0 * powers) @ np.exp(-(c * k * k)))
         rem = 2.0 * above * math.exp(-c * (hi + 1) ** 2)
         if rem <= 1e-14 * max(acc, 1e-3):
             break
@@ -715,7 +695,11 @@ def p2_meaningful_radius(N, sigma, Delta):
     return Delta / (sigma * math.sqrt(N + 1.0))
 
 
-def p2_monte_carlo(N, sigma, r, Delta, trials, rs, chunk=2048):
+# Trials per block of p2_monte_carlo: its two draws and the norms of a block.
+_P2_CHUNK = 2048
+
+
+def p2_monte_carlo(N, sigma, r, Delta, trials, rs):
     """Monte Carlo estimate of the boundary-crossing probability P_2.
 
     Each trial projects a ball of radius r/2 through a Gaussian row
@@ -728,12 +712,10 @@ def p2_monte_carlo(N, sigma, r, Delta, trials, rs, chunk=2048):
         raise ValueError("N must be an integer for the Monte Carlo estimate")
     if not (1 <= trials < math.inf and int(trials) == trials):  # false for NaN too
         raise ValueError("trials must be a positive integer")
-    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral) or chunk < 1:
-        raise ValueError("chunk must be an integer >= 1")
     N, trials = int(N), int(trials)
     crossings = 0
-    for lo in range(0, trials, chunk):
-        n = min(chunk, trials - lo)
+    for lo in range(0, trials, _P2_CHUNK):
+        n = min(_P2_CHUNK, trials - lo)
         z = rs.gaussian("montecarlo:p2_rows", n * N, start=lo * N).reshape(n, N)
         z *= sigma
         norms = np.linalg.norm(z, axis=1)

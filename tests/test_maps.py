@@ -389,13 +389,6 @@ class TestBoundedScans:
         quantize_map(make_fourier_mixture(FIG3_TERMS), 3).power_coeffs()
         assert sum(sizes) <= 25_000
 
-    def test_range_that_rules_nothing_out_is_one_grid(self, monkeypatch):
-        # its slack is above sum |a_k|, so it skips the pass over the windows'
-        # first points: the grid, and a dozen points of Brent's refinements
-        sizes = map_call_sizes(monkeypatch)
-        make_fourier_mixture([(400, 1.0)]).value_range
-        assert sum(sizes) <= 2 ** 16 + 2 ** 10
-
 
 class TestQuantize:
     def test_sandwich(self):
