@@ -382,6 +382,15 @@ class TestBoundedScans:
         for bits in (1, 2, 3):
             assert_crossings_are_the_full_grid(m, bits)
 
+    def test_range_that_rules_nothing_out_scans_every_window(self, monkeypatch):
+        # its slack is above sum |a_k|, so every window is kept: the pass
+        # over the windows' first points, the whole grid, and a dozen points
+        # of Brent's refinements
+        sizes = map_call_sizes(monkeypatch)
+        make_fourier_mixture([(400, 1.0)]).value_range
+        assert sizes[:2] == [2 ** 16 // maps._STRIDE, 2 ** 16]
+        assert sum(sizes) <= 2 ** 16 + 2 ** 10 + 2 ** 6
+
     def test_quantized_design_build_evaluates_a_fifth_of_the_points(self, monkeypatch):
         # the two whole grids made it 101,997 map points: 2^16 for the
         # range, 2^15 + 1 for the crossings, and their refinements

@@ -257,6 +257,21 @@ class TestSummationEngine:
             assert theory._dots(spec, 1.0, xi, powers).hex() == want[0].hex()
             assert theory._dots(spec, ds, xi, powers).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("term", [theory._phi, theory._slope], ids=["phi", "slope"])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_block_loop_is_one_vecdot_bit_for_bit(self, family, term):
+        # live grids of one row, one block less a row, one block, one block
+        # and a row, and two blocks and a row, shuffled: the dots block by
+        # block are those of the whole grid's terms in one vecdot
+        sp, spec = make_multibit(4).power_coeffs(), ProjectionSpec(family, 0.7)
+        rows = theory._PHI_BLOCK // len(sp.xi)
+        edge = theory._LIVE[family] / (spec.scale * sp.xi[0])
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+            ds = np.random.default_rng(n).permutation(np.geomspace(1e-9, 0.99, n) * edge)
+            want = np.vecdot(term(spec, ds, sp.xi), sp.xi_power)
+            got = theory._dots(spec, ds, sp.xi, sp.xi_power, term)
+            assert got.tobytes() == want.tobytes(), n
+
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
     @pytest.mark.parametrize("m", CATALOG, ids=lambda m: m.name)
     def test_dead_rows_give_the_limits_without_a_warning(self, m, family):
@@ -1262,6 +1277,14 @@ class TestBallCrossing:
             monkeypatch.setattr(theory, "_P2_CHUNK", chunk)
             b = p2_monte_carlo(32, 1.0, 0.05, 1.0, 5000, RandomState(3))
             assert a == b
+
+    @pytest.mark.parametrize("trials", [1, theory._P2_CHUNK - 1, theory._P2_CHUNK + 1])
+    def test_monte_carlo_partial_last_block(self, monkeypatch, trials):
+        # a last block shorter than _P2_CHUNK draws the same trials as one
+        # block of them all
+        a = p2_monte_carlo(32, 1.0, 0.05, 1.0, trials, RandomState(3))
+        monkeypatch.setattr(theory, "_P2_CHUNK", trials)
+        assert p2_monte_carlo(32, 1.0, 0.05, 1.0, trials, RandomState(3)) == a
 
     def test_monte_carlo_wants_integral_dimension_and_trials(self):
         # a truncated N would estimate another dimension than p2_bound's
