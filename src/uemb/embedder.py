@@ -1,9 +1,14 @@
 """Embedding operators y = h(Ax + w) and embedding-space geometry.
 
 Operators are immutable (A, w, map) bundles.  Embeddings are one type from
-embed_batch to the UEMB file: an EmbeddingBatch, n codes in one n x M
-matrix.  Distances are per row pair of two batches, normalized by M (means,
-not sums) so tolerance guarantees are rate-independent.
+embed_batch to the UEMB file: an EmbeddingBatch, n codes of length M.  A
+binary batch (the {0, 1} square wave's) holds its codes as ``bits``, one
+packed n x ceil(M/8) uint8 matrix that is also the UEMB payload; its rows
+are views of ``bits``, and ``values`` is a float64 copy unpacked on each
+read.  Any other batch holds one n x M float64 matrix, ``values``.
+Distances are per row pair of two batches, normalized by M (means, not
+sums) so tolerance guarantees are rate-independent; two binary batches are
+compared by counting bits.
 
 Batching: every projection goes through the same >=2-row GEMM path, and
 embed is a batch of one.  The same batch gives the same bits, but at small
@@ -12,11 +17,13 @@ rows batched with it, so embed, embed_batch and a split batch can differ
 in the last bit: smooth maps show it, the square wave hides it.
 
 A batch of n signals allocates one n x M float64 array: one GEMM writes
-it, the dither is added and the map applied in place.
+it, the dither is added and the map applied in place; a binary map's batch
+then packs it into bits and lets it go.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -73,47 +80,88 @@ class EmbeddingOperator:
         )
 
 
-@dataclass(eq=False)
 class EmbeddingBatch:
-    """n embedded signals of one operator, as one n x M float64 matrix (n >= 0).
+    """n embedded signals of one operator (n >= 0), as n codes of length M.
+
+    A binary batch holds ``bits``: its {0, 1} codes packed 8 to a byte, the
+    n x ceil(M/8) uint8 rows of ``np.packbits(axis=1)`` with zero padding
+    bits, which are also the UEMB payload; ``values`` unpacks a fresh
+    n x M float64 copy, so writing to it leaves the batch as it was.  Any
+    other batch holds ``values``, one n x M float64 matrix, and its ``bits``
+    is None.  Building a binary batch from values raises ValueError on a
+    value other than 0 or 1, which bits cannot keep.
 
     A single embedding is a batch of one.  ``len`` is n; an int index gives
-    row i as a batch of one and a slice a sub-batch, both views of
-    ``values``, so iteration yields batches of one; ``+`` joins the rows of
-    two batches of one operator.  ``saturation_count`` holds
-    post_quantize's clamped values per row.
+    row i as a batch of one and a slice a sub-batch, both views of ``bits``
+    (binary) or ``values``, so iteration yields batches of one; ``+`` joins
+    the rows of two batches of one operator, code and M.
+    ``saturation_count`` holds post_quantize's clamped values per row.
     """
 
-    values: np.ndarray
-    map_id: str
-    binary: bool = False
-    quantized_bits: int | None = None
-    saturation_count: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or (len(self.values) and not self.values.shape[1]):
+    def __init__(self, values, map_id, binary=False, quantized_bits=None,
+                 saturation_count=None):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or (len(values) and not values.shape[1]):
             raise ValueError("values must be an n x M array, with M >= 1 unless n = 0")
+        self.map_id, self.binary, self.M = map_id, binary, values.shape[1]
+        self.quantized_bits, self.saturation_count = quantized_bits, saturation_count
+        self._codes = _pack(values) if binary else values
+
+    @classmethod
+    def _of_bits(cls, bits, M, map_id):
+        """The binary batch of packed rows with zero padding bits, not copied."""
+        out = cls.__new__(cls)
+        out.map_id, out.binary, out.M, out._codes = map_id, True, M, bits
+        out.quantized_bits = out.saturation_count = None
+        return out
+
+    @property
+    def bits(self):
+        return self._codes if self.binary else None
+
+    @property
+    def values(self):
+        if self.binary:
+            return np.unpackbits(self._codes, axis=1, count=self.M).astype(np.float64)
+        return self._codes
 
     def __len__(self):
-        return len(self.values)
+        return len(self._codes)
+
+    def _rows(self, codes, saturation_count):
+        out = copy.copy(self)
+        out._codes, out.saturation_count = codes, saturation_count
+        return out
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
             i = range(len(self))[i]  # IndexError past the end, as a sequence
             i = slice(i, i + 1)
         sat = None if self.saturation_count is None else self.saturation_count[i]
-        return EmbeddingBatch(self.values[i], self.map_id, self.binary, self.quantized_bits, sat)
+        return self._rows(self._codes[i], sat)
 
     def __add__(self, other):
-        """Self's rows, then other's; ValueError unless one operator and code made both."""
+        """Self's rows, then other's; ValueError unless one operator, code and M made both."""
         code = (self.map_id, self.binary, self.quantized_bits)
         if (other.map_id, other.binary, other.quantized_bits) != code:
             raise ValueError("batches of different operators or codes: %r vs %r"
                              % (code, (other.map_id, other.binary, other.quantized_bits)))
+        if other.M != self.M:  # bits alone can agree: M = 9 and 16 are 2 bytes a row
+            raise ValueError("batches of different lengths: M=%d vs M=%d" % (self.M, other.M))
         sats = (self.saturation_count, other.saturation_count)
         sat = None if any(c is None for c in sats) else np.concatenate(sats)
-        return EmbeddingBatch(np.concatenate([self.values, other.values]), *code, sat)
+        return self._rows(np.concatenate([self._codes, other._codes]), sat)
+
+
+def _pack(values):
+    """np.packbits rows of a 0/1 float matrix; ValueError on any other value."""
+    ones = values == 1.0
+    n_ones = np.count_nonzero(ones)
+    bits = np.packbits(ones, axis=1)
+    del ones  # one n x M bool array alive at a time
+    if n_ones + np.count_nonzero(values == 0.0) != values.size:
+        raise ValueError("a binary batch may hold only the values 0 and 1")
+    return bits
 
 
 def build_operator(spec, map_, M, N, rs):
@@ -191,7 +239,9 @@ def embedding_distance(y, y2, metric):
     float64 per row pair (y[i], y2[i]).  sq_l2_mean = (1/M) ||y - y'||_2^2,
     l2_mean its square root, hamming_mean the fraction of differing
     coordinates ({0,1} embeddings only, where it equals sq_l2_mean exactly),
-    inner_mean = (1/M) <y, y'>.
+    inner_mean = (1/M) <y, y'>.  Two binary batches are compared on their
+    bits: the set bits of XOR (AND for inner_mean), exact integer counts
+    divided by M, which are the float sums bit for bit.
     """
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % (metric,))
@@ -199,11 +249,15 @@ def embedding_distance(y, y2, metric):
         raise ValueError(
             "embeddings come from different operators: %r vs %r" % (y.map_id, y2.map_id)
         )
-    a, b = y.values, y2.values
-    if a.shape != b.shape:
-        raise ValueError("batch shape mismatch: %r vs %r" % (a.shape, b.shape))
-    if metric == "hamming_mean" and not (y.binary and y2.binary):
+    if (len(y), y.M) != (len(y2), y2.M):
+        raise ValueError("batch shape mismatch: %r vs %r" % ((len(y), y.M), (len(y2), y2.M)))
+    if y.binary and y2.binary:
+        both = (np.bitwise_and if metric == "inner_mean" else np.bitwise_xor)(y.bits, y2.bits)
+        sq = np.bitwise_count(both, out=both).sum(axis=1) / y.M
+        return np.sqrt(sq) if metric == "l2_mean" else sq
+    if metric == "hamming_mean":
         raise ValueError("hamming_mean requires binary {0,1} embeddings")
+    a, b = y.values, y2.values
     if metric == "inner_mean":
         return np.vecdot(a, b) / a.shape[1]
     diff = a - b
@@ -244,24 +298,19 @@ _HEADER = struct.Struct("<4sHHIQ")
 def save_embeddings(path, batch):
     """Write a batch to the UEMB container; bit-exact round trip.
 
-    The payload is the n x M values, M >= 1 unless n = 0: a binary batch's
-    rows are packed 8 values per byte (flag bit 0), any other batch is raw
-    float64.  ValueError, before the file is opened, if a binary batch holds
-    a value other than 0 or 1, which its bits cannot keep.
+    The payload is the n x M codes, M >= 1 unless n = 0: a binary batch's
+    ``bits`` as they are (flag bit 0), any other batch's values as raw
+    float64.
     """
-    Y = batch.values
     mid = batch.map_id.encode("utf-8")
     if len(mid) > 0xFFFF:
         raise ValueError("map_id too long")
     if batch.binary:
-        bits = Y == 1.0
-        if np.count_nonzero(bits) + np.count_nonzero(Y == 0.0) != Y.size:
-            raise ValueError("a binary batch may hold only the values 0 and 1")
-        flags, payload = _FLAG_PACKED_BITS, np.packbits(bits, axis=1)
+        flags, payload = _FLAG_PACKED_BITS, np.ascontiguousarray(batch.bits)
     else:
-        flags, payload = 0, np.ascontiguousarray(Y, dtype="<f8")
+        flags, payload = 0, np.ascontiguousarray(batch.values, dtype="<f8")
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, Y.shape[1], len(Y)))
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, batch.M, len(batch)))
         f.write(struct.pack("<H", len(mid)))
         f.write(mid)
         f.write(payload)
@@ -271,8 +320,10 @@ def load_embeddings(path):
     """Read a UEMB container written by save_embeddings.
 
     The header, the map id and the payload size are validated before the
-    payload is read, as the batch's one n x M array, so a malformed file
-    raises FormatError in bounded time.
+    payload is read, as the batch's one array, so a malformed file raises
+    FormatError in bounded time.  A packed payload becomes the batch's
+    ``bits`` without unpacking, and raises FormatError if a padding bit
+    past M is set, which bit counts would read as a differing coordinate.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -304,16 +355,17 @@ def load_embeddings(path):
                 % (payload, count, per_vec)
             )
         if packed:
-            raw = np.fromfile(f, dtype=np.uint8, count=payload).reshape(count, per_vec)
-            Y = np.unpackbits(raw, axis=1, count=M).astype(np.float64)
-        else:
-            Y = np.fromfile(f, "<f8", count * M).reshape(count, M).astype(np.float64, copy=False)
-    return EmbeddingBatch(Y, map_id, packed)
+            bits = np.fromfile(f, dtype=np.uint8, count=payload).reshape(count, per_vec)
+            if M % 8 and np.any(bits[:, -1] & (0xFF >> M % 8)):
+                raise FormatError("padding bits past M=%d are set" % M)
+            return EmbeddingBatch._of_bits(bits, M, map_id)
+        Y = np.fromfile(f, "<f8", count * M).reshape(count, M).astype(np.float64, copy=False)
+    return EmbeddingBatch(Y, map_id)
 
 
 def export_csv(path, batch):
     """CSV export: header id,v0..v{M-1}, one row per embedding."""
     with open(path, "w", newline="") as f:
-        f.write("id," + ",".join("v%d" % j for j in range(batch.values.shape[1])) + "\n")
+        f.write("id," + ",".join("v%d" % j for j in range(batch.M)) + "\n")
         for i, row in enumerate(batch.values):
             f.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")

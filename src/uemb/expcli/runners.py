@@ -257,10 +257,10 @@ def run_retrieval(cfg, out_dir):
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Ydb = embed_batch(op, db).values
-            Yq = embed_batch(op, queries).values
-            # 0/1 codes: |q| + |y| - 2 q.y counts the mismatches, exact integers in float64
-            ham = (Yq.sum(1)[:, None] + Ydb.sum(1) - 2.0 * (Yq @ Ydb.T)) / rate
+            Bdb = embed_batch(op, db).bits
+            Bq = embed_batch(op, queries).bits
+            # all-pairs Hamming: the set bits of each query's XOR with every row
+            ham = np.bitwise_count(Bq[:, None, :] ^ Bdb).sum(axis=2) / rate
             votes = _majority_vote(ham, db_labels, L, J)
             acc[j] += float(np.mean(votes == query_labels))
     acc /= reps

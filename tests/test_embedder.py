@@ -16,6 +16,7 @@ from uemb.embedder import (
     build_universal_operator,
     embed,
     embed_batch,
+    METRICS,
     embedding_distance,
     export_csv,
     load_embeddings,
@@ -227,24 +228,42 @@ class TestBatch:
         with pytest.raises(ValueError, match="different operators"):
             Y[:1] + embed_batch(other, X[:1])
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["bits", "float"])
+    def test_join_of_different_lengths_rejected(self, binary):
+        # M = 9 and M = 16 both pack into 2 bytes a row
+        y9 = EmbeddingBatch(np.ones((2, 9)), "t", binary=binary)
+        y16 = EmbeddingBatch(np.ones((1, 16)), "t", binary=binary)
+        with pytest.raises(ValueError, match="different lengths"):
+            y9 + y16
+        assert len(y9 + y9[:1]) == 3 and (y9 + y9).M == 9
+
     def test_rows_are_views_and_indices_are_checked(self):
         ys = embed_batch(small_op(), np.random.default_rng(9).standard_normal((5, 16)))
         assert ys[-1].values.tobytes() == ys.values[4:].tobytes()
-        assert np.shares_memory(ys[1:3].values, ys.values)
+        # a binary batch's rows are views of its bits, and values is a copy
+        assert np.shares_memory(ys[1:3].bits, ys.bits) and np.shares_memory(ys[-1].bits, ys.bits)
+        assert not np.shares_memory(ys.values, ys.values)
         with pytest.raises(IndexError):
             ys[5]
 
 
 class TestDistances:
-    def test_hamming_equals_sq_l2_for_binary(self):
-        op = small_op(M=512, N=32)
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((10, op.N))
-        ys = embed_batch(op, X)
-        for i in range(0, 10, 2):
-            h = embedding_distance(ys[i], ys[i + 1], "hamming_mean")
-            s = embedding_distance(ys[i], ys[i + 1], "sq_l2_mean")
-            assert h == s
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("M", [1, 7, 8, 9, 63, 64, 65, 2000])
+    def test_hamming_equals_sq_l2_for_binary(self, M, n):
+        # binary batches count bits; each metric has the bits of the float
+        # sums over the same codes, hamming_mean those of sq_l2_mean
+        op = small_op(M=M, N=32)
+        ys = embed_batch(op, np.random.default_rng(5).standard_normal((2 * n, op.N)))
+        y, y2 = ys[:n], ys[n:]
+        f, f2 = EmbeddingBatch(y.values, y.map_id), EmbeddingBatch(y2.values, y2.map_id)
+        for metric in METRICS:
+            got = embedding_distance(y, y2, metric)
+            want = embedding_distance(f, f2, "sq_l2_mean" if metric == "hamming_mean" else metric)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+        assert embedding_distance(y, y2, "hamming_mean").tobytes() == \
+            embedding_distance(y, y2, "sq_l2_mean").tobytes()
 
     def test_inner_expansion_identity(self):
         # (1/M)||y-y'||^2 = (1/M)(||y||^2 + ||y'||^2) - 2 (1/M) <y,y'>
@@ -279,6 +298,15 @@ class TestDistances:
         ys = embed_batch(small_op(), np.zeros((3, 16)))
         with pytest.raises(ValueError, match="shape mismatch"):
             embedding_distance(ys[:1], ys[1:], "sq_l2_mean")
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_lengths_with_one_byte_width_rejected(self, metric):
+        # M = 9 and M = 16 both pack into 2 bytes a row
+        y9 = EmbeddingBatch(np.ones((2, 9)), "t", binary=True)
+        y16 = EmbeddingBatch(np.ones((2, 16)), "t", binary=True)
+        assert y9.bits.shape == y16.bits.shape
+        with pytest.raises(ValueError, match="shape mismatch"):
+            embedding_distance(y9, y16, metric)
 
     def test_hamming_rejected_for_non_binary(self):
         op = small_op(map_=make_multibit(2))
@@ -521,6 +549,56 @@ class TestPersistence:
         with pytest.raises(FormatError, match="flag bits"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("last", [0b10101000, 0b10101100, 0b10101001],
+                             ids=["zero-padded", "pad-bit-5", "pad-bit-7"])
+    def test_padding_bits_past_M_are_zero(self, tmp_path, last):
+        # M = 5: the low 3 bits of each row's byte are padding, which a bit
+        # count would read as differing coordinates
+        p = tmp_path / "pad.uemb"
+        p.write_bytes(struct.pack("<4sHHIQH", b"UEMB", 1, 1, 5, 2, 1) + b"t"
+                      + bytes([0b01010000, last]))
+        if last & 0b111:
+            with pytest.raises(FormatError, match="padding bits"):
+                load_embeddings(p)
+        else:
+            y = load_embeddings(p)
+            assert y.values.tolist() == [[0, 1, 0, 1, 0], [1, 0, 1, 0, 1]]
+            assert embedding_distance(y[0], y[1], "hamming_mean").tolist() == [1.0]
+
+    # a fixed 3 x 13 binary batch, as the UEMB version 1 bytes the float64
+    # batch wrote before binary batches held bits
+    _FIXED = bytes.fromhex("55454d42010001000d00000003000000000000000a00"
+                           "7371756172657c666d74" "9320c99064c8")
+
+    def test_binary_format_is_stable(self, tmp_path):
+        V = (np.arange(39).reshape(3, 13) * 5 % 7 < 3).astype(float)
+        p = tmp_path / "fixed.uemb"
+        save_embeddings(p, EmbeddingBatch(V, "square|fmt", binary=True))
+        assert p.read_bytes() == self._FIXED
+        back = load_embeddings(p)
+        assert back.values.tobytes() == V.tobytes() and back.bits.shape == (3, 2)
+        save_embeddings(p, back)
+        assert p.read_bytes() == self._FIXED
+
+    def test_binary_store_and_distance_memory_is_bounded(self, tmp_path):
+        # 100,000 x 256 bits: a 3.2 MB payload, 204.8 MB as float64
+        n, M = 100_000, 256
+        payload = np.random.default_rng(13).bytes(n * M // 8)
+        src, dst = tmp_path / "src.uemb", tmp_path / "dst.uemb"
+        src.write_bytes(struct.pack("<4sHHIQH", b"UEMB", 1, 1, M, n, 1) + b"t" + payload)
+        tracemalloc.start()
+        try:
+            save_embeddings(dst, load_embeddings(src))
+            y = load_embeddings(dst)
+            d = embedding_distance(y[:n // 2], y[n // 2:], "hamming_mean")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dst.read_bytes() == src.read_bytes()
+        assert peak < 3 * len(payload)
+        head = y[:100].values - y[n // 2:n // 2 + 100].values
+        assert d[:100].tolist() == (np.sum(head * head, axis=1) / M).tolist()
+
     def test_flipped_payload_bit_still_loads(self, tmp_path):
         op = small_op(M=16, N=8)
         p = tmp_path / "f.uemb"
@@ -578,4 +656,9 @@ class TestPersistence:
         lines = p.read_text().splitlines()
         assert lines[0] == "id,v0,v1,v2,v3"
         assert len(lines) == 3
+        # a binary batch writes its codes as the floats 0.0 and 1.0
+        V = np.array([[0.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]])
+        export_csv(p, EmbeddingBatch(V, "t", binary=True))
+        assert p.read_text() == ("id,v0,v1,v2,v3,v4\n0,0.0,1.0,1.0,0.0,1.0\n"
+                                 "1,1.0,0.0,0.0,0.0,1.0\n")
 
