@@ -253,17 +253,16 @@ def embedding_distance(y, y2, metric):
         raise ValueError("batch shape mismatch: %r vs %r" % ((len(y), y.M), (len(y2), y2.M)))
     if y.binary and y2.binary:
         both = (np.bitwise_and if metric == "inner_mean" else np.bitwise_xor)(y.bits, y2.bits)
-        sq = np.bitwise_count(both, out=both).sum(axis=1) / y.M
-        return np.sqrt(sq) if metric == "l2_mean" else sq
-    if metric == "hamming_mean":
+        mean = np.bitwise_count(both, out=both).sum(axis=1) / y.M
+    elif metric == "hamming_mean":
         raise ValueError("hamming_mean requires binary {0,1} embeddings")
-    a, b = y.values, y2.values
-    if metric == "inner_mean":
-        return np.vecdot(a, b) / a.shape[1]
-    diff = a - b
-    np.square(diff, out=diff)
-    sq = np.sum(diff, axis=1) / a.shape[1]
-    return np.sqrt(sq) if metric == "l2_mean" else sq
+    elif metric == "inner_mean":
+        return np.vecdot(y.values, y2.values) / y.M
+    else:
+        diff = y.values - y2.values
+        np.square(diff, out=diff)
+        mean = np.sum(diff, axis=1) / y.M
+    return np.sqrt(mean) if metric == "l2_mean" else mean
 
 
 def post_quantize(y, bits, S):

@@ -235,6 +235,13 @@ def _majority_vote(dist, db_labels, n_labels, J):
     return out
 
 
+def _words(bits):
+    """Packed code rows zero-filled to whole 64-bit words, as uint64."""
+    out = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    out[:, :bits.shape[1]] = bits
+    return out.view(np.uint64)
+
+
 def run_retrieval(cfg, out_dir):
     """Nearest-neighbor retrieval accuracy over a Delta x rate sweep."""
     rs = RandomState(cfg.seed)
@@ -257,10 +264,13 @@ def run_retrieval(cfg, out_dir):
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Bdb = embed_batch(op, db).bits
-            Bq = embed_batch(op, queries).bits
-            # all-pairs Hamming: the set bits of each query's XOR with every row
-            ham = np.bitwise_count(Bq[:, None, :] ^ Bdb).sum(axis=2) / rate
+            Wdb = _words(embed_batch(op, db).bits)
+            Wq = _words(embed_batch(op, queries).bits)
+            # all-pairs Hamming, one 64-bit word of the codes at a time
+            counts = np.zeros((len(Wq), len(Wdb)), dtype=np.uint64)
+            for w in range(Wq.shape[1]):
+                counts += np.bitwise_count(Wq[:, w, None] ^ Wdb[:, w])
+            ham = counts / rate
             votes = _majority_vote(ham, db_labels, L, J)
             acc[j] += float(np.mean(votes == query_labels))
     acc /= reps

@@ -10,13 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uemb.embedder import (
+    METRICS,
     EmbeddingBatch,
     FormatError,
     build_operator,
     build_universal_operator,
     embed,
     embed_batch,
-    METRICS,
     embedding_distance,
     export_csv,
     load_embeddings,
