@@ -236,7 +236,10 @@ def _majority_vote(dist, db_labels, n_labels, J):
 
 
 def _words(bits):
-    """Packed code rows zero-filled to whole 64-bit words, as uint64."""
+    """Packed code rows zero-filled to whole 64-bit words, as uint64.
+
+    A batch's padding bits are zero too, so no bit past M ever differs.
+    """
     out = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
     out[:, :bits.shape[1]] = bits
     return out.view(np.uint64)
