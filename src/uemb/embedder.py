@@ -4,8 +4,8 @@ Operators are immutable (A, w, map) bundles.  Embeddings are one type from
 embed_batch to the UEMB file: an EmbeddingBatch, n codes of length M.  A
 binary batch (the {0, 1} square wave's) holds its codes as ``bits``, one
 packed n x ceil(M/8) uint8 matrix that is also the UEMB payload; its rows
-are views of ``bits``, and ``values`` is a float64 copy unpacked on each
-read.  Any other batch holds one n x M float64 matrix, ``values``.
+are views of ``bits``, and ``values`` is a read-only float64 copy unpacked
+on each read.  Any other batch holds one n x M float64 matrix, ``values``.
 Distances are per row pair of two batches, normalized by M (means, not
 sums) so tolerance guarantees are rate-independent; two binary batches are
 compared by counting bits.
@@ -86,10 +86,10 @@ class EmbeddingBatch:
     A binary batch holds ``bits``: its {0, 1} codes packed 8 to a byte, the
     n x ceil(M/8) uint8 rows of ``np.packbits(axis=1)`` with zero padding
     bits, which are also the UEMB payload; ``values`` unpacks a fresh
-    n x M float64 copy, so writing to it leaves the batch as it was.  Any
-    other batch holds ``values``, one n x M float64 matrix, and its ``bits``
-    is None.  Building a binary batch from values raises ValueError on a
-    value other than 0 or 1, which bits cannot keep.
+    n x M float64 copy, read-only, since a write to it would not reach the
+    batch.  Any other batch holds ``values``, one n x M float64 matrix, and
+    its ``bits`` is None.  Building a binary batch from values raises
+    ValueError on a value other than 0 or 1, which bits cannot keep.
 
     A single embedding is a batch of one.  ``len`` is n; an int index gives
     row i as a batch of one and a slice a sub-batch, both views of ``bits``
@@ -121,9 +121,11 @@ class EmbeddingBatch:
 
     @property
     def values(self):
-        if self.binary:
-            return np.unpackbits(self._codes, axis=1, count=self.M).astype(np.float64)
-        return self._codes
+        if not self.binary:
+            return self._codes
+        v = np.unpackbits(self._codes, axis=1, count=self.M).astype(np.float64)
+        v.flags.writeable = False  # a write would be lost with the copy: raise instead
+        return v
 
     def __len__(self):
         return len(self._codes)

@@ -7,10 +7,10 @@ Scatter outputs always carry the theory column computed at the same
 parameters.  Each scatter cell goes through ``_embedded_pairs``, which
 builds the cell's operator and embeds its signal pairs once, as one
 EmbeddingBatch whose row pairs ``embedding_distance`` measures; quant-sim
-quantizes the batch's values in place.  Every CSV a runner
-writes goes through ``_emit``, which also records its path in the
-result's "files".  A map key's map is ``cfg.map``, built with its
-spectrum once, by the config check.
+quantizes the batch's values (in place, unless the batch is binary) into a
+float batch.  Every CSV a runner writes goes through ``_emit``, which also
+records its path in the result's "files".  A map key's map is ``cfg.map``,
+built with its spectrum once, by the config check.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import os
 
 import numpy as np
 
-from ..embedder import (build_operator, build_universal_operator, embed_batch,
-                        embedding_distance, universal_scale)
+from ..embedder import (EmbeddingBatch, build_operator, build_universal_operator,
+                        embed_batch, embedding_distance, universal_scale)
 from ..maps import _quantize_values, make_sawtooth, make_square_wave
 from ..randproj import ProjectionSpec, RandomState
 from ..theory import (
@@ -147,9 +147,11 @@ def run_quantization_sim(cfg, out_dir):
         spec = ProjectionSpec(cfg["family"], scale)
         Y = _embedded_pairs(cell, spec, base_map, cfg["M"], cfg["N"], dvals)
         emb_u = _pair_distances(Y)
-        _quantize_values(Y.values, base_map.value_range, bits)  # in place
-        emb_q = _pair_distances(Y)
-        del Y  # the next cell's matrices are drawn without this one alive
+        # in place for a float batch; a binary batch's values are a read-only copy
+        v = np.require(Y.values, requirements="W")
+        emb_q = _pair_distances(EmbeddingBatch(_quantize_values(v, base_map.value_range, bits),
+                                               Y.map_id))
+        del Y, v  # the next cell's matrices are drawn without this one alive
         theory = DistanceMapModel(base_map, spec).curve(dvals)
         _emit(files, out_dir, "quant_scatter_B=%d.csv" % bits,
               ["d_true", "emb_sq_l2_mean", "g_theory_unquantized"],
@@ -235,16 +237,6 @@ def _majority_vote(dist, db_labels, n_labels, J):
     return out
 
 
-def _words(bits):
-    """Packed code rows zero-filled to whole 64-bit words, as uint64.
-
-    A batch's padding bits are zero too, so no bit past M ever differs.
-    """
-    out = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
-    out[:, :bits.shape[1]] = bits
-    return out.view(np.uint64)
-
-
 def run_retrieval(cfg, out_dir):
     """Nearest-neighbor retrieval accuracy over a Delta x rate sweep."""
     rs = RandomState(cfg.seed)
@@ -267,13 +259,10 @@ def run_retrieval(cfg, out_dir):
             op = build_universal_operator(
                 cfg["family"], cfg["sigma"], delta, 1, rate, cfg["N"], cell
             )
-            Wdb = _words(embed_batch(op, db).bits)
-            Wq = _words(embed_batch(op, queries).bits)
-            # all-pairs Hamming, one 64-bit word of the codes at a time
-            counts = np.zeros((len(Wq), len(Wdb)), dtype=np.uint64)
-            for w in range(Wq.shape[1]):
-                counts += np.bitwise_count(Wq[:, w, None] ^ Wdb[:, w])
-            ham = counts / rate
+            Ydb = embed_batch(op, db).values
+            Yq = embed_batch(op, queries).values
+            # 0/1 codes: |q| + |y| - 2 q.y counts the mismatches, exact integers in float64
+            ham = (Yq.sum(1)[:, None] + Ydb.sum(1) - 2.0 * (Yq @ Ydb.T)) / rate
             votes = _majority_vote(ham, db_labels, L, J)
             acc[j] += float(np.mean(votes == query_labels))
     acc /= reps

@@ -243,6 +243,8 @@ class TestBatch:
         # a binary batch's rows are views of its bits, and values is a copy
         assert np.shares_memory(ys[1:3].bits, ys.bits) and np.shares_memory(ys[-1].bits, ys.bits)
         assert not np.shares_memory(ys.values, ys.values)
+        with pytest.raises(ValueError, match="read-only"):
+            ys.values[0, 0] = 1.0  # the write would be lost with the copy
         with pytest.raises(IndexError):
             ys[5]
 

@@ -232,6 +232,18 @@ class TestRunners:
         for row in res["summary"]:
             assert row[-1]  # within eps + 2 E_Q always (triangle inequality)
 
+    def test_quantization_sim_of_a_binary_map(self, tmp_path):
+        # B-bit levels of the square wave's 0/1 codes: 0.25/0.75 at B = 1 and
+        # 0.125/0.875 at B = 2, so emb_q is 0.25 and 0.5625 times the Hamming
+        cfg = make_config("quantization_sim", N=16, M=32, pairs=4, b_list=[1, 2],
+                          map="square", seed=7)
+        run_quantization_sim(cfg, tmp_path)
+        emb = {B: [float(line.split(",")[1]) for line in
+                   (tmp_path / ("quant_scatter_B=%d.csv" % B)).read_text().splitlines()[1:]]
+               for B in (1, 2)}
+        assert emb == {1: [0.0, 0.0625, 0.0859375, 0.0859375],
+                       2: [0.0, 0.158203125, 0.123046875, 0.263671875]}
+
     def test_quantization_sim_universal_variant(self, tmp_path):
         cfg = make_config(
             "quantization_sim", N=48, M=512, pairs=40, b_list=[4],
