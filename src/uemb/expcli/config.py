@@ -227,8 +227,11 @@ def _checked_map(selector):
 
 # value rule of each config key, for every entry of a list key
 _RULES = {
-    **dict.fromkeys(("N", "M", "pairs", "d_count", "candidates", "reps", "m_list",
-                     "rate_list", "n_list"), _within(1)),
+    **dict.fromkeys(("N", "M", "d_count", "candidates", "reps", "m_list", "rate_list",
+                     "n_list"), _within(1)),
+    # a scatter cell streams its pairs in blocks: only its pairs-length
+    # vectors (distances, measured and theory) grow with pairs
+    "pairs": _within(1, MAX_ELEMENTS),
     **dict.fromkeys(("clusters", "points_per_cluster", "q"), _within(2)),
     "b_list": _within(1, _MAX_QUANTIZER_BITS),
     # scales and distances; a map-eval scale of 0 derives it from sigma, delta
@@ -297,11 +300,6 @@ class ExperimentConfig:
             if M * params["N"] > MAX_ELEMENTS:  # randproj's cap on one M x N projection
                 raise ConfigError("%s must keep M x N within %d elements, got %d x %d"
                                   % (key, MAX_ELEMENTS, M, params["N"]))
-        if "pairs" in params:  # the 2 pairs x N signal block and its 2 pairs x M embedding
-            width = max(params["N"], params.get("M", 0), max(params.get("m_list", [0])))
-            if 2 * params["pairs"] * width > MAX_ELEMENTS:
-                raise ConfigError("pairs must keep 2 pairs x max(N, M) within %d elements,"
-                                  " got 2 x %d x %d" % (MAX_ELEMENTS, params["pairs"], width))
         if "clusters" in params:  # the l2 baseline's queries x database x N differences
             shape = (params["clusters"], params["clusters"] * (params["points_per_cluster"] - 1),
                      params["N"])

@@ -4,11 +4,12 @@ Every runner is bit-reproducible from (config, seed): randomness flows
 through per-cell derived RandomStates and CSV cells are written with
 shortest round-trip float formatting, so a rerun yields identical bytes.
 Scatter outputs always carry the theory column computed at the same
-parameters.  Each scatter cell goes through ``_embedded_pairs``, which
-builds the cell's operator and embeds its signal pairs once, as one
-EmbeddingBatch whose row pairs ``embedding_distance`` measures; quant-sim
-quantizes the batch's values (in place, unless the batch is binary) into a
-float batch.  Every CSV a runner writes goes through ``_emit``, which also
+parameters.  Each scatter cell goes through ``_cell_distances``, which
+builds the cell's operator and streams its signal pairs through it in
+blocks of ``_PAIR_BLOCK`` elements or 16 pairs, so a cell holds its
+operator and one block whatever ``pairs`` is; quant-sim also quantizes
+each block's values (in place, unless the batch is binary) into a float
+batch.  Every CSV a runner writes goes through ``_emit``, which also
 records its path in the result's "files".  A map key's map is ``cfg.map``,
 built with its spectrum once, by the config check.
 """
@@ -42,31 +43,33 @@ class DatasetError(RuntimeError):
     """Synthetic dataset failed its separation-margin validation."""
 
 
-def _pair_block(rs, stream, N, dvals, metric):
+# Elements of one scatter-cell block's signals or embeddings: 2 rows a pair
+# by the larger of N and M.  A block holds 16 pairs at least, so that its
+# GEMM stays on OpenBLAS's regular path.
+_PAIR_BLOCK = 1 << 19
+
+
+def _pair_block(rs, stream, N, dvals, metric, start=0):
     """Signal pairs x' = x + d u at controlled distances.
 
     u is uniform on the unit sphere for the l2 metric and scaled to unit
-    l1 norm for the l1 metric.  Returns a (2n, N) matrix with pair i in
-    rows 2i, 2i+1.
+    l1 norm for the l1 metric.  The pairs are those numbered start,
+    start + 1, ... of the stream: pair i is its draws [2iN, 2iN + 2N).
+    Returns a (2n, N) matrix with the n = len(dvals) pairs in rows 2i, 2i+1.
     """
     n = len(dvals)
-    g = rs.gaussian(stream, 2 * n * N).reshape(n, 2, N)
+    g = rs.gaussian(stream, 2 * n * N, start=2 * start * N).reshape(n, 2, N)
     x = g[:, 0, :]
     u = g[:, 1, :]
     if metric == "l2":
         norms = np.linalg.norm(u, axis=1, keepdims=True)
     else:
         norms = np.sum(np.abs(u), axis=1, keepdims=True)
-    X = np.empty((2 * n, N))
-    X[0::2] = x
-    # x + d u / norms, built in place in the odd rows.  Building it over g's
-    # own u rows saves this copy, but raised the shipped configs' peak RSS
-    # from 145 to 153 MB in one process (heap reuse after the copy changes).
-    moved = X[1::2]
-    np.multiply(np.asarray(dvals)[:, None], u, out=moved)
-    moved /= norms
-    moved += x
-    return X
+    # x + d u / norms, built in place over the u rows
+    np.multiply(np.asarray(dvals)[:, None], u, out=u)
+    u /= norms
+    u += x
+    return g.reshape(2 * n, N)
 
 
 def _pair_distances(Y):
@@ -74,15 +77,32 @@ def _pair_distances(Y):
     return embedding_distance(Y[0::2], Y[1::2], "sq_l2_mean")
 
 
-def _embedded_pairs(cell, spec, map_, M, N, dvals):
-    """The 2n-row embedding batch of the cell's signal pairs at distances dvals.
+def _cell_distances(cell, spec, map_, M, N, dvals, bits=None):
+    """sq_l2_mean of the cell's embedded signal pairs at distances dvals.
 
     The operator draws from the cell's "matrix" and "dither" streams and the
-    pairs from its "signals" stream.
+    pairs from its "signals" stream.  The pairs go through in blocks, each
+    drawn, embedded and measured before the next is drawn.  Returns one
+    distance per pair; with bits, a 2 x n array whose second row holds the
+    distances of the same embeddings quantized to bits over the map's value
+    range.
     """
     op = build_operator(spec, map_, M, N, cell)
-    X = _pair_block(cell, "signals", N, dvals, spec.signal_metric)
-    return embed_batch(op, X)
+    step = max(16, _PAIR_BLOCK // (2 * max(N, M)))
+    out = np.empty((1 if bits is None else 2, len(dvals)))
+    for lo in range(0, len(dvals), step):
+        block = slice(lo, lo + step)
+        Y = embed_batch(op, _pair_block(cell, "signals", N, dvals[block],
+                                        spec.signal_metric, lo))
+        out[0, block] = _pair_distances(Y)
+        if bits is not None:
+            # in place for a float batch; a binary batch's values are a read-only copy
+            v = np.require(Y.values, requirements="W")
+            out[1, block] = _pair_distances(
+                EmbeddingBatch(_quantize_values(v, map_.value_range, bits), Y.map_id))
+            del v
+        del Y  # the next block is drawn without this one alive
+    return out[0] if bits is None else out
 
 
 def _emit(files, out_dir, name, header, rows):
@@ -106,10 +126,10 @@ def run_design_sim(cfg, out_dir):
     for j, sigma in enumerate(cfg["sigma_list"]):
         spec = ProjectionSpec(cfg["family"], sigma)
         cell = rs.child("design:%d" % j)
-        emb = _pair_distances(_embedded_pairs(cell, spec, map_, cfg["M"], cfg["N"], dvals))
+        emb = _cell_distances(cell, spec, map_, cfg["M"], cfg["N"], dvals)
         theory = DistanceMapModel(map_, spec).curve(dvals)
         _emit(files, out_dir, "design_scatter_sigma=%s.csv" % _fmt(sigma),
-              ["d_true", "emb_sq_l2_mean", "g_theory"], list(zip(dvals, emb, theory)))
+              ["d_true", "emb_sq_l2_mean", "g_theory"], zip(dvals, emb, theory))
         resid = emb - theory
         hbar = map_.hbar
         within = float(np.mean(np.abs(resid) <= 0.1))
@@ -145,17 +165,11 @@ def run_quantization_sim(cfg, out_dir):
         else:
             scale = universal_scale(cfg["sigma"], cfg["delta"], bits)
         spec = ProjectionSpec(cfg["family"], scale)
-        Y = _embedded_pairs(cell, spec, base_map, cfg["M"], cfg["N"], dvals)
-        emb_u = _pair_distances(Y)
-        # in place for a float batch; a binary batch's values are a read-only copy
-        v = np.require(Y.values, requirements="W")
-        emb_q = _pair_distances(EmbeddingBatch(_quantize_values(v, base_map.value_range, bits),
-                                               Y.map_id))
-        del Y, v  # the next cell's matrices are drawn without this one alive
+        emb_u, emb_q = _cell_distances(cell, spec, base_map, cfg["M"], cfg["N"], dvals, bits)
         theory = DistanceMapModel(base_map, spec).curve(dvals)
         _emit(files, out_dir, "quant_scatter_B=%d.csv" % bits,
               ["d_true", "emb_sq_l2_mean", "g_theory_unquantized"],
-              list(zip(dvals, emb_q, theory)))
+              zip(dvals, emb_q, theory))
         mean_dev = float(np.mean(np.abs(emb_q - theory)))
         # quantized-embedding inflation check on the metric scale
         e_q = base_map.hbar * 2.0 ** (-bits - 1)
@@ -187,9 +201,9 @@ def run_universal_scatter(cfg, out_dir):
         d0 = DistanceMapModel(square, spec).D0
         for M in cfg["m_list"]:
             cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
-            ham = _pair_distances(_embedded_pairs(cell, spec, square, M, cfg["N"], dvals))
+            ham = _cell_distances(cell, spec, square, M, cfg["N"], dvals)
             _emit(files, out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M),
-                  ["d_true", "hamming_mean", "g_theory"], list(zip(dvals, ham, theory)))
+                  ["d_true", "hamming_mean", "g_theory"], zip(dvals, ham, theory))
             lo_h, hi_h = np.percentile(ham - theory, [2.5, 97.5])
             summary_rows.append((delta, M, float(hi_h - lo_h), float(d0)))
     _emit(files, out_dir, "scatter_summary.csv", ["delta", "M", "spread95", "d0_theory"],

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from uemb.expcli.main import main
 from uemb.expcli.runners import (
     RUNNERS,
     DatasetError,
-    _embedded_pairs,
+    _cell_distances,
     _pair_block,
     _pair_distances,
     run_bounds_sweep,
@@ -46,7 +47,7 @@ from uemb.expcli.runners import (
     run_retrieval,
     run_universal_scatter,
 )
-from uemb.maps import _quantize_values, make_sawtooth, make_square_wave, quantize_map
+from uemb.maps import make_sawtooth, make_square_wave, quantize_map
 from uemb.randproj import _HALF_CELL, ProjectionSpec, RandomState
 from uemb.theory import universal_binary_map, universal_binary_map_l1
 
@@ -369,31 +370,103 @@ class TestOneEmbeddingPerCell:
                     for i in range(len(vecs) // 2)]
         assert _pair_distances(vecs).tolist() == expected
 
+    @pytest.mark.parametrize("metric", ["l2", "l1"])
+    def test_pair_block_in_two_blocks_equals_one_block(self, metric):
+        # pair i is draws [2iN, 2iN + 2N) of the stream; 2 * 7 * 25 is not a
+        # multiple of Philox's 4 draws a block
+        dvals = np.linspace(0.0, 2.0, 15)
+        whole = _pair_block(RandomState(4), "signals", 25, dvals, metric)
+        parts = [_pair_block(RandomState(4), "signals", 25, dvals[lo:hi], metric, lo)
+                 for lo, hi in ((0, 7), (7, 15))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("bits", [1, 2, 4])
     @pytest.mark.parametrize("base", ["mixture", "sawtooth"])
-    def test_in_place_quantization_equals_quantized_operator(self, base, bits):
+    def test_in_place_quantization_equals_quantized_operator(self, monkeypatch, base, bits):
         # quant-sim's cell matrix, quantized in place, is the quantized map's
         # embedding by the same cell's (A, w) of the same pairs
         base_map = parse_map(DEFAULT_MIXTURE) if base == "mixture" else make_sawtooth()
         spec, cell = ProjectionSpec("gaussian", 0.2), RandomState(bits)
         dvals = np.linspace(0.0, 2.0, 15)
-        Y = _embedded_pairs(cell, spec, base_map, 1000, 24, dvals)
-        _quantize_values(Y.values, base_map.value_range, bits)
+        measured = record_measured_batches(monkeypatch)
+        _cell_distances(cell, spec, base_map, 1000, 24, dvals, bits)
         twin = build_operator(spec, quantize_map(base_map, bits), 1000, 24, cell)
         Yq = embed_batch(twin, _pair_block(cell, "signals", 24, dvals, "l2"))
-        assert Y.values.tobytes() == Yq.values.tobytes()
+        assert len(measured) == 2  # one block: its embedding, then its quantized copy
+        assert measured[1][0] == Yq.values.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
-    def test_scatter_cell_equals_universal_operator(self, family):
+    def test_scatter_cell_equals_universal_operator(self, monkeypatch, family):
         # scatter builds its square-wave operator from its own spec; the
         # bytes are those of build_universal_operator's at (sigma, Delta, 1)
         cell, dvals = RandomState(6), np.linspace(0.0, 3.0, 15)
         spec = ProjectionSpec(family, universal_scale(1.0, 0.5, 1))
-        Y = _embedded_pairs(cell, spec, make_square_wave(), 256, 24, dvals)
+        measured = record_measured_batches(monkeypatch)
+        _cell_distances(cell, spec, make_square_wave(), 256, 24, dvals)
         op = build_universal_operator(family, 1.0, 0.5, 1, 256, 24, cell)
         X = _pair_block(cell, "signals", 24, dvals, spec.signal_metric)
-        assert Y.values.tobytes() == embed_batch(op, X).values.tobytes()
-        assert Y.map_id == op.operator_id
+        assert measured == [(embed_batch(op, X).values.tobytes(), op.operator_id)]
+
+
+def record_measured_batches(monkeypatch):
+    """(values bytes, map_id) of each batch _cell_distances measures, in order."""
+    measured = []
+
+    def recording(Y):
+        measured.append((Y.values.tobytes(), Y.map_id))
+        return _pair_distances(Y)
+
+    monkeypatch.setattr(runners, "_pair_distances", recording)
+    return measured
+
+
+def record_block_rows(monkeypatch):
+    """The row count of each batch _cell_distances embeds, in order."""
+    rows = []
+
+    def recording(op, X):
+        rows.append(len(X))
+        return embed_batch(op, X)
+
+    monkeypatch.setattr(runners, "embed_batch", recording)
+    return rows
+
+
+class TestStreamedCell:
+    # the shipped configs' shapes, and a two-pair last block: design-sim's
+    # smooth mixture shows a last-bit difference wherever a row's bytes move
+    # with its block
+    @pytest.mark.parametrize("map_sel,spec,M,pairs", [
+        (DEFAULT_MIXTURE, ProjectionSpec("gaussian", 0.2), 2000, 500),
+        (DEFAULT_MIXTURE, ProjectionSpec("gaussian", 0.2), 2000, 133),
+        ("square", ProjectionSpec("gaussian", universal_scale(1.0, 0.5, 1)), 256, 500),
+        ("square", ProjectionSpec("gaussian", universal_scale(1.0, 0.5, 1)), 2048, 500),
+    ], ids=["design-M=2000", "design-M=2000-tail", "scatter-M=256", "scatter-M=2048"])
+    def test_blocks_give_the_whole_batch_distances(self, monkeypatch, map_sel, spec, M, pairs):
+        map_, dvals = parse_map(map_sel), np.linspace(0.0, 2.0, pairs)
+        rows = record_block_rows(monkeypatch)
+        streamed = _cell_distances(RandomState(11), spec, map_, M, 1000, dvals)
+        assert len(rows) > 1 and sum(rows) == 2 * pairs
+        op = build_operator(spec, map_, M, 1000, RandomState(11))
+        X = _pair_block(RandomState(11), "signals", 1000, dvals, spec.signal_metric)
+        assert streamed.tobytes() == _pair_distances(embed_batch(op, X)).tobytes()
+
+    def test_cell_memory_does_not_grow_with_pairs(self):
+        # A (M x N float64) plus one block's signals and embeddings, at
+        # 500 pairs and at 2000 alike
+        map_, spec = parse_map(DEFAULT_MIXTURE), ProjectionSpec("gaussian", 0.2)
+        M, N = 2000, 1000
+        _cell_distances(RandomState(1), spec, map_, M, N, np.linspace(0.0, 2.0, 16))
+        peaks = []
+        for pairs in (500, 2000):
+            tracemalloc.start()
+            try:
+                _cell_distances(RandomState(1), spec, map_, M, N, np.linspace(0.0, 2.0, pairs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * (M * N + 2 * runners._PAIR_BLOCK)
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
 
 # one small config per runner kind; bounds_sweep once per calculator
@@ -553,10 +626,10 @@ class TestCli:
         ("scatter", "kind = universal_scatter\nN = 70000\nm_list = 2048\n", "m_list"),
         ("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16,3000000\n",
          "rate_list"),
-        # 2 pairs x max(N, M) past the cap: about 13 GB of signals and embeddings
-        ("design-sim", "kind = design_sim\npairs = 200000\n", "pairs"),
-        ("quant-sim", "kind = quantization_sim\npairs = 200000\n", "pairs"),
-        ("scatter", "kind = universal_scatter\npairs = 200000\n", "pairs"),
+        # pairs past the cap: 3 GB of pairs-length vectors (d, distances, theory)
+        ("design-sim", "kind = design_sim\npairs = 134217729\n", "pairs"),
+        ("quant-sim", "kind = quantization_sim\npairs = 134217729\n", "pairs"),
+        ("scatter", "kind = universal_scatter\npairs = 134217729\n", "pairs"),
         # the l2 baseline's clusters x clusters (points_per_cluster - 1) x N past the
         # cap: about 51 GB at clusters = 5000
         *[("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16\n%s\n" % text,

@@ -733,6 +733,24 @@ class TestKernel:
         model = DistanceMapModel(make_square_wave(), ProjectionSpec("gaussian", 0.6))
         assert model.kernel(10.0) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_random_fourier_features_kernel(self, family, scale):
+        # one harmonic of power 1 is Rahimi & Recht's random Fourier
+        # features: K(d) = phi(2 pi | d), the Gaussian or Laplacian kernel
+        model = DistanceMapModel(parse_map("mixture:1:1.4142135623730951"),
+                                 ProjectionSpec(family, scale), flavor="kernel")
+        # from d = 0 past the point where K underflows to 0
+        top = (8.0 if family == "gaussian" else 130.0) / scale
+        ds = np.concatenate([[0.0], np.logspace(-12, 0, 25) * top, np.linspace(0.0, top, 401)])
+        if family == "gaussian":
+            want = np.exp(-((2 * np.pi * scale * ds) ** 2) / 2)
+        else:
+            want = np.exp(-2 * np.pi * scale * ds)
+        assert want[-1] == 0.0
+        assert np.max(np.abs(model.curve(ds) - want)) <= 4e-16
+        assert max(abs(model.kernel(float(d)) - w) for d, w in zip(ds, want)) <= 4e-16
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize(
