@@ -300,6 +300,13 @@ class ExperimentConfig:
             if M * params["N"] > MAX_ELEMENTS:  # randproj's cap on one M x N projection
                 raise ConfigError("%s must keep M x N within %d elements, got %d x %d"
                                   % (key, MAX_ELEMENTS, M, params["N"]))
+        if "pairs" in params:  # a scatter cell's smallest block: one pair's signals or embeddings
+            widths = {"N": params["N"], "M": params.get("M", 0),
+                      "m_list": max(params.get("m_list", [0]))}
+            key = max(widths, key=widths.get)
+            if 2 * widths[key] > MAX_ELEMENTS:
+                raise ConfigError("%s must keep one pair's 2 x max(N, M) within %d elements,"
+                                  " got 2 x %d" % (key, MAX_ELEMENTS, widths[key]))
         if "clusters" in params:  # the l2 baseline's queries x database x N differences
             shape = (params["clusters"], params["clusters"] * (params["points_per_cluster"] - 1),
                      params["N"])

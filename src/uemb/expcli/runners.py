@@ -6,12 +6,13 @@ shortest round-trip float formatting, so a rerun yields identical bytes.
 Scatter outputs always carry the theory column computed at the same
 parameters.  Each scatter cell goes through ``_cell_distances``, which
 builds the cell's operator and streams its signal pairs through it in
-blocks of ``_PAIR_BLOCK`` elements or 16 pairs, so a cell holds its
-operator and one block whatever ``pairs`` is; quant-sim also quantizes
-each block's values (in place, unless the batch is binary) into a float
-batch.  Every CSV a runner writes goes through ``_emit``, which also
-records its path in the result's "files".  A map key's map is ``cfg.map``,
-built with its spectrum once, by the config check.
+blocks of at most ``_PAIR_BLOCK`` elements (or one pair, where a pair
+alone is more), so a cell holds its operator and one block whatever
+``pairs`` is; quant-sim also quantizes each block's values (in place,
+unless the batch is binary) into a float batch.  Every CSV a runner
+writes goes through ``_emit``, which also records its path in the
+result's "files".  A map key's map is ``cfg.map``, built with its
+spectrum once, by the config check.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ class DatasetError(RuntimeError):
 
 
 # Elements of one scatter-cell block's signals or embeddings: 2 rows a pair
-# by the larger of N and M.  A block holds 16 pairs at least, so that its
-# GEMM stays on OpenBLAS's regular path.
+# by the larger of N and M.  A block holds one pair at least.
 _PAIR_BLOCK = 1 << 19
 
 
@@ -82,13 +82,13 @@ def _cell_distances(cell, spec, map_, M, N, dvals, bits=None):
 
     The operator draws from the cell's "matrix" and "dither" streams and the
     pairs from its "signals" stream.  The pairs go through in blocks, each
-    drawn, embedded and measured before the next is drawn.  Returns one
-    distance per pair; with bits, a 2 x n array whose second row holds the
-    distances of the same embeddings quantized to bits over the map's value
-    range.
+    drawn, embedded and measured before the next is drawn.  Returns a
+    1 x n array of one distance per pair; with bits, a 2 x n array whose
+    second row holds the distances of the same embeddings quantized to bits
+    over the map's value range.
     """
     op = build_operator(spec, map_, M, N, cell)
-    step = max(16, _PAIR_BLOCK // (2 * max(N, M)))
+    step = max(1, _PAIR_BLOCK // (2 * max(N, M)))
     out = np.empty((1 if bits is None else 2, len(dvals)))
     for lo in range(0, len(dvals), step):
         block = slice(lo, lo + step)
@@ -102,7 +102,7 @@ def _cell_distances(cell, spec, map_, M, N, dvals, bits=None):
                 EmbeddingBatch(_quantize_values(v, map_.value_range, bits), Y.map_id))
             del v
         del Y  # the next block is drawn without this one alive
-    return out[0] if bits is None else out
+    return out
 
 
 def _emit(files, out_dir, name, header, rows):
@@ -126,7 +126,7 @@ def run_design_sim(cfg, out_dir):
     for j, sigma in enumerate(cfg["sigma_list"]):
         spec = ProjectionSpec(cfg["family"], sigma)
         cell = rs.child("design:%d" % j)
-        emb = _cell_distances(cell, spec, map_, cfg["M"], cfg["N"], dvals)
+        emb, = _cell_distances(cell, spec, map_, cfg["M"], cfg["N"], dvals)
         theory = DistanceMapModel(map_, spec).curve(dvals)
         _emit(files, out_dir, "design_scatter_sigma=%s.csv" % _fmt(sigma),
               ["d_true", "emb_sq_l2_mean", "g_theory"], zip(dvals, emb, theory))
@@ -201,7 +201,7 @@ def run_universal_scatter(cfg, out_dir):
         d0 = DistanceMapModel(square, spec).D0
         for M in cfg["m_list"]:
             cell = rs.child("scatter:%s:%d" % (_fmt(delta), M))
-            ham = _cell_distances(cell, spec, square, M, cfg["N"], dvals)
+            ham, = _cell_distances(cell, spec, square, M, cfg["N"], dvals)
             _emit(files, out_dir, "scatter_delta=%s_M=%d.csv" % (_fmt(delta), M),
                   ["d_true", "hamming_mean", "g_theory"], zip(dvals, ham, theory))
             lo_h, hi_h = np.percentile(ham - theory, [2.5, 97.5])

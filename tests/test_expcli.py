@@ -445,7 +445,7 @@ class TestStreamedCell:
     def test_blocks_give_the_whole_batch_distances(self, monkeypatch, map_sel, spec, M, pairs):
         map_, dvals = parse_map(map_sel), np.linspace(0.0, 2.0, pairs)
         rows = record_block_rows(monkeypatch)
-        streamed = _cell_distances(RandomState(11), spec, map_, M, 1000, dvals)
+        streamed, = _cell_distances(RandomState(11), spec, map_, M, 1000, dvals)
         assert len(rows) > 1 and sum(rows) == 2 * pairs
         op = build_operator(spec, map_, M, 1000, RandomState(11))
         X = _pair_block(RandomState(11), "signals", 1000, dvals, spec.signal_metric)
@@ -467,6 +467,16 @@ class TestStreamedCell:
                 tracemalloc.stop()
         assert max(peaks) <= 8 * (M * N + 2 * runners._PAIR_BLOCK)
         assert abs(peaks[1] - peaks[0]) <= 1 << 20
+
+    def test_wide_pairs_go_one_at_a_time(self, monkeypatch):
+        # one pair's two rows of N = 300000 exceed the block budget: each
+        # block holds that one pair and no more
+        N = 300000
+        assert 2 * N > runners._PAIR_BLOCK
+        rows = record_block_rows(monkeypatch)
+        emb, = _cell_distances(RandomState(2), ProjectionSpec("gaussian", 0.2),
+                               parse_map(DEFAULT_MIXTURE), 1, N, np.linspace(0.0, 2.0, 3))
+        assert rows == [2, 2, 2] and emb.shape == (3,)
 
 
 # one small config per runner kind; bounds_sweep once per calculator
@@ -630,6 +640,11 @@ class TestCli:
         ("design-sim", "kind = design_sim\npairs = 134217729\n", "pairs"),
         ("quant-sim", "kind = quantization_sim\npairs = 134217729\n", "pairs"),
         ("scatter", "kind = universal_scatter\npairs = 134217729\n", "pairs"),
+        # one pair's 2 x max(N, M) signals or embeddings past the cap, with
+        # M x N within it: a scatter cell's smallest block
+        ("design-sim", "kind = design_sim\nN = 134217728\nM = 1\n", "N"),
+        ("quant-sim", "kind = quantization_sim\nN = 1\nM = 67108865\n", "M"),
+        ("scatter", "kind = universal_scatter\nN = 1\nm_list = 256,67108865\n", "m_list"),
         # the l2 baseline's clusters x clusters (points_per_cluster - 1) x N past the
         # cap: about 51 GB at clusters = 5000
         *[("retrieve", "kind = retrieval\ndelta_list = 1.0\nrate_list = 16\n%s\n" % text,
@@ -651,6 +666,7 @@ class TestCli:
             "map_eval-cells-finer-than-grid", "map_eval-sawtooth-17",
             "design-projection-cap", "scatter-projection-cap", "retrieval-projection-cap",
             "design-pairs-cap", "quant-pairs-cap", "scatter-pairs-cap",
+            "design-pair-width-cap", "quant-pair-width-cap", "scatter-pair-width-cap",
             "retrieve-clusters-cap", "retrieve-points_per_cluster-cap", "retrieve-N-cap",
             "map_eval-log_grid-7", "bounds-binary_infinite-eps-huge",
             "bounds-binary_infinite-eps-tiny"])
