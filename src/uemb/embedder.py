@@ -52,25 +52,29 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingOperator:
-    """Frozen (A, w, map, spec) bundle mapping R^N signals to R^M embeddings."""
+    """Frozen (A, w, map, spec) bundle mapping R^N signals to R^M embeddings; A is M x N."""
 
     A: np.ndarray
     w: np.ndarray
     map: PeriodicMap
     spec: ProjectionSpec
-    M: int
-    N: int
     seed: int
 
     def __post_init__(self):
-        if self.A.shape != (self.M, self.N):
-            raise ValueError("A must be M x N")
         if self.w.shape != (self.M,):
             raise ValueError("w must have length M")
         if np.any(self.w < 0) or np.any(self.w >= 1):
             raise ValueError("dither entries must lie in [0, 1)")
         self.A.setflags(write=False)
         self.w.setflags(write=False)
+
+    @property
+    def M(self):
+        return self.A.shape[0]
+
+    @property
+    def N(self):
+        return self.A.shape[1]
 
     @property
     def operator_id(self):
@@ -95,16 +99,13 @@ class EmbeddingBatch:
     row i as a batch of one and a slice a sub-batch, both views of ``bits``
     (binary) or ``values``, so iteration yields batches of one; ``+`` joins
     the rows of two batches of one operator, code and M.
-    ``saturation_count`` holds post_quantize's clamped values per row.
     """
 
-    def __init__(self, values, map_id, binary=False, quantized_bits=None,
-                 saturation_count=None):
+    def __init__(self, values, map_id, binary=False):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or (len(values) and not values.shape[1]):
             raise ValueError("values must be an n x M array, with M >= 1 unless n = 0")
         self.map_id, self.binary, self.M = map_id, binary, values.shape[1]
-        self.quantized_bits, self.saturation_count = quantized_bits, saturation_count
         self._codes = _pack(values) if binary else values
 
     @classmethod
@@ -112,7 +113,6 @@ class EmbeddingBatch:
         """The binary batch of packed rows with zero padding bits, not copied."""
         out = cls.__new__(cls)
         out.map_id, out.binary, out.M, out._codes = map_id, True, M, bits
-        out.quantized_bits = out.saturation_count = None
         return out
 
     @property
@@ -130,29 +130,25 @@ class EmbeddingBatch:
     def __len__(self):
         return len(self._codes)
 
-    def _rows(self, codes, saturation_count):
+    def _rows(self, codes):
         out = copy.copy(self)
-        out._codes, out.saturation_count = codes, saturation_count
+        out._codes = codes
         return out
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
             i = range(len(self))[i]  # IndexError past the end, as a sequence
             i = slice(i, i + 1)
-        sat = None if self.saturation_count is None else self.saturation_count[i]
-        return self._rows(self._codes[i], sat)
+        return self._rows(self._codes[i])
 
     def __add__(self, other):
         """Self's rows, then other's; ValueError unless one operator, code and M made both."""
-        code = (self.map_id, self.binary, self.quantized_bits)
-        if (other.map_id, other.binary, other.quantized_bits) != code:
+        if (other.map_id, other.binary) != (self.map_id, self.binary):
             raise ValueError("batches of different operators or codes: %r vs %r"
-                             % (code, (other.map_id, other.binary, other.quantized_bits)))
+                             % ((self.map_id, self.binary), (other.map_id, other.binary)))
         if other.M != self.M:  # bits alone can agree: M = 9 and 16 are 2 bytes a row
             raise ValueError("batches of different lengths: M=%d vs M=%d" % (self.M, other.M))
-        sats = (self.saturation_count, other.saturation_count)
-        sat = None if any(c is None for c in sats) else np.concatenate(sats)
-        return self._rows(np.concatenate([self._codes, other._codes]), sat)
+        return self._rows(np.concatenate([self._codes, other._codes]))
 
 
 def _pack(values):
@@ -174,8 +170,7 @@ def build_operator(spec, map_, M, N, rs):
     """
     A = sample_projection(spec, M, N, rs)
     w = sample_dither(M, rs)
-    M, N = A.shape
-    return EmbeddingOperator(A=A, w=w, map=map_, spec=spec, M=M, N=N, seed=rs.seed)
+    return EmbeddingOperator(A=A, w=w, map=map_, spec=spec, seed=rs.seed)
 
 
 def universal_scale(scale, Delta, bits=1):
@@ -268,13 +263,15 @@ def embedding_distance(y, y2, metric):
 
 
 def post_quantize(y, bits, S):
-    """Uniform scalar quantization of a batch over [-S, S].
+    """Uniform scalar quantization of a batch over [-S, S]: (batch, saturation_count).
 
     Step 2^{-B+1} S with midpoint reconstruction, for B up to 40 as in
     quantize_map; inputs outside [-S, S] clamp to the edge cells and are
-    counted, per row, in saturation_count.  Non-finite values raise
-    ValueError: NaN has no cell, and an infinity would pass as an ordinary
-    saturated value.
+    counted per row.  The batch's map_id is y's with
+    "|post_quantize:B=<bits>:S=<S>" appended, so it is a code of its own:
+    it joins and is compared only with batches of the same quantization.
+    Non-finite values raise ValueError: NaN has no cell, and an infinity
+    would pass as an ordinary saturated value.
     """
     bits = _check_bits(bits, _MAX_QUANTIZER_BITS)
     if not (S > 0 and math.isfinite(2.0 * S)):
@@ -282,12 +279,9 @@ def post_quantize(y, bits, S):
     v = y.values
     if not np.all(np.isfinite(v)):
         raise ValueError("embedding values must be finite")
-    return EmbeddingBatch(
-        values=_quantize_values(v.copy(), (-S, S), bits),
-        map_id=y.map_id,
-        quantized_bits=bits,
-        saturation_count=np.count_nonzero((v < -S) | (v >= S), axis=1),
-    )
+    map_id = "%s|post_quantize:B=%d:S=%r" % (y.map_id, bits, float(S))
+    q = EmbeddingBatch(_quantize_values(v.copy(), (-S, S), bits), map_id)
+    return q, np.count_nonzero((v < -S) | (v >= S), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -345,8 +345,7 @@ class TestStatisticalInvariants:
         spec = ProjectionSpec("gaussian", 0.5)
         op = build_operator(spec, make_square_wave(), M, N, RandomState(33))
         shifted_w = np.mod(op.w + 0.37, 1.0)
-        op2 = type(op)(A=op.A, w=shifted_w, map=op.map, spec=op.spec,
-                       M=op.M, N=op.N, seed=op.seed)
+        op2 = type(op)(A=op.A, w=shifted_w, map=op.map, spec=op.spec, seed=op.seed)
         rng = np.random.default_rng(9)
         x = rng.standard_normal(N)
         u = rng.standard_normal(N)
@@ -371,35 +370,32 @@ class TestPostQuantize:
         y = embed(op, np.linspace(-1, 1, 32))
         S = 1.0
         for bits in (1, 3, 6):
-            q = post_quantize(y, bits, S)
+            q, saturated = post_quantize(y, bits, S)
             assert np.max(np.abs(q.values - y.values)) <= 2.0 ** -bits * S + 1e-15
-            assert q.saturation_count == 0
-            assert q.quantized_bits == bits
+            assert saturated.tolist() == [0]
+            assert q.map_id == y.map_id + "|post_quantize:B=%d:S=1.0" % bits
 
     def test_l2_error_bound(self):
         rng = np.random.default_rng(11)
         vals = rng.uniform(-1, 1, size=(1, 500))
         y = EmbeddingBatch(values=vals, map_id="t")
-        q = post_quantize(y, 4, 1.0)
+        q, _ = post_quantize(y, 4, 1.0)
         assert np.linalg.norm(q.values - vals) <= math.sqrt(500) * 2.0 ** -4
 
     def test_fine_quantization_recovers(self):
         vals = np.linspace(-0.9, 0.9, 64)[None, :]
         y = EmbeddingBatch(values=vals, map_id="t")
-        q = post_quantize(y, 30, 1.0)
+        q, _ = post_quantize(y, 30, 1.0)
         assert np.max(np.abs(q.values - vals)) < 1e-6
 
     def test_saturation_counted(self):
-        # per row, so a row, a slice and a join keep their own counts
+        # per row; the bits and S travel in map_id, so a row keeps them
         y = EmbeddingBatch(values=[[-5.0, 0.0, 5.0], [0.0, 0.5, 1.0], [2.0, 0.0, 0.0]],
                            map_id="t")
-        q = post_quantize(y, 2, 1.0)
-        assert q.saturation_count.tolist() == [2, 1, 1]
+        q, saturated = post_quantize(y, 2, 1.0)
+        assert saturated.tolist() == [2, 1, 1]
         assert np.all(np.abs(q.values) <= 1.0)
-        assert q[0].saturation_count.tolist() == [2]
-        assert q[1:].saturation_count.tolist() == [1, 1]
-        assert (q[2] + q[:2]).saturation_count.tolist() == [1, 2, 1]
-        assert q[0].quantized_bits == 2
+        assert q[0].map_id == "t|post_quantize:B=2:S=1.0"
 
     def test_validation(self):
         y = EmbeddingBatch(values=np.zeros((1, 3)), map_id="t")
@@ -413,7 +409,7 @@ class TestPostQuantize:
     def test_bits_capped_as_in_quantize_map(self):
         # past 40 bits the cells are finer than float64 resolves; 2**1100 overflows
         y = EmbeddingBatch(values=[[0.1, -0.3]], map_id="t")
-        assert post_quantize(y, 40, 1.0).quantized_bits == 40
+        assert post_quantize(y, 40, 1.0)[0].map_id == "t|post_quantize:B=40:S=1.0"
         for bits in (41, 1000, 1100):
             with pytest.raises(ValueError):
                 post_quantize(y, bits, 1.0)
@@ -582,6 +578,36 @@ class TestPersistence:
         save_embeddings(p, back)
         assert p.read_bytes() == self._FIXED
 
+    # a fixed 2 x 3 float batch (-0.0 and subnormals included) as UEMB version 1 bytes
+    _FIXED_FLOAT = bytes.fromhex(
+        "55454d42010000000300000002000000000000000c00" "736177746f6f74687c666d74"
+        "000000000000e03f" "000000000000f4bf" "0000000000000840"
+        "0000000000000080" "59f3f8c21f6ea501" "0100000000000000")
+
+    def test_float_format_is_stable(self, tmp_path):
+        V = np.array([[0.5, -1.25, 3.0], [-0.0, 1e-300, 5e-324]])
+        p = tmp_path / "fixed.uemb"
+        save_embeddings(p, EmbeddingBatch(V, "sawtooth|fmt"))
+        assert p.read_bytes() == self._FIXED_FLOAT
+        back = load_embeddings(p)
+        assert back.values.tobytes() == V.tobytes() and back.bits is None
+        save_embeddings(p, back)
+        assert p.read_bytes() == self._FIXED_FLOAT
+
+    def test_post_quantized_batch_keeps_its_code_in_the_file(self, tmp_path):
+        # the quantization is part of map_id, which the file stores
+        y = embed_batch(small_op(M=12, N=16, map_=make_sawtooth()),
+                        np.random.default_rng(14).standard_normal((3, 16)))
+        q, _ = post_quantize(y, 3, 0.75)
+        assert q.map_id == y.map_id + "|post_quantize:B=3:S=0.75"
+        p = tmp_path / "q.uemb"
+        save_embeddings(p, q)
+        back = load_embeddings(p)
+        assert back.map_id == q.map_id and back.values.tobytes() == q.values.tobytes()
+        joined = back + q
+        assert len(joined) == 6 and joined.map_id == q.map_id
+        assert embedding_distance(back, q, "sq_l2_mean").tolist() == [0.0] * 3
+
     def test_binary_store_and_distance_memory_is_bounded(self, tmp_path):
         # 100,000 x 256 bits: a 3.2 MB payload, 204.8 MB as float64
         n, M = 100_000, 256
@@ -647,8 +673,11 @@ class TestPersistence:
         y2 = embed(small_op(seed=2), np.zeros(16))
         with pytest.raises(ValueError, match="different operators"):
             y1 + y2
+        q = post_quantize(y1, 2, 1.0)[0]
         with pytest.raises(ValueError, match="or codes"):  # one operator, two codes
-            post_quantize(y1, 2, 1.0) + y1
+            q + y1
+        with pytest.raises(ValueError, match="different operators"):
+            embedding_distance(q, y1, "sq_l2_mean")
 
     def test_csv_export(self, tmp_path):
         op = small_op(M=4, N=16)

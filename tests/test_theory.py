@@ -683,6 +683,27 @@ class TestClosedFormsAgainstEngine:
         assert universal_binary_map_l1(0.0, 1.0, 1.0) == 0.0
         assert universal_binary_map_l1(50.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_l1_against_high_precision_dilogarithms(self):
+        # 1/2 - (4/pi^2) (Li2(q) - Li2(q^2)/4), q = e^-x, with 40 digits left
+        # after the cancellation against 1/2 at small x = pi gamma d / Delta
+        mp = pytest.importorskip("mpmath")
+        gamma, Delta = 0.9, 1.7
+        xs = np.concatenate([[1e-300, 1e-100, 1e-16], np.geomspace(1e-14, 1e-2, 13),
+                             np.geomspace(0.1, 40.0, 60), [math.log(2.0), math.log(4.0)]])
+        for d in (xs * Delta / (math.pi * gamma)).tolist():
+            x = math.pi * gamma * d / Delta
+            with mp.workdps(40 + max(0, -math.floor(math.log10(x)))):
+                q = mp.exp(-mp.mpf(x))
+                want = 0.5 - 4 / mp.pi ** 2 * (mp.polylog(2, q) - mp.polylog(2, q * q) / 4)
+                got = universal_binary_map_l1(d, gamma, Delta)
+                assert abs(got - want) <= 2e-15 * want, x
+        assert universal_binary_map_l1(0.0, gamma, Delta) == 0.0
+        for d in (40.0 * Delta / (math.pi * gamma), 1e3, 1e308):
+            assert universal_binary_map_l1(d, gamma, Delta) == 0.5
+        # gamma d / Delta overflows, also from numpy scalars
+        assert universal_binary_map_l1(1e300, 1e8, 1.0) == 0.5
+        assert universal_binary_map_l1(np.float64(1e300), np.float64(1e8), 1.0) == 0.5
+
     def test_binary_bounds_sandwich(self):
         sigma = Delta = 1.0
         for d in np.geomspace(1e-3, 10, 100):
