@@ -61,6 +61,8 @@ class EmbeddingOperator:
     seed: int
 
     def __post_init__(self):
+        if self.A.ndim != 2:
+            raise ValueError("A must be an M x N matrix")
         if self.w.shape != (self.M,):
             raise ValueError("w must have length M")
         if np.any(self.w < 0) or np.any(self.w >= 1):

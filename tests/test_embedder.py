@@ -59,6 +59,12 @@ class TestBuildOperator:
         spec = ProjectionSpec("gaussian", 1.0)
         with pytest.raises(ValueError):
             build_operator(spec, make_square_wave(), 0, 4, RandomState(0))
+        # M and N are A's shape, so a direct construction needs a matrix
+        op = small_op(M=8, N=4)
+        with pytest.raises(ValueError, match="M x N matrix"):
+            type(op)(A=op.A[0], w=np.full(4, 0.5), map=op.map, spec=op.spec, seed=op.seed)
+        assert (type(op)(A=op.A, w=op.w, map=op.map, spec=op.spec, seed=op.seed).M,
+                op.N) == (8, 4)
 
     def test_universal_scale_folding(self):
         # B-bit folding: scale / (2^B Delta); B = 2 is 1/4 of the B = 0 ratio
